@@ -451,12 +451,19 @@ ResultsSink::jsonDirectory()
     return value;
 }
 
+std::string
+ResultsSink::outputDirectory(const std::string &directory)
+{
+    const std::string dir = directory.empty() ? jsonDirectory() : directory;
+    return dir == "none" || dir == "0" ? "" : dir;
+}
+
 bool
 ResultsSink::writeFile(const std::string &directory,
                        std::string *pathOut) const
 {
-    std::string dir = directory.empty() ? jsonDirectory() : directory;
-    if (dir.empty() || dir == "none" || dir == "0")
+    std::string dir = outputDirectory(directory);
+    if (dir.empty())
         return false;
     if (dir.back() != '/')
         dir += '/';
@@ -481,8 +488,8 @@ bool
 ResultsSink::writeTraceFile(const std::string &directory,
                             std::string *pathOut) const
 {
-    std::string dir = directory.empty() ? jsonDirectory() : directory;
-    if (dir.empty() || dir == "none" || dir == "0")
+    std::string dir = outputDirectory(directory);
+    if (dir.empty())
         return false;
     if (dir.back() != '/')
         dir += '/';

@@ -169,6 +169,12 @@ class ResultsSink
     static std::string jsonDirectory();
 
     /**
+     * The directory writeFile() and writeTraceFile() use for `directory`:
+     * "" -> jsonDirectory(); "none" or "0" -> disabled (returns "").
+     */
+    static std::string outputDirectory(const std::string &directory);
+
+    /**
      * Flush every record's trace events as JSONL into
      * `directory`/TRACE_<experiment>.jsonl: one header line ("schema":
      * "pdp-bench-trace/v1") then one line per event, tagged with its job

@@ -2072,14 +2072,10 @@ runSuite(const Suite &suite, const SuiteOptions &options, std::ostream &out)
     // throwing jobs directly still see the process default, disarmed).
     // When JSON output is disabled there is nowhere to dump, so the
     // recorder stays disarmed too.
-    std::string flightDir =
-        options.jsonDir.empty() ? ResultsSink::jsonDirectory()
-                                : options.jsonDir;
-    if (flightDir == "none" || flightDir == "0")
-        flightDir.clear();
+    const std::string outDir = ResultsSink::outputDirectory(options.jsonDir);
     std::optional<check::ScopedFlightRecorder> flightArm;
-    if (!flightDir.empty())
-        flightArm.emplace(flightDir);
+    if (!outDir.empty())
+        flightArm.emplace(outDir);
 
     reporter.beginBatch(suite.name, jobs.size(), executor.workers());
     const std::vector<JobRecord> records = executor.run(jobs);
@@ -2107,16 +2103,31 @@ runSuite(const Suite &suite, const SuiteOptions &options, std::ostream &out)
         sink.setRegistrySnapshot(
             telemetry::MetricsRegistry::global().snapshot());
 
-    std::string path;
-    if (sink.writeFile(options.jsonDir, &path))
-        out << "[runner] wrote " << path << "\n";
-    if (options.trace && sink.writeTraceFile(options.jsonDir, &path))
-        out << "[runner] wrote " << path << "\n";
+    // A result file that cannot be written fails the run: its jobs ran,
+    // but nobody can read what they found.
+    int unwritten = 0;
+    auto reportWrite = [&](bool written, const std::string &path,
+                           const std::string &name) {
+        if (written) {
+            out << "[runner] wrote " << path << "\n";
+        } else {
+            out << "[runner] error: could not write " << name << " into "
+                << outDir << "\n";
+            ++unwritten;
+        }
+    };
+    if (!outDir.empty()) {
+        std::string path;
+        reportWrite(sink.writeFile(outDir, &path), path, sink.fileName());
+        if (options.trace)
+            reportWrite(sink.writeTraceFile(outDir, &path), path,
+                        sink.traceFileName());
+    }
     out << "[runner] " << suite.name << ": "
         << (records.size() - static_cast<size_t>(notOk)) << "/"
         << records.size() << " job(s) ok on " << executor.workers()
         << " worker(s)\n";
-    return notOk;
+    return notOk + unwritten;
 }
 
 } // namespace runner

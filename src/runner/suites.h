@@ -145,8 +145,9 @@ const Suite *findSuite(const std::string &name);
 
 /**
  * Build, execute, report and serialize one suite.  Returns the number
- * of jobs that did not finish Ok (0 == success), so it can be used as a
- * process exit code.
+ * of jobs that did not finish Ok plus the number of result files
+ * (BENCH, TRACE) that could not be written (0 == success), so it can be
+ * used as a process exit code.
  */
 int runSuite(const Suite &suite, const SuiteOptions &options,
              std::ostream &out);

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <map>
+#include <optional>
 
 #include "cache/cache_stats.h"
 #include "check/check.h"
@@ -34,9 +37,10 @@ struct TenantState
 {
     enum class Phase { Pending, Live, Left };
     Phase phase = Phase::Pending;
+    unsigned spec = 0;
     int slot = -1;
     std::unique_ptr<TenantStreamGenerator> gen;
-    std::unique_ptr<PoissonProcess> clock;
+    std::optional<PoissonProcess> clock;
     TimingModel timer;
     /** LLC per-thread stats at join (delta baseline). */
     uint64_t baseAccesses = 0;
@@ -108,6 +112,25 @@ runService(const std::vector<TenantSpec> &tenants,
                   config.slots <= CacheStats::kMaxThreads,
               "service slots ", config.slots, " outside [1, ",
               CacheStats::kMaxThreads, "]");
+    // Every spec is checked before any stream is built.  The scheduler
+    // compares arrival times, so they must be finite.
+    for (const TenantSpec &t : tenants) {
+        PDP_CHECK(std::isfinite(t.arrivalRate) && t.arrivalRate > 0.0,
+                  "tenant ", t.name, " arrival rate ", t.arrivalRate,
+                  " is not finite and > 0");
+        PDP_CHECK(std::isfinite(t.zipfAlpha) && t.zipfAlpha >= 0.0,
+                  "tenant ", t.name, " Zipf alpha ", t.zipfAlpha,
+                  " is not finite and >= 0");
+        PDP_CHECK(t.writeFrac >= 0.0 && t.writeFrac <= 1.0, "tenant ",
+                  t.name, " write fraction ", t.writeFrac,
+                  " outside [0, 1]");
+        PDP_CHECK(t.footprintLines >= 1 &&
+                      t.footprintLines <= ZipfSampler::kMaxFootprint,
+                  "tenant ", t.name, " footprint ", t.footprintLines,
+                  " lines outside [1, ", ZipfSampler::kMaxFootprint, "]");
+        PDP_CHECK(t.meanGap >= 1, "tenant ", t.name, " mean gap ",
+                  t.meanGap, " is below 1");
+    }
 
     HierarchyConfig hcfg = config.hierarchy;
     hcfg.numThreads = config.slots;
@@ -183,9 +206,21 @@ runService(const std::vector<TenantSpec> &tenants,
               });
 
     std::vector<TenantState> state(tenants.size());
+    for (unsigned i = 0; i < tenants.size(); ++i)
+        state[i].spec = i;
     /** slotOwner[s] = spec index of the live tenant on slot s, or -1. */
     std::vector<int> slotOwner(config.slots, -1);
     unsigned live = 0;
+    // The scheduler's view: the live tenants in spec order and their
+    // pending arrival times, densely packed, plus the one it serves
+    // next.  Ties go to the lowest spec, i.e. the lowest dense index.
+    std::array<TenantState *, CacheStats::kMaxThreads> liveState{};
+    std::array<double, CacheStats::kMaxThreads> liveWhen{};
+    unsigned nextPick = 0;
+    // Tenants of equal footprint and skew draw from one Zipf table.
+    std::map<std::pair<uint64_t, double>,
+             std::shared_ptr<const ZipfSampler>>
+        zipfTables;
     uint64_t measured = 0;
     bool measuring = false;
     std::vector<double> lastQuotas;
@@ -200,6 +235,31 @@ runService(const std::vector<TenantSpec> &tenants,
                 if (slotOwner[s] >= 0)
                     q[s] = 1.0 / live;
         return q;
+    };
+
+    /** Branchless earliest-arrival argmin over the live tenants. */
+    auto pickNext = [&]() {
+        unsigned best = 0;
+        double earliest = liveWhen[0];
+        for (unsigned k = 1; k < live; ++k) {
+            const bool earlier = liveWhen[k] < earliest;
+            best = earlier ? k : best;
+            earliest = earlier ? liveWhen[k] : earliest;
+        }
+        nextPick = best;
+    };
+
+    /** Repack the live tenants after a join or leave. */
+    auto rebuildSchedule = [&]() {
+        unsigned n = 0;
+        for (TenantState &ts : state)
+            if (ts.phase == TenantState::Phase::Live) {
+                liveState[n] = &ts;
+                liveWhen[n] = ts.clock->nextArrival();
+                ++n;
+            }
+        if (n > 0)
+            pickNext();
     };
 
     auto snapshotBase = [&](TenantState &ts) {
@@ -245,12 +305,16 @@ runService(const std::vector<TenantSpec> &tenants,
         const uint64_t addrBase = (static_cast<uint64_t>(spec) + 1) << 32;
         const uint64_t streamSeed =
             hashMix64(seed ^ (0x7e4a7c15u + 2u * spec));
+        std::shared_ptr<const ZipfSampler> &table =
+            zipfTables[{t.footprintLines, t.zipfAlpha}];
+        if (!table)
+            table = std::make_shared<const ZipfSampler>(t.footprintLines,
+                                                        t.zipfAlpha);
         ts.gen = std::make_unique<TenantStreamGenerator>(
-            t.name, streamSeed, t.footprintLines, t.zipfAlpha, addrBase,
-            t.meanGap, t.writeFrac);
+            t.name, streamSeed, table, addrBase, t.meanGap, t.writeFrac);
         ts.gen->setThreadId(static_cast<uint8_t>(slot));
-        ts.clock = std::make_unique<PoissonProcess>(
-            hashMix64(streamSeed ^ 0xc10cc10cu), t.arrivalRate);
+        ts.clock.emplace(hashMix64(streamSeed ^ 0xc10cc10cu),
+                         t.arrivalRate);
         ts.timer = TimingModel(config.timing);
         ts.requests = 0;
         ts.joinedAt = measured;
@@ -272,6 +336,7 @@ runService(const std::vector<TenantSpec> &tenants,
                             {"active", eventField(live)}}});
         }
         lastQuotas = currentQuotas();
+        rebuildSchedule();
     };
 
     auto finalizeTenant = [&](unsigned spec, uint64_t leftAt) {
@@ -320,6 +385,7 @@ runService(const std::vector<TenantSpec> &tenants,
         ts.gen.reset();
         ts.clock.reset();
         --live;
+        rebuildSchedule();
 
         ++result.leaves;
         ++result.reallocs;
@@ -339,27 +405,13 @@ runService(const std::vector<TenantSpec> &tenants,
 
     /** Serve the earliest pending arrival (ties: lowest spec). */
     auto step = [&]() {
-        int pick = -1;
-        double earliest = 0.0;
-        for (unsigned i = 0; i < tenants.size(); ++i) {
-            const TenantState &ts = state[i];
-            if (ts.phase != TenantState::Phase::Live)
-                continue;
-            const double when = ts.clock->nextArrival();
-            if (pick < 0 || when < earliest) {
-                pick = static_cast<int>(i);
-                earliest = when;
-            }
-        }
-        PDP_CHECK(pick >= 0, "open-loop step with no live tenant");
-        TenantState &ts = state[pick];
+        TenantState &ts = *liveState[nextPick];
         const Access access = ts.gen->next();
         // Span open/close brackets the access so a fault inside it (an
         // injected one below, or a real PDP_CHECK in the hierarchy)
         // leaves the request's root span open for the flight recorder.
         const bool spanned = tracer && measuring &&
-            tracer->beginRequest(static_cast<unsigned>(pick),
-                                 static_cast<unsigned>(ts.slot),
+            tracer->beginRequest(ts.spec, static_cast<unsigned>(ts.slot),
                                  ts.requests, measured, ts.timer.cycles());
         PDP_CHECK(!measuring || config.faultAt == 0 ||
                       measured + 1 != config.faultAt,
@@ -374,6 +426,15 @@ runService(const std::vector<TenantSpec> &tenants,
                                ts.timer.cycles());
         ++ts.requests;
         ts.clock->advance();
+        liveWhen[nextPick] = ts.clock->nextArrival();
+        // The schedule depends only on the clocks, so the next request
+        // is known now: start fetching the sets it will probe.
+        pickNext();
+        const TenantState &next = *liveState[nextPick];
+        const uint64_t line = next.gen->peek().lineAddr;
+        Cache &l2 = hierarchy.l2(static_cast<unsigned>(next.slot));
+        l2.prefetchSet(l2.setIndex(line));
+        llc.prefetchSet(llc.setIndex(line));
     };
 
     const uint64_t sloInterval = config.sloInterval > 0

@@ -21,7 +21,9 @@
 #ifndef PDP_TRACE_TENANT_STREAM_H
 #define PDP_TRACE_TENANT_STREAM_H
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "trace/generator.h"
@@ -66,11 +68,21 @@ class PoissonProcess
     double nextArrival_;
 };
 
-/** Deterministic per-tenant request stream (Zipf mix over a disjoint
- *  address window). */
+/**
+ * Deterministic per-tenant request stream (Zipf mix over a disjoint
+ * address window).
+ *
+ * Accesses are drawn kBlock at a time, each from the Rng in the same
+ * order a one-at-a-time generator would use (the Zipf draw, then the
+ * instruction gap, then the write coin), so the stream does not depend
+ * on the block size; the block's ranks are then resolved together
+ * (ZipfSampler::rankBlock) to overlap their table misses.
+ */
 class TenantStreamGenerator : public AccessGenerator
 {
   public:
+    static constexpr unsigned kBlock = ZipfSampler::kBlock;
+
     /**
      * @param name tenant name (stream identity; also the seed domain)
      * @param seed explicit Rng seed
@@ -86,7 +98,33 @@ class TenantStreamGenerator : public AccessGenerator
                           uint64_t addr_base, uint32_t mean_gap,
                           double write_frac);
 
-    Access next() override;
+    /** The same stream over a Zipf table shared with other tenants of
+     *  equal footprint and skew. */
+    TenantStreamGenerator(std::string name, uint64_t seed,
+                          std::shared_ptr<const ZipfSampler> zipf,
+                          uint64_t addr_base, uint32_t mean_gap,
+                          double write_frac);
+
+    Access
+    next() final
+    {
+        if (pos_ == kBlock)
+            refill();
+        Access access = block_[pos_++];
+        access.threadId = threadId_;
+        return access;
+    }
+
+    /** The access the next call to next() returns, without consuming
+     *  it (the thread id is stamped by next()). */
+    const Access &
+    peek()
+    {
+        if (pos_ == kBlock)
+            refill();
+        return block_[pos_];
+    }
+
     void reset() override;
     const std::string &name() const override { return name_; }
 
@@ -94,15 +132,21 @@ class TenantStreamGenerator : public AccessGenerator
     void setThreadId(uint8_t tid) { threadId_ = tid; }
 
   private:
+    /** Draw the next kBlock accesses. */
+    void refill();
+
     std::string name_;
     uint64_t seed_;
-    ZipfSampler zipf_;
+    std::shared_ptr<const ZipfSampler> zipf_;
     uint64_t addrBase_;
     uint32_t meanGap_;
     double writeFrac_;
 
     Rng rng_;
     uint8_t threadId_ = 0;
+    std::array<Access, kBlock> block_;
+    /** Next unconsumed entry of block_; kBlock = drained. */
+    unsigned pos_ = kBlock;
 };
 
 } // namespace pdp

@@ -1,19 +1,32 @@
 #include "trace/zipf.h"
 
-#include <algorithm>
+#include <bit>
 
 #include "check/check.h"
 
 namespace pdp
 {
 
+namespace
+{
+
+void
+prefetch(const void *p)
+{
+#if defined(__GNUC__)
+    __builtin_prefetch(p);
+#else
+    (void)p;
+#endif
+}
+
+} // namespace
+
 ZipfSampler::ZipfSampler(uint64_t n, double alpha) : alpha_(alpha)
 {
     PDP_CHECK(n >= 1, "ZipfSampler: footprint must be >= 1, got ", n);
-    // Bound the CDF table: service footprints are line counts of cache-
-    // sized working sets, far below this.
-    PDP_CHECK(n <= (1ull << 26),
-              "ZipfSampler: footprint ", n, " exceeds 2^26 lines");
+    PDP_CHECK(n <= kMaxFootprint, "ZipfSampler: footprint ", n,
+              " exceeds 2^26 lines");
     cdf_.resize(n);
     double sum = 0.0;
     for (uint64_t r = 0; r < n; ++r) {
@@ -24,15 +37,43 @@ ZipfSampler::ZipfSampler(uint64_t n, double alpha) : alpha_(alpha)
     for (double &c : cdf_)
         c *= inv;
     cdf_.back() = 1.0;
+
+    // Every threshold t in [0, 1] splits the CDF into a prefix below t
+    // and a suffix at or above it (the scaled partial sums never
+    // decrease, and the final 1.0 is >= t), so one forward walk finds
+    // each bucket's first rank.
+    const uint64_t k = std::bit_ceil(n);
+    buckets_ = static_cast<double>(k);
+    guide_.resize(k + 1);
+    uint32_t r = 0;
+    for (uint64_t j = 0; j <= k; ++j) {
+        const double threshold = static_cast<double>(j) / buckets_;
+        while (cdf_[r] < threshold)
+            ++r;
+        guide_[j] = r;
+    }
 }
 
-uint64_t
-ZipfSampler::sample(Rng &rng) const
+void
+ZipfSampler::rankBlock(const std::array<double, kBlock> &u,
+                       std::array<uint32_t, kBlock> &ranks) const
 {
-    const double u = rng.uniform();
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    return it == cdf_.end() ? cdf_.size() - 1
-                            : static_cast<uint64_t>(it - cdf_.begin());
+    std::array<uint32_t, kBlock> bucketOf{};
+    for (unsigned i = 0; i < kBlock; ++i) {
+        bucketOf[i] = bucket(u[i]);
+        prefetch(guide_.data() + bucketOf[i]);
+    }
+    std::array<uint32_t, kBlock> lo{}, hi{};
+    for (unsigned i = 0; i < kBlock; ++i) {
+        lo[i] = guide_[bucketOf[i]];
+        hi[i] = guide_[bucketOf[i] + 1];
+        // lower_bound's first probe.
+        prefetch(cdf_.data() + lo[i] + (hi[i] - lo[i]) / 2);
+    }
+    const double *cdf = cdf_.data();
+    for (unsigned i = 0; i < kBlock; ++i)
+        ranks[i] = static_cast<uint32_t>(
+            std::lower_bound(cdf + lo[i], cdf + hi[i], u[i]) - cdf);
 }
 
 } // namespace pdp

@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -581,6 +582,37 @@ TEST(ResultsSink, TelemetryRoundTripsThroughV2Document)
     EXPECT_EQ(dtel->find("events")->size(), 1u);
     EXPECT_EQ(dtel->find("events")->at(0).find("type")->asString(),
               "pd_change");
+}
+
+TEST(Suites, UnwritableResultFileFailsTheRun)
+{
+    // The output directory exists, but a directory squats on the result
+    // file's name, so the file cannot be created: the run must say so
+    // and return nonzero rather than pass with nothing written.
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(::testing::TempDir()) / "unwritable_suite";
+    fs::remove_all(dir);
+    const Suite suite{"unwritable", "no jobs",
+                      [](const SuiteOptions &) { return std::vector<Job>{}; },
+                      nullptr};
+    SuiteOptions options;
+    options.workers = 1;
+    options.jsonDir = dir.string();
+    for (const char *squatted :
+         {"BENCH_unwritable.json", "TRACE_unwritable.jsonl"}) {
+        fs::create_directories(dir / squatted);
+        options.trace = true;
+        std::ostringstream out;
+        EXPECT_EQ(runSuite(suite, options, out), 1) << squatted;
+        EXPECT_NE(out.str().find(std::string("could not write ") + squatted),
+                  std::string::npos)
+            << out.str();
+        fs::remove_all(dir);
+    }
+    fs::create_directories(dir);
+    std::ostringstream out;
+    EXPECT_EQ(runSuite(suite, options, out), 0) << out.str();
+    fs::remove_all(dir);
 }
 
 TEST(Suites, FilteredRunExecutesSubsetWithGenericReport)

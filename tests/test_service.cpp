@@ -1,12 +1,17 @@
 /**
  * @file
  * Tests for the multi-tenant cache-service mode (src/service/): scenario
- * scripting, open-loop determinism, invariant cleanliness through tenant
- * churn at maximum audit cadence, lifecycle/realloc event emission, and
- * per-tenant SLO metric plumbing.
+ * scripting, open-loop determinism, pinned per-tenant outcomes, tenant
+ * spec validation, invariant cleanliness through tenant churn at maximum
+ * audit cadence, lifecycle/realloc event emission, and per-tenant SLO
+ * metric plumbing.
  */
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <functional>
+#include <limits>
 
 #include "check/check.h"
 #include "runner/results_sink.h"
@@ -100,6 +105,139 @@ TEST(ServiceSim, DeterministicAcrossRepeatedRuns)
         EXPECT_EQ(runner::toJson(a).dump(2), runner::toJson(b).dump(2))
             << policy;
     }
+}
+
+TEST(ServiceSim, ChurnOutcomesArePinned)
+{
+    // Every tenant's requests and LLC hits/misses under a small churn
+    // scenario are fixed numbers.  They move if the Rng draw order of a
+    // stream, the scheduler's tie-break, slot recycling or the Zipf
+    // lookup changes; run-to-run determinism alone would not notice.
+    // The small hierarchy makes the LLC see reuse within 25k requests.
+    ServiceScenarioParams params;
+    params.tenants = 8;
+    params.churn = 2;
+    params.accesses = 20'000;
+    const auto tenants = buildServiceScenario(params, 11);
+    ASSERT_EQ(tenants.size(), 10u);
+    ServiceConfig config;
+    config.slots = 8;
+    config.warmup = 5'000;
+    config.accesses = 20'000;
+    config.sloInterval = 2'000;
+    config.hierarchy.l2.sizeBytes = 16 << 10;
+    config.hierarchy.llc.sizeBytes = 256 << 10;
+
+    using Row = std::array<uint64_t, 3>; // requests, llcHits, llcMisses
+    struct Pinned
+    {
+        const char *policy;
+        uint64_t reallocs;
+        std::array<Row, 10> tenants;
+    };
+    const Pinned pinned[] = {
+        {"LRU", 12,
+         {{{226, 2, 182}, {1247, 34, 735}, {3342, 403, 2229},
+           {427, 0, 421}, {3461, 260, 3063}, {1736, 36, 753},
+           {893, 14, 776}, {1727, 47, 690}, {4605, 540, 1974},
+           {2336, 216, 1250}}}},
+        {"UCP", 12,
+         {{{226, 4, 180}, {1247, 50, 719}, {3342, 464, 2168},
+           {427, 2, 419}, {3461, 248, 3075}, {1736, 77, 712},
+           {893, 25, 765}, {1727, 87, 650}, {4605, 245, 2269},
+           {2336, 73, 1393}}}},
+        {"PDP-3", 12,
+         {{{226, 4, 180}, {1247, 69, 700}, {3342, 599, 2033},
+           {427, 3, 418}, {3461, 344, 2979}, {1736, 109, 680},
+           {893, 46, 744}, {1727, 115, 622}, {4605, 2, 2512},
+           {2336, 0, 1466}}}},
+    };
+    for (const Pinned &want : pinned) {
+        const ServiceResult result =
+            runService(tenants, want.policy, config, 7);
+        EXPECT_EQ(result.reallocs, want.reallocs) << want.policy;
+        ASSERT_EQ(result.tenants.size(), want.tenants.size());
+        for (size_t i = 0; i < want.tenants.size(); ++i) {
+            const TenantOutcome &t = result.tenants[i];
+            const Row got = {t.requests, t.llcHits, t.llcMisses};
+            EXPECT_EQ(got, want.tenants[i]) << want.policy << " " << t.name;
+        }
+    }
+}
+
+namespace
+{
+
+/** Run smallTenants() with one field of the late joiner "delta" broken;
+ *  the run must refuse it up front, naming the tenant and the field. */
+void
+expectRejected(const std::function<void(TenantSpec &)> &breakSpec,
+               const std::string &field)
+{
+    auto tenants = smallTenants();
+    breakSpec(tenants[3]);
+    try {
+        runService(tenants, "LRU", smallConfig(), 7);
+        ADD_FAILURE() << "accepted a bad " << field;
+    } catch (const CheckFailure &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("delta"), std::string::npos) << what;
+        EXPECT_NE(what.find(field), std::string::npos) << what;
+    }
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+
+} // namespace
+
+TEST(ServiceSim, RejectsArrivalRateThatIsNotFiniteAndPositive)
+{
+    for (const double rate : {0.0, -1.0, kInf, kNan})
+        expectRejected([&](TenantSpec &t) { t.arrivalRate = rate; },
+                       "arrival rate");
+    auto tenants = smallTenants();
+    tenants[0].arrivalRate = kInf;
+    EXPECT_THROW(runService(tenants, "LRU", smallConfig(), 7),
+                 CheckFailure);
+}
+
+TEST(ServiceSim, RejectsZipfAlphaThatIsNotFiniteAndNonNegative)
+{
+    for (const double alpha : {-0.1, kInf, kNan})
+        expectRejected([&](TenantSpec &t) { t.zipfAlpha = alpha; },
+                       "Zipf alpha");
+    auto tenants = smallTenants();
+    tenants[0].zipfAlpha = -1.0;
+    EXPECT_THROW(runService(tenants, "LRU", smallConfig(), 7),
+                 CheckFailure);
+}
+
+TEST(ServiceSim, RejectsWriteFractionOutsideUnitInterval)
+{
+    for (const double frac : {-0.01, 1.01, kNan})
+        expectRejected([&](TenantSpec &t) { t.writeFrac = frac; },
+                       "write fraction");
+    auto tenants = smallTenants();
+    tenants[0].writeFrac = 2.0;
+    EXPECT_THROW(runService(tenants, "LRU", smallConfig(), 7),
+                 CheckFailure);
+}
+
+TEST(ServiceSim, RejectsFootprintOutsideTableBounds)
+{
+    for (const uint64_t lines : {uint64_t{0}, (uint64_t{1} << 26) + 1})
+        expectRejected([&](TenantSpec &t) { t.footprintLines = lines; },
+                       "footprint");
+    auto tenants = smallTenants();
+    tenants[0].footprintLines = 0;
+    EXPECT_THROW(runService(tenants, "LRU", smallConfig(), 7),
+                 CheckFailure);
+}
+
+TEST(ServiceSim, RejectsZeroMeanGap)
+{
+    expectRejected([](TenantSpec &t) { t.meanGap = 0; }, "mean gap");
 }
 
 TEST(ServiceSim, ChurnIsAuditCleanAtMaxCadence)

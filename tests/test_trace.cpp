@@ -1,13 +1,20 @@
 /**
  * @file
  * Tests for the synthetic trace layer: pattern primitives, mixtures,
- * generator determinism/rewind, and the RDD fingerprints of the suite
- * (the calibration contract every experiment depends on).
+ * generator determinism/rewind, the RDD fingerprints of the suite (the
+ * calibration contract every experiment depends on), and the service
+ * tenant streams (Zipf guide-table lookups, block generation).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <memory>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "cache/cache.h"
 #include "cache/hierarchy.h"
@@ -15,7 +22,9 @@
 #include "policies/basic.h"
 #include "trace/patterns.h"
 #include "trace/spec_suite.h"
+#include "trace/tenant_stream.h"
 #include "trace/workload.h"
+#include "trace/zipf.h"
 #include "util/rng.h"
 
 using namespace pdp;
@@ -233,4 +242,176 @@ TEST(Workloads, InstantiateStampsThreadIds)
     ASSERT_EQ(gens.size(), 4u);
     for (uint8_t t = 0; t < 4; ++t)
         EXPECT_EQ(gens[t]->next().threadId, t);
+}
+
+namespace
+{
+
+/** The reference Zipf lookup: std::lower_bound over the whole CDF. */
+uint64_t
+fullSearch(std::span<const double> cdf, double u)
+{
+    const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+    return it == cdf.end() ? cdf.size() - 1
+                           : static_cast<uint64_t>(it - cdf.begin());
+}
+
+/** Draws that probe every guide bucket edge from both sides, the ends
+ *  of [0, 1), and 10^5 random draws. */
+std::vector<double>
+edgeAndRandomDraws(uint64_t n)
+{
+    const uint64_t k = std::bit_ceil(n);
+    std::vector<double> us = {0.0, 1.0 - 0x1.0p-53};
+    for (uint64_t j = 0; j <= k; ++j) {
+        const double edge =
+            static_cast<double>(j) / static_cast<double>(k);
+        if (j < k)
+            us.push_back(edge);
+        us.push_back(std::nextafter(edge, 0.0));
+    }
+    Rng rng(n);
+    for (int i = 0; i < 100'000; ++i)
+        us.push_back(rng.uniform());
+    return us;
+}
+
+} // namespace
+
+TEST(ZipfSampler, GuideAndBlockLookupsMatchFullSearch)
+{
+    constexpr unsigned kBlock = ZipfSampler::kBlock;
+    for (const uint64_t n : {1u, 3u, 1000u, 16384u, 131072u}) {
+        for (const double alpha : {0.0, 0.6, 1.1}) {
+            const ZipfSampler zipf(n, alpha);
+            ASSERT_EQ(zipf.footprint(), n);
+            ASSERT_EQ(zipf.cdf().back(), 1.0);
+            const std::vector<double> us = edgeAndRandomDraws(n);
+            uint64_t mismatches = 0;
+            for (size_t i = 0; i < us.size(); i += kBlock) {
+                std::array<double, kBlock> block{};
+                std::copy(us.begin() + i,
+                          us.begin() + std::min(i + kBlock, us.size()),
+                          block.begin());
+                std::array<uint32_t, kBlock> ranks{};
+                zipf.rankBlock(block, ranks);
+                for (unsigned b = 0; b < kBlock; ++b) {
+                    const uint64_t want = fullSearch(zipf.cdf(), block[b]);
+                    mismatches += zipf.rank(block[b]) != want;
+                    mismatches += ranks[b] != want;
+                }
+            }
+            EXPECT_EQ(mismatches, 0u) << "n=" << n << " alpha=" << alpha;
+        }
+    }
+}
+
+namespace
+{
+
+constexpr uint64_t kStreamSeed = 0x51ab;
+constexpr uint64_t kStreamFootprint = 5000;
+constexpr double kStreamAlpha = 0.9;
+constexpr uint64_t kStreamBase = uint64_t{3} << 32;
+constexpr uint32_t kStreamGap = 6;
+constexpr double kStreamWrites = 0.25;
+constexpr uint8_t kStreamThread = 5;
+/** More than three blocks, ending mid-block. */
+constexpr size_t kStreamLength = 4 * TenantStreamGenerator::kBlock + 7;
+
+/** The tenant stream built one access at a time: per access the Zipf
+ *  draw, then the instruction gap, then the write coin. */
+std::vector<Access>
+referenceStream(const ZipfSampler &zipf, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<Access> stream;
+    for (size_t i = 0; i < kStreamLength; ++i) {
+        const uint64_t rank = fullSearch(zipf.cdf(), rng.uniform());
+        Access a;
+        a.lineAddr = kStreamBase + rank;
+        a.pc = hashMix64(seed ^ (rank >> 6) % 61);
+        a.instrGap = 1 + static_cast<uint32_t>(rng.below(2 * kStreamGap - 1));
+        a.threadId = kStreamThread;
+        a.isWrite = rng.chance(kStreamWrites);
+        stream.push_back(a);
+    }
+    return stream;
+}
+
+std::unique_ptr<TenantStreamGenerator>
+makeStream(uint64_t seed, std::shared_ptr<const ZipfSampler> table)
+{
+    auto gen = table
+        ? std::make_unique<TenantStreamGenerator>(
+              "t", seed, std::move(table), kStreamBase, kStreamGap,
+              kStreamWrites)
+        : std::make_unique<TenantStreamGenerator>(
+              "t", seed, kStreamFootprint, kStreamAlpha, kStreamBase,
+              kStreamGap, kStreamWrites);
+    gen->setThreadId(kStreamThread);
+    return gen;
+}
+
+void
+expectSameAccess(const Access &got, const Access &want, size_t i)
+{
+    EXPECT_EQ(got.lineAddr, want.lineAddr) << "access " << i;
+    EXPECT_EQ(got.pc, want.pc) << "access " << i;
+    EXPECT_EQ(got.instrGap, want.instrGap) << "access " << i;
+    EXPECT_EQ(got.threadId, want.threadId) << "access " << i;
+    EXPECT_EQ(got.isWrite, want.isWrite) << "access " << i;
+}
+
+void
+expectStream(TenantStreamGenerator &gen, const std::vector<Access> &want)
+{
+    for (size_t i = 0; i < want.size(); ++i)
+        expectSameAccess(gen.next(), want[i], i);
+}
+
+} // namespace
+
+TEST(TenantStream, BlockStreamMatchesOneAtATimeReference)
+{
+    const ZipfSampler zipf(kStreamFootprint, kStreamAlpha);
+    const auto want = referenceStream(zipf, kStreamSeed);
+    auto gen = makeStream(kStreamSeed, nullptr);
+    expectStream(*gen, want);
+    // reset() rewinds mid-block to the first access.
+    gen->reset();
+    expectStream(*gen, want);
+}
+
+TEST(TenantStream, PeekDoesNotAdvance)
+{
+    const ZipfSampler zipf(kStreamFootprint, kStreamAlpha);
+    const auto want = referenceStream(zipf, kStreamSeed);
+    auto gen = makeStream(kStreamSeed, nullptr);
+    for (size_t i = 0; i < want.size(); ++i) {
+        const Access first = gen->peek();
+        const Access again = gen->peek();
+        EXPECT_EQ(first.lineAddr, want[i].lineAddr) << "access " << i;
+        EXPECT_EQ(again.lineAddr, want[i].lineAddr) << "access " << i;
+        EXPECT_EQ(again.instrGap, want[i].instrGap) << "access " << i;
+        expectSameAccess(gen->next(), want[i], i);
+    }
+}
+
+TEST(TenantStream, SharedTableMatchesPrivateTable)
+{
+    auto shared =
+        std::make_shared<const ZipfSampler>(kStreamFootprint, kStreamAlpha);
+    const auto want = referenceStream(*shared, kStreamSeed);
+    const auto wantOther = referenceStream(*shared, kStreamSeed + 1);
+    auto own = makeStream(kStreamSeed, nullptr);
+    auto first = makeStream(kStreamSeed, shared);
+    auto second = makeStream(kStreamSeed + 1, shared);
+    // Interleaved: two streams drawing from one table stay independent.
+    for (size_t i = 0; i < want.size(); ++i) {
+        const Access mine = own->next();
+        expectSameAccess(first->next(), mine, i);
+        expectSameAccess(mine, want[i], i);
+        expectSameAccess(second->next(), wantOther[i], i);
+    }
 }

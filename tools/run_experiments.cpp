@@ -54,17 +54,21 @@
  *
  * Defaults come from the same environment knobs the bench binaries use:
  * PDP_BENCH_SCALE, PDP_BENCH_JOBS, PDP_BENCH_VERBOSE, PDP_BENCH_JSON.
- * Exit code is the number of jobs that did not finish Ok (2 for usage
- * errors), so CI can gate on it.
+ * Exit code is the number of jobs that did not finish Ok plus the
+ * number of result files that could not be written (2 for usage errors,
+ * including an output directory that does not exist), so CI can gate
+ * on it.
  */
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "runner/results_sink.h"
 #include "runner/suites.h"
 #include "util/parse.h"
 
@@ -299,6 +303,19 @@ main(int argc, char **argv)
     if (suites.empty()) {
         printUsage(stderr);
         listSuites();
+        return 2;
+    }
+    // Refuse a missing output directory before any job runs, instead of
+    // running the suite and then failing to write its results.
+    const std::string outDir =
+        pdp::runner::ResultsSink::outputDirectory(options.jsonDir);
+    std::error_code ec;
+    if (!outDir.empty() && !std::filesystem::is_directory(outDir, ec)) {
+        std::fprintf(stderr,
+                     "output directory \"%s\" (--json, --telemetry=DIR or "
+                     "PDP_BENCH_JSON) is not an existing directory; create "
+                     "it or pass --json none\n",
+                     outDir.c_str());
         return 2;
     }
 
