@@ -6,7 +6,9 @@
 
 #include "check/check.h"
 #include "check/invariant_auditor.h"
+#include "core/pdp_policy.h"
 #include "policies/basic.h"
+#include "policies/rrip.h"
 #include "util/bytescan.h"
 
 namespace pdp
@@ -32,10 +34,30 @@ Cache::Cache(const CacheConfig &config,
     PDP_CHECK(policy_ != nullptr, "cache ", config_.label,
               " constructed without a policy");
     policy_->attach(*this, numSets_, ways_);
-    // Fuse with exact LruPolicy instances only: subclasses (DIP, SDP,
-    // UCP, ...) override the virtual hooks with different behaviour.
-    if (typeid(*policy_) == typeid(LruPolicy))
-        fusedLru_ = static_cast<LruPolicy *>(policy_.get());
+    // The fused-policy list: the only place fused types are named.
+    // Fusing a policy takes an entry here and its access-path ops.
+    selectAccessPaths<LruPolicy, RripPolicy, PdpPolicy>();
+}
+
+template <typename... Fused>
+void
+Cache::selectAccessPaths()
+{
+    fastPath_ = &Cache::accessImpl<ReplacementPolicy, false>;
+    instrumentedPath_ = &Cache::accessImpl<ReplacementPolicy, true>;
+    // Exact types only: a subclass (DIP, SDP, UCP, SHiP, TA-DRRIP, the
+    // partitioned PDP, ...) overrides virtual hooks the fused ops would
+    // bypass.
+    const std::type_info &type = typeid(*policy_);
+    (
+        [&] {
+            if (fused_ || type != typeid(Fused))
+                return;
+            fastPath_ = &Cache::accessImpl<Fused, false>;
+            instrumentedPath_ = &Cache::accessImpl<Fused, true>;
+            fused_ = true;
+        }(),
+        ...);
 }
 
 uint32_t
@@ -64,8 +86,6 @@ Cache::prefetchSet(uint32_t set) const
     if (ways_ > 8)
         __builtin_prefetch(tags_.data() + base + 8);
     __builtin_prefetch(threadIds_.data() + base);
-    if (fusedLru_)
-        fusedLru_->prefetchSet(set);
 #else
     (void)set;
 #endif
@@ -104,24 +124,25 @@ Cache::access(const AccessContext &ctx_in)
         // Fast path: no observer, no auditor.  Callers that already
         // folded the set index avoid the context copy entirely.
         if (ctx_in.set == setIndex(ctx_in.lineAddr)) [[likely]]
-            return accessImpl<false>(ctx_in);
+            return (this->*fastPath_)(ctx_in);
         AccessContext ctx = ctx_in;
         ctx.set = setIndex(ctx.lineAddr);
-        return accessImpl<false>(ctx);
+        return (this->*fastPath_)(ctx);
     }
 
     AccessContext ctx = ctx_in;
     ctx.set = setIndex(ctx.lineAddr);
-    AccessOutcome outcome = accessImpl<true>(ctx);
+    AccessOutcome outcome = (this->*instrumentedPath_)(ctx);
     if (auditor_)
         auditor_->onAccess();
     return outcome;
 }
 
-template <bool Instrumented>
+template <typename P, bool Instrumented>
 AccessOutcome
 Cache::accessImpl(const AccessContext &ctx)
 {
+    P &policy = static_cast<P &>(*policy_);
     AccessOutcome outcome;
 
     const uint8_t tid = ctx.threadId < CacheStats::kMaxThreads
@@ -142,10 +163,7 @@ Cache::accessImpl(const AccessContext &ctx)
         setState_[ctx.set].reused |= bit;
         if (ctx.isWrite || ctx.isWriteback)
             setState_[ctx.set].dirty |= bit;
-        if (fusedLru_)
-            fusedLru_->promote(ctx.set, hit_way);
-        else
-            policy_->onHit(ctx, hit_way);
+        policy.hitOp(ctx, hit_way);
         if constexpr (Instrumented)
             if (observer_)
                 observer_->onHit(ctx, hit_way);
@@ -165,39 +183,29 @@ Cache::accessImpl(const AccessContext &ctx)
     }
 
     int victim_way;
-    bool lru_updated = false;
-    if (setState_[ctx.set].valid == fullSetMask_) {
+    const bool replace = setState_[ctx.set].valid == fullSetMask_;
+    if (replace) {
         // Steady state: every way valid, no invalid-way scan needed.
-        if (fusedLru_) {
-            // The fused victim is in [0, ways) by construction and the
-            // evicted way is reinstalled as MRU, so victim selection and
-            // the insertion promote collapse into one rank-row pass; the
-            // bypass and range branches apply to virtual policies only.
-            victim_way = fusedLru_->takeLruAndPromote(ctx.set);
-            lru_updated = true;
-        } else {
-            victim_way = policy_->selectVictim(ctx);
-            if (victim_way == ReplacementPolicy::kBypass) {
-                if (!config_.allowBypass)
-                    // pdplint: allow(hot-path) cold contract-violation
-                    // exit; unreachable with a well-formed policy/config
-                    // pairing, so the throw never runs on the hot path.
-                    throw std::logic_error(
-                        "policy bypassed an inclusive cache");
-                policy_->onBypass(ctx);
-                if constexpr (Instrumented)
-                    if (observer_)
-                        observer_->onBypass(ctx);
-                if (demand)
-                    ++stats_.bypasses;
-                outcome.bypassed = true;
-                return outcome;
-            }
-            PDP_CHECK(victim_way >= 0 &&
-                          victim_way < static_cast<int>(ways_),
-                      policy_->name(), " returned victim way ", victim_way,
-                      " outside associativity ", ways_);
+        victim_way = policy.victimOp(ctx);
+        if (victim_way == ReplacementPolicy::kBypass) {
+            if (!config_.allowBypass)
+                // pdplint: allow(hot-path) cold contract-violation
+                // exit; unreachable with a well-formed policy/config
+                // pairing, so the throw never runs on the hot path.
+                throw std::logic_error(
+                    "policy bypassed an inclusive cache");
+            policy.bypassOp(ctx);
+            if constexpr (Instrumented)
+                if (observer_)
+                    observer_->onBypass(ctx);
+            if (demand)
+                ++stats_.bypasses;
+            outcome.bypassed = true;
+            return outcome;
         }
+        PDP_CHECK(victim_way >= 0 && victim_way < static_cast<int>(ways_),
+                  policy_->name(), " returned victim way ", victim_way,
+                  " outside associativity ", ways_);
 
         const size_t victim_idx = lineIdx(ctx.set, victim_way);
         const uint64_t victim_bit = 1ull << victim_way;
@@ -229,12 +237,7 @@ Cache::accessImpl(const AccessContext &ctx)
     else
         setState_[ctx.set].dirty &= ~bit;
     setState_[ctx.set].reused &= ~bit;
-    if (fusedLru_) {
-        if (!lru_updated)
-            fusedLru_->promote(ctx.set, victim_way);
-    } else {
-        policy_->onInsert(ctx, victim_way);
-    }
+    policy.insertOp(ctx, victim_way, replace);
     if constexpr (Instrumented)
         if (observer_)
             observer_->onInsert(ctx, victim_way);
@@ -244,9 +247,6 @@ Cache::accessImpl(const AccessContext &ctx)
     outcome.way = victim_way;
     return outcome;
 }
-
-template AccessOutcome Cache::accessImpl<false>(const AccessContext &);
-template AccessOutcome Cache::accessImpl<true>(const AccessContext &);
 
 void
 Cache::auditGlobalInvariants(InvariantReporter &reporter) const

@@ -33,7 +33,6 @@ namespace pdp
 
 class InvariantAuditor;
 class InvariantReporter;
-class LruPolicy;
 
 /** Outcome of one cache access. */
 struct AccessOutcome
@@ -96,11 +95,11 @@ class Cache
 
     /**
      * Hint that `set` is about to be accessed: prefetch its metadata
-     * rows (fingerprints, packed state, tags, the fused policy's rank
-     * row).  Trace-driven callers that know the next address can issue
-     * this one access ahead to overlap the row fetches with the current
-     * access; it is a pure performance hint with no architectural
-     * effect.
+     * rows (fingerprints, packed state and policy scratch row, tags,
+     * thread ids).  Trace-driven callers that know the next address
+     * can issue this one access ahead to overlap the row fetches with
+     * the current access; it is a pure performance hint with no
+     * architectural effect.
      */
     void prefetchSet(uint32_t set) const;
 
@@ -187,6 +186,10 @@ class Cache
 
     ReplacementPolicy &policy() { return *policy_; }
     const ReplacementPolicy &policy() const { return *policy_; }
+
+    /** True when the attached policy is exactly one of the fused types
+     *  (cache.cc's list) and runs their devirtualized access path. */
+    bool fusedPath() const { return fused_; }
 
     /** Register an instrumentation observer (nullptr to remove). */
     void
@@ -280,12 +283,23 @@ class Cache
         return free ? std::countr_zero(free) : -1;
     }
 
-    /** The access fast path.  Instrumented == false is compiled without
-     *  any observer/auditor branches; access() dispatches once.
-     *  PDP_HOT on this declaration covers the out-of-line template
-     *  definition in cache.cc (pdplint hot-marks by name). */
-    template <bool Instrumented>
+    /**
+     * The access path for policy type P: the access-path ops of P are
+     * called non-virtually (P = ReplacementPolicy forwards to the
+     * virtual hooks).  Instrumented == false is compiled without any
+     * observer/auditor branches.  PDP_HOT on this declaration covers
+     * the out-of-line template definition in cache.cc (pdplint
+     * hot-marks by name).
+     */
+    template <typename P, bool Instrumented>
     PDP_HOT AccessOutcome accessImpl(const AccessContext &ctx);
+
+    /** An instantiated access path. */
+    using AccessPath = AccessOutcome (Cache::*)(const AccessContext &);
+
+    /** Point the access paths at the first of `Fused` the attached
+     *  policy is exactly an instance of, else at the virtual fallback. */
+    template <typename... Fused> void selectAccessPaths();
 
     CacheConfig config_;
     uint32_t numSets_;
@@ -302,11 +316,11 @@ class Cache
      * All per-set metadata in one aligned 64-byte block: the packed
      * valid/dirty/reused masks (bit w describes way w), the one-byte
      * tag fingerprints of up to kMaxFpWays ways, and a 16-byte scratch
-     * row lent to the attached replacement policy (the LRU family
-     * keeps its recency ranks there).  An access touches exactly one
-     * cache line of set metadata; the masks, fingerprints and ranks
-     * were separate arrays once, which cost a host-cache miss per
-     * array on scattered traces.
+     * row lent to the attached replacement policy (LRU ranks, RRIP
+     * RRPVs and PDP remaining protecting distances live there).  An
+     * access touches exactly one cache line of set metadata; the masks,
+     * fingerprints and policy rows were separate arrays once, which
+     * cost a host-cache miss per array on scattered traces.
      */
     struct alignas(64) SetState
     {
@@ -326,15 +340,11 @@ class Cache
 
     std::vector<SetState> setState_;
     std::unique_ptr<ReplacementPolicy> policy_;
-    /**
-     * Devirtualized fast path: when the attached policy is exactly an
-     * LruPolicy (not a subclass), its promote/lruWay ops are called
-     * directly — inline, no vtable — from accessImpl.  The fused calls
-     * are the same ops the virtual hooks would perform, so behaviour is
-     * identical; only the dispatch is cheaper.  Null for every other
-     * policy type.
-     */
-    LruPolicy *fusedLru_ = nullptr;
+    /** The attached policy's access paths without and with the
+     *  observer/auditor hooks, chosen once at construction. */
+    AccessPath fastPath_ = nullptr;
+    AccessPath instrumentedPath_ = nullptr;
+    bool fused_ = false;
     CacheStats stats_;
     CacheObserver *observer_ = nullptr;
     InvariantAuditor *auditor_ = nullptr;

@@ -54,6 +54,22 @@ struct LruRankRow
     std::uint8_t rank[kPolicyScratchBytes];
 };
 
+/** Scratch-row image of the RRIP family (SRRIP/BRRIP/DRRIP, SHiP,
+ *  TA-DRRIP): one re-reference prediction value byte per way, 0 = near
+ *  .. max = distant (see RripPolicy). */
+struct RripRow
+{
+    std::uint8_t rrpv[kPolicyScratchBytes];
+};
+
+/** Scratch-row image of PDP (static, dynamic and partitioned): one
+ *  remaining-protecting-distance byte per way, 0 = unprotected (see
+ *  PdpPolicy). */
+struct RpdRow
+{
+    std::uint8_t rpd[kPolicyScratchBytes];
+};
+
 /** Scratch-row image of policies that keep every piece of per-set
  *  state in policy-owned storage and leave the lent row untouched. */
 struct NoScratchState

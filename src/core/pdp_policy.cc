@@ -15,9 +15,15 @@ PdpPolicy::PdpPolicy(PdpParams params)
               "n_c = ", params_.ncBits, " outside the 1..8 RPD field range");
     PDP_CHECK(params_.dMax >= 1 && params_.counterStep >= 1,
               "d_max = ", params_.dMax, ", S_c = ", params_.counterStep);
+    PDP_CHECK(params_.dynamic ||
+                  (params_.staticPd >= 1 && params_.staticPd <= params_.dMax),
+              "static PD ", params_.staticPd, " outside [1, d_max = ",
+              params_.dMax, "]");
     maxRpd_ = static_cast<uint8_t>((1u << params_.ncBits) - 1);
     sd_ = std::max<uint32_t>(1, params_.dMax >> params_.ncBits);
     pd_ = params_.dynamic ? params_.initialPd : params_.staticPd;
+    protect_.assign(1, protectValue(pd_));
+    protectOne_ = protectValue(1);
     if (!params_.dynamic)
         name_ = params_.bypass ? "SPDP-B" : "SPDP-NB";
     else
@@ -29,7 +35,8 @@ void
 PdpPolicy::attach(Cache &cache, uint32_t num_sets, uint32_t num_ways)
 {
     ReplacementPolicy::attach(cache, num_sets, num_ways);
-    rpds_.assign(static_cast<size_t>(num_sets) * num_ways, 0);
+    rows_.bind(cache.policyScratchBase(), Cache::policyScratchStride(),
+               num_sets, num_ways, 0);
     sdCounter_.assign(num_sets, 0);
     if (params_.de == 0)
         model_ = HitRateModel(num_ways, 1);
@@ -58,11 +65,12 @@ PdpPolicy::protectValue(uint32_t pd) const
     return static_cast<uint8_t>(std::min<uint32_t>(units, maxRpd_));
 }
 
-uint32_t
-PdpPolicy::currentPd(const AccessContext &ctx) const
+void
+PdpPolicy::setThreadPds(const std::vector<uint32_t> &pds)
 {
-    (void)ctx;
-    return pd_;
+    protect_.resize(pds.size());
+    for (size_t t = 0; t < pds.size(); ++t)
+        protect_[t] = protectValue(pds[t]);
 }
 
 void
@@ -82,84 +90,45 @@ PdpPolicy::recompute()
     if (rdd_->total() >= params_.minSamples &&
         rdd_->hitSum() >= params_.minHits) {
         const uint32_t best = model_.bestPd(*rdd_);
-        if (best != 0)
+        if (best != 0) {
             pd_ = best;
+            protect_[0] = protectValue(pd_);
+        }
     }
     history_.push_back({accessCount_, pd_});
     rdd_->reset();
 }
 
 void
-PdpPolicy::tick(uint32_t set)
+PdpPolicy::sample(const AccessContext &ctx)
 {
-    // Age the set: one RPD decrement every S_d accesses.
-    if (sd_ > 1) {
-        if (++sdCounter_[set] < sd_)
-            return;
-        sdCounter_[set] = 0;
-    }
-    uint8_t *base = &rpds_[static_cast<size_t>(set) * numWays_];
-    for (uint32_t way = 0; way < numWays_; ++way)
-        if (base[way] > 0)
-            --base[way];
-}
-
-void
-PdpPolicy::step(const AccessContext &ctx)
-{
-    // RPD aging follows the demand stream only: the sampler measures
-    // reuse distances over demand accesses, so writebacks and prefetch
-    // fills must not age lines or the enforced protection would fall
-    // short of the measured distances.
-    if (ctx.isWriteback || ctx.isPrefetch)
-        return;
-    tick(ctx.set);
-    if (!params_.dynamic)
-        return;
-    ++accessCount_;
-    if (accessCount_ <= params_.samplerWarmup)
-        return;
-    recordObservation(ctx, sampler_->observe(ctx.set, ctx.lineAddr));
-    const uint64_t next = history_.empty()
-        ? params_.firstRecompute
-        : history_.back().accessCount + params_.recomputeInterval;
-    if (accessCount_ >= next)
-        recompute();
+    const RdObservation obs = sampler_->observe(ctx.set, ctx.lineAddr);
+    if (obs.rd || obs.inserted)
+        recordObservation(ctx, obs);
 }
 
 void
 PdpPolicy::onHit(const AccessContext &ctx, int way)
 {
-    // Promotion: re-protect, then age the set (including this line).
-    rpd(ctx.set, way) = protectValue(currentPd(ctx));
-    step(ctx);
+    hitOp(ctx, way);
 }
 
 int
 PdpPolicy::selectVictim(const AccessContext &ctx)
 {
-    // Prefetch bypass variant: never allocate prefetches.
-    if (ctx.isPrefetch &&
-        params_.prefetchMode == PdpParams::PrefetchMode::Bypass &&
-        params_.bypass)
-        return kBypass;
+    return victimOp(ctx);
+}
 
-    const uint8_t *base = &rpds_[static_cast<size_t>(ctx.set) * numWays_];
-
-    // An unprotected line, if present, is the victim.
-    for (uint32_t way = 0; way < numWays_; ++way)
-        if (base[way] == 0)
-            return static_cast<int>(way);
-
-    if (params_.bypass)
-        return kBypass;
-
+int
+PdpPolicy::protectedVictim(uint32_t set) const
+{
     // Inclusive / no-bypass: evict the youngest inserted line, falling
     // back to the youngest reused line (Sec. 2.2, Fig. 3c/3d).
+    const uint8_t *base = rows_.row(set);
     int victim = -1;
     uint8_t best = 0;
     for (uint32_t way = 0; way < numWays_; ++way) {
-        if (!cache_->isReused(ctx.set, way) && base[way] >= best) {
+        if (!cache_->isReused(set, way) && base[way] >= best) {
             best = base[way];
             victim = static_cast<int>(way);
         }
@@ -178,14 +147,7 @@ PdpPolicy::selectVictim(const AccessContext &ctx)
 void
 PdpPolicy::onInsert(const AccessContext &ctx, int way)
 {
-    uint32_t pd = currentPd(ctx);
-    if (params_.insertWithPdOne && !ctx.isPrefetch)
-        pd = 1;
-    if (ctx.isPrefetch &&
-        params_.prefetchMode == PdpParams::PrefetchMode::InsertPdOne)
-        pd = 1;
-    rpd(ctx.set, way) = protectValue(pd);
-    step(ctx);
+    insertOp(ctx, way, false);
 }
 
 void
@@ -222,12 +184,6 @@ PdpPolicy::telemetrySnapshot(telemetry::Snapshot &out) const
         out.setSeries("e_dp", std::move(dps));
         out.setSeries("e_curve", std::move(es));
     }
-}
-
-void
-PdpPolicy::debugSetRpd(uint32_t set, int way, uint8_t value)
-{
-    rpd(set, way) = value;
 }
 
 void
@@ -275,7 +231,7 @@ PdpPolicy::auditGlobal(InvariantReporter &reporter) const
 void
 PdpPolicy::auditSet(uint32_t set, InvariantReporter &reporter) const
 {
-    const uint8_t *base = &rpds_[static_cast<size_t>(set) * numWays_];
+    const uint8_t *base = rows_.row(set);
     for (uint32_t way = 0; way < numWays_; ++way)
         reporter.check(base[way] <= maxRpd_, "pdp.rpd_range", name(),
                        ": set ", set, " way ", way, " RPD ",
@@ -291,9 +247,7 @@ PdpPolicy::auditSet(uint32_t set, InvariantReporter &reporter) const
 void
 PdpPolicy::onBypass(const AccessContext &ctx)
 {
-    // A bypass still counts as an access to the set (Sec. 3: the S_d
-    // counter counts bypasses).
-    step(ctx);
+    bypassOp(ctx);
 }
 
 std::unique_ptr<PdpPolicy>

@@ -22,6 +22,7 @@
 #ifndef PDP_CORE_PDP_POLICY_H
 #define PDP_CORE_PDP_POLICY_H
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <typeinfo>
@@ -32,6 +33,7 @@
 #include "core/rd_sampler.h"
 #include "core/rdd.h"
 #include "policies/replacement_policy.h"
+#include "policies/scratch_rows.h"
 #include "telemetry/source.h"
 
 namespace pdp
@@ -87,7 +89,16 @@ struct PdSample
     uint32_t pd;
 };
 
-/** The PDP replacement/bypass policy. */
+/**
+ * The PDP replacement/bypass policy.
+ *
+ * The RPDs are one byte per way in the cache's scratch row (policy rows
+ * beyond 16 ways), so the per-access work of Sec. 2 — age every line,
+ * then evict the first unprotected one or bypass — is one saturating
+ * subtract and one byte match over the set-metadata line the tag probe
+ * loaded.  The RPD a line is protected with is derived from its PD only
+ * when a PD changes, never per access.
+ */
 class PdpPolicy : public ReplacementPolicy, public telemetry::Source
 {
   public:
@@ -104,6 +115,48 @@ class PdpPolicy : public ReplacementPolicy, public telemetry::Source
 
     void auditGlobal(InvariantReporter &reporter) const override;
     void auditSet(uint32_t set, InvariantReporter &reporter) const override;
+
+    // Access-path ops of the fused path; the virtual hooks run the same.
+
+    /** Promotion: re-protect, then age the set (including this line). */
+    PDP_HOT void
+    hitOp(const AccessContext &ctx, int way)
+    {
+        rows_.row(ctx.set)[way] = protectFor(ctx);
+        step(ctx);
+    }
+
+    PDP_HOT int
+    victimOp(const AccessContext &ctx)
+    {
+        // Prefetch bypass variant: never allocate prefetches.
+        if (ctx.isPrefetch &&
+            params_.prefetchMode == PdpParams::PrefetchMode::Bypass &&
+            params_.bypass)
+            return kBypass;
+        // An unprotected line, if present, is the victim.
+        const uint64_t unprotected =
+            byteMatchMask(rows_.row(ctx.set), numWays_, 0);
+        if (unprotected)
+            return std::countr_zero(unprotected);
+        return params_.bypass ? kBypass : protectedVictim(ctx.set);
+    }
+
+    PDP_HOT void
+    insertOp(const AccessContext &ctx, int way, bool replaced)
+    {
+        (void)replaced;
+        // Sec. 6.3 and Sec. 6.5 variants insert with PD = 1.
+        const bool pd_one = ctx.isPrefetch
+            ? params_.prefetchMode == PdpParams::PrefetchMode::InsertPdOne
+            : params_.insertWithPdOne;
+        rows_.row(ctx.set)[way] = pd_one ? protectOne_ : protectFor(ctx);
+        step(ctx);
+    }
+
+    /** A bypass still counts as an access to the set (Sec. 3: the S_d
+     *  counter counts bypasses). */
+    PDP_HOT void bypassOp(const AccessContext &ctx) { step(ctx); }
 
     /** Static PDP only: RPD aging against a fixed PD is pure per-set
      *  state.  Dynamic PDP couples sets through the RD sampler and the
@@ -136,16 +189,16 @@ class PdpPolicy : public ReplacementPolicy, public telemetry::Source
     uint8_t
     debugRpd(uint32_t set, int way) const
     {
-        return rpds_[static_cast<size_t>(set) * numWays_ + way];
+        return rows_.row(set)[way];
     }
-    void debugSetRpd(uint32_t set, int way, uint8_t value);
+    void
+    debugSetRpd(uint32_t set, int way, uint8_t value)
+    {
+        rows_.row(set)[way] = value;
+    }
     RdCounterArray &debugCounterArray() { return *rdd_; }
 
   protected:
-    /** PD to protect lines of this access with (per-thread in the
-     *  partitioned subclass). */
-    virtual uint32_t currentPd(const AccessContext &ctx) const;
-
     /** Route one sampler observation into a counter array. */
     virtual void recordObservation(const AccessContext &ctx,
                                    const RdObservation &obs);
@@ -156,13 +209,44 @@ class PdpPolicy : public ReplacementPolicy, public telemetry::Source
     /** RPD field value protecting for `pd` accesses (clamped to n_c). */
     uint8_t protectValue(uint32_t pd) const;
 
-    uint8_t &rpd(uint32_t set, int way)
+    /** Derive the protect values of the thread slots from their PDs
+     *  (`pds[t]` is thread t's PD); the partitioned subclass calls it
+     *  whenever its PD vector changes. */
+    void setThreadPds(const std::vector<uint32_t> &pds);
+
+    /** RPD a line of this access is protected with: its thread slot's
+     *  (threads past the last use slot 0, as does every thread of the
+     *  single-PD policy). */
+    uint8_t
+    protectFor(const AccessContext &ctx) const
     {
-        return rpds_[static_cast<size_t>(set) * numWays_ + way];
+        return protect_[ctx.threadId < protect_.size() ? ctx.threadId : 0];
     }
 
     /** Per-access bookkeeping: RPD aging, sampling, recompute clock. */
-    void step(const AccessContext &ctx);
+    PDP_HOT void
+    step(const AccessContext &ctx)
+    {
+        // RPD aging follows the demand stream only: the sampler measures
+        // reuse distances over demand accesses, so writebacks and
+        // prefetch fills must not age lines or the enforced protection
+        // would fall short of the measured distances.
+        if (ctx.isWriteback || ctx.isPrefetch)
+            return;
+        tick(ctx.set);
+        if (!params_.dynamic)
+            return;
+        ++accessCount_;
+        if (accessCount_ <= params_.samplerWarmup)
+            return;
+        if (sampler_->isSampled(ctx.set))
+            sample(ctx);
+        const uint64_t next = history_.empty()
+            ? params_.firstRecompute
+            : history_.back().accessCount + params_.recomputeInterval;
+        if (accessCount_ >= next)
+            recompute();
+    }
 
     PdpParams params_;
     /** Cached display name; subclasses overwrite in their constructor. */
@@ -178,10 +262,30 @@ class PdpPolicy : public ReplacementPolicy, public telemetry::Source
     HitRateModel model_;
 
   private:
-    void tick(uint32_t set);
+    /** Age the set: one RPD decrement every S_d accesses. */
+    PDP_HOT void
+    tick(uint32_t set)
+    {
+        if (sd_ > 1) {
+            if (++sdCounter_[set] < sd_)
+                return;
+            sdCounter_[set] = 0;
+        }
+        rowDecrementSaturating(rows_.row(set), numWays_, rows_.vec16());
+    }
 
-    std::vector<uint8_t> rpds_;
+    /** Feed a sampled set's access to the RD sampler. */
+    void sample(const AccessContext &ctx);
+
+    /** Inclusive (no-bypass) victim when every line is protected. */
+    int protectedVictim(uint32_t set) const;
+
+    ScratchRows rows_;
     std::vector<uint8_t> sdCounter_;
+    /** protectValue() of each thread slot's PD (one slot unless a
+     *  subclass sets per-thread PDs), and of PD 1. */
+    std::vector<uint8_t> protect_;
+    uint8_t protectOne_ = 0;
 };
 
 /** Factory helpers mirroring the paper's policy names. */
@@ -190,10 +294,9 @@ std::unique_ptr<PdpPolicy> makeSpdpB(uint32_t static_pd);
 std::unique_ptr<PdpPolicy> makeDynamicPdp(unsigned nc_bits,
                                           bool bypass = true);
 
-// PDP keeps the per-line remaining-PD counters in a policy-owned
-// array (n_c bits per line in hardware, a byte per way here); the
-// cache's scratch row stays untouched.
-PDP_SCRATCH_LAYOUT(PdpPolicy, NoScratchState);
+// One remaining-PD byte per way (n_c bits per line in hardware) in the
+// cache's lent row.
+PDP_SCRATCH_LAYOUT(PdpPolicy, RpdRow);
 
 } // namespace pdp
 

@@ -17,8 +17,10 @@ RdSampler::RdSampler(const RdSamplerParams &params, uint32_t num_cache_sets)
     PDP_CHECK(params_.fifoEntries >= 1 && params_.insertionRate >= 1,
               "sampler FIFO ", params_.fifoEntries, " entries, rate ",
               params_.insertionRate);
-    stride_ = num_cache_sets / params_.sampledSets;
-    PDP_CHECK(stride_ >= 1, "sampler stride underflow");
+    stride_ = FixedDivisor(num_cache_sets / params_.sampledSets);
+    PDP_CHECK(stride_.value() >= 1, "sampler stride underflow");
+    entries_ = FixedDivisor(params_.fifoEntries);
+    rate_ = FixedDivisor(params_.insertionRate);
     reset();
 }
 
@@ -40,7 +42,7 @@ RdSampler::observe(uint32_t set, uint64_t line_addr)
     if (!isSampled(set))
         return obs;
 
-    const uint32_t sset = set / stride_;
+    const uint32_t sset = stride_.div(set);
     // Hash before folding: synthetic addresses are far more structured
     // than real ones, and folding them directly would collapse the tag
     // space and inflate false FIFO matches.
@@ -54,8 +56,7 @@ RdSampler::observe(uint32_t set, uint64_t line_addr)
     // Search from the most recent insertion backwards; the first match is
     // the entry inserted at this line's previous sampled access.
     for (uint32_t n = 0; n < params_.fifoEntries; ++n) {
-        const uint32_t slot =
-            (head + params_.fifoEntries - n) % params_.fifoEntries;
+        const uint32_t slot = entries_.mod(head + params_.fifoEntries - n);
         Entry &entry = base[slot];
         if (!entry.valid || entry.tag != tag)
             continue;
@@ -71,9 +72,9 @@ RdSampler::observe(uint32_t set, uint64_t line_addr)
 
     // Dithered insertion: probability 1/M per access (see file header).
     const bool insert = params_.insertionRate <= 1 ||
-        splitmix64(ditherState_) % params_.insertionRate == 0;
+        rate_.mod(splitmix64(ditherState_)) == 0;
     if (insert) {
-        head_[sset] = (head + 1) % params_.fifoEntries;
+        head_[sset] = entries_.mod(head + 1);
         base[head_[sset]] = Entry{tag, now, true};
         obs.inserted = true;
     }

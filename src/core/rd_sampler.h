@@ -33,6 +33,8 @@
 #include <optional>
 #include <vector>
 
+#include "util/bitutil.h"
+
 namespace pdp
 {
 
@@ -85,7 +87,7 @@ class RdSampler
     RdObservation observe(uint32_t set, uint64_t line_addr);
 
     /** True if `set` is one of the sampled sets. */
-    bool isSampled(uint32_t set) const { return set % stride_ == 0; }
+    bool isSampled(uint32_t set) const { return stride_.mod(set) == 0; }
 
     const RdSamplerParams &params() const { return params_; }
 
@@ -103,7 +105,10 @@ class RdSampler
     };
 
     RdSamplerParams params_;
-    uint32_t stride_;
+    // Power-of-two geometries (the paper's) divide by masks and shifts.
+    FixedDivisor stride_;
+    FixedDivisor entries_;
+    FixedDivisor rate_;
     /** FIFOs laid out contiguously; head_[s] is the most recent slot. */
     std::vector<Entry> fifo_;
     std::vector<uint32_t> head_;

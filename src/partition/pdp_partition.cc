@@ -46,6 +46,7 @@ PdpPartitionPolicy::attach(Cache &cache, uint32_t num_sets,
     for (unsigned t = 0; t < numThreads_; ++t)
         perThreadRdd_.emplace_back(params_.dMax, params_.counterStep);
     pds_.assign(numThreads_, params_.initialPd);
+    setThreadPds(pds_);
     active_.assign(numThreads_, 1);
 }
 
@@ -56,6 +57,7 @@ PdpPartitionPolicy::beginTenantMode()
     // Unowned slots keep minimal protection: any line a future tenant
     // inherits from the warmup mix ages out at the streaming rate.
     pds_.assign(numThreads_, params_.counterStep);
+    setThreadPds(pds_);
 }
 
 int
@@ -120,13 +122,6 @@ PdpPartitionPolicy::tenantQuotas() const
         quotas[t] = total > 0.0 ? quotas[t] / total : 1.0 / live;
     }
     return quotas;
-}
-
-uint32_t
-PdpPartitionPolicy::currentPd(const AccessContext &ctx) const
-{
-    const unsigned t = ctx.threadId < numThreads_ ? ctx.threadId : 0;
-    return pds_[t];
 }
 
 void
@@ -229,6 +224,7 @@ PdpPartitionPolicy::solvePartition()
         lastGreedy_.push_back({cand.thread, best_pd, chosen_em, best_em});
     }
     pds_ = trial;
+    setThreadPds(pds_);
 
     // Keep the single-core bookkeeping (history uses the max PD so the
     // Fig. 11-style traces remain meaningful).

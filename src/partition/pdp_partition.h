@@ -103,10 +103,10 @@ class PdpPartitionPolicy : public PdpPolicy, public TenantAwarePartition
     debugSetThreadPd(unsigned thread, uint32_t pd)
     {
         pds_[thread] = pd;
+        setThreadPds(pds_);
     }
 
   protected:
-    uint32_t currentPd(const AccessContext &ctx) const override;
     void recordObservation(const AccessContext &ctx,
                            const RdObservation &obs) override;
     void recompute() override;
@@ -134,9 +134,8 @@ class PdpPartitionPolicy : public PdpPolicy, public TenantAwarePartition
 std::unique_ptr<PdpPartitionPolicy> makePdpPartition(unsigned num_threads,
                                                      unsigned nc_bits);
 
-// Like its PdpPolicy base: RPD counters are policy-owned, no
-// scratch-row state.
-PDP_SCRATCH_LAYOUT(PdpPartitionPolicy, NoScratchState);
+// PdpPolicy's RPD row; the per-thread PDs and RDDs are global state.
+PDP_SCRATCH_LAYOUT(PdpPartitionPolicy, RpdRow);
 
 } // namespace pdp
 

@@ -14,41 +14,23 @@ void
 TaDrripPolicy::attach(Cache &cache, uint32_t num_sets, uint32_t num_ways)
 {
     RripPolicy::attach(cache, num_sets, num_ways);
-    perThread_.clear();
+    monitors_.clear();
     for (unsigned t = 0; t < numThreads_; ++t) {
         // Distinct salts spread each thread's leader sets across the
         // index space so monitors do not overlap.
-        perThread_.emplace_back(num_sets, /*leaders_per_policy=*/32,
-                                /*psel_bits=*/10, /*salt=*/t * 97 + 13);
+        monitors_.emplace_back(num_sets, /*leaders_per_policy=*/32,
+                               /*psel_bits=*/10, /*salt=*/t * 97 + 13);
     }
-}
-
-bool
-TaDrripPolicy::setUsesBrrip(const AccessContext &ctx) const
-{
-    const unsigned t = ctx.threadId < numThreads_ ? ctx.threadId : 0;
-    return perThread_[t].setUsesB(ctx.set);
 }
 
 void
 TaDrripPolicy::auditGlobal(InvariantReporter &reporter) const
 {
+    // RripPolicy::auditGlobal audits every monitor's PSEL.
     RripPolicy::auditGlobal(reporter);
-    reporter.check(perThread_.empty() ||
-                       perThread_.size() == numThreads_,
-                   "tadrrip.monitors", name(), ": ", perThread_.size(),
+    reporter.check(monitors_.empty() || monitors_.size() == numThreads_,
+                   "tadrrip.monitors", name(), ": ", monitors_.size(),
                    " dueling monitors for ", numThreads_, " threads");
-    for (const SetDueling &monitor : perThread_)
-        monitor.audit(reporter, "TA-DRRIP");
-}
-
-void
-TaDrripPolicy::recordMiss(const AccessContext &ctx)
-{
-    if (ctx.isWriteback)
-        return;
-    const unsigned t = ctx.threadId < numThreads_ ? ctx.threadId : 0;
-    perThread_[t].recordMiss(ctx.set);
 }
 
 } // namespace pdp

@@ -5,7 +5,8 @@
  *
  * Each thread owns a set-dueling monitor (with distinct leader sets) and
  * independently chooses SRRIP or BRRIP insertion for its own fills; all
- * threads share the RRPV state and victim selection.
+ * threads share the RRPV state and victim selection.  The monitors are
+ * RripPolicy's per-thread monitor slots, so the access path is RRIP's.
  */
 
 #ifndef PDP_PARTITION_TA_DRRIP_H
@@ -45,30 +46,24 @@ class TaDrripPolicy : public RripPolicy
     telemetrySnapshot(telemetry::Snapshot &out) const override
     {
         std::vector<double> psels, winners;
-        psels.reserve(perThread_.size());
-        winners.reserve(perThread_.size());
-        for (const SetDueling &monitor : perThread_) {
+        psels.reserve(monitors_.size());
+        winners.reserve(monitors_.size());
+        for (const SetDueling &monitor : monitors_) {
             psels.push_back(monitor.pselValue());
             winners.push_back(monitor.followersUseB() ? 1.0 : 0.0);
         }
         out.setSeries("thread_psels", std::move(psels));
         out.setSeries("thread_psel_b", std::move(winners));
-        if (!perThread_.empty())
-            out.setScalar("psel_max", perThread_.front().pselMax());
+        if (!monitors_.empty())
+            out.setScalar("psel_max", monitors_.front().pselMax());
     }
-
-  protected:
-    bool setUsesBrrip(const AccessContext &ctx) const override;
-    void recordMiss(const AccessContext &ctx) override;
 
   private:
     unsigned numThreads_;
-    std::vector<SetDueling> perThread_;
 };
 
-// Thread-aware dueling adds per-thread PSELs (global state) on top of
-// RRIP; the scratch row stays untouched.
-PDP_SCRATCH_LAYOUT(TaDrripPolicy, NoScratchState);
+// RRIP's RRPV row; the per-thread PSELs are global state.
+PDP_SCRATCH_LAYOUT(TaDrripPolicy, RripRow);
 
 } // namespace pdp
 

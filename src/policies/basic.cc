@@ -13,29 +13,14 @@ LruPolicy::attach(Cache &cache, uint32_t num_sets, uint32_t num_ways)
     ReplacementPolicy::attach(cache, num_sets, num_ways);
     PDP_CHECK(num_ways >= 1 && num_ways <= 64, name(),
               " rank permutation supports 1..64 ways, got ", num_ways);
-    if (uint8_t *scratch = cache.policyScratchBase()) {
-        // Rank rows ride in the cache's per-set metadata line.
-        rankBase_ = scratch;
-        rankStride_ = Cache::policyScratchStride();
-        vec16_ = true;
-    } else {
-        // Too wide for the scratch block: policy-owned storage, with
-        // tail padding to keep the vectorized lruWay() scan in bounds
-        // on the last set.
-        ranks_.assign(static_cast<size_t>(num_sets) * num_ways +
-                          kByteScanPadding,
-                      0);
-        rankBase_ = ranks_.data();
-        rankStride_ = num_ways;
-    }
+    rows_.bind(cache.policyScratchBase(), Cache::policyScratchStride(),
+               num_sets, num_ways, 0);
     // Identity permutation: way w starts at rank w.  Victims are only
     // consulted once a set is full, by which point every way has been
     // promoted or demoted at least once.
-    for (uint32_t set = 0; set < num_sets; ++set) {
-        uint8_t *row = rankBase_ + static_cast<size_t>(set) * rankStride_;
+    for (uint32_t set = 0; set < num_sets; ++set)
         for (uint32_t way = 0; way < num_ways; ++way)
-            row[way] = static_cast<uint8_t>(way);
-    }
+            rows_.row(set)[way] = static_cast<uint8_t>(way);
 }
 
 void

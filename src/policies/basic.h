@@ -13,6 +13,7 @@
 
 #include "check/contracts.h"
 #include "policies/replacement_policy.h"
+#include "policies/scratch_rows.h"
 #include "util/bytescan.h"
 #include "util/rng.h"
 
@@ -37,8 +38,8 @@ namespace pdp
  * decision for decision.
  *
  * promote/demote/lruWay are deliberately non-virtual and inline: the
- * cache substrate devirtualizes exact LruPolicy instances by calling
- * them directly (see Cache's fused-LRU fast path).
+ * cache substrate's fused path for exact LruPolicy instances calls them
+ * through the access-path ops below, with no vtable.
  */
 class LruPolicy : public ReplacementPolicy
 {
@@ -57,6 +58,28 @@ class LruPolicy : public ReplacementPolicy
 
     void auditSet(uint32_t set, InvariantReporter &reporter) const override;
 
+    // Access-path ops of the fused path (see ReplacementPolicy): a miss
+    // takes the LRU way and reinstalls it as MRU in one rank-row pass,
+    // so the install that follows has nothing left to do.
+    PDP_HOT void
+    hitOp(const AccessContext &ctx, int way)
+    {
+        promote(ctx.set, way);
+    }
+
+    PDP_HOT int
+    victimOp(const AccessContext &ctx)
+    {
+        return takeLruAndPromote(ctx.set);
+    }
+
+    PDP_HOT void
+    insertOp(const AccessContext &ctx, int way, bool replaced)
+    {
+        if (!replaced)
+            promote(ctx.set, way);
+    }
+
     /** Exact LruPolicy only: the rank permutation is pure per-set
      *  state, but subclasses (DIP, SDP, UCP, ...) add global state —
      *  PSEL counters, BIP throttles, per-thread targets — on top of
@@ -71,10 +94,10 @@ class LruPolicy : public ReplacementPolicy
     PDP_HOT void
     promote(uint32_t set, int way)
     {
-        uint8_t *row = rankRow(set);
+        uint8_t *row = rows_.row(set);
         const uint8_t r = row[way];
 #if defined(__SSE2__)
-        if (vec16_) {
+        if (rows_.vec16()) {
             // One 16-lane pass: +1 to every rank below r (cmplt yields
             // -1 there, and x - (-1) == x + 1).  Lanes past ways-1 may
             // accumulate junk; every reader masks to ways bits.
@@ -99,10 +122,10 @@ class LruPolicy : public ReplacementPolicy
     PDP_HOT void
     demote(uint32_t set, int way)
     {
-        uint8_t *row = rankRow(set);
+        uint8_t *row = rows_.row(set);
         const uint8_t r = row[way];
 #if defined(__SSE2__)
-        if (vec16_) {
+        if (rows_.vec16()) {
             // -1 to every rank above r (cmpgt yields -1 there).
             const __m128i v = _mm_loadu_si128(
                 reinterpret_cast<const __m128i *>(row));
@@ -124,7 +147,7 @@ class LruPolicy : public ReplacementPolicy
     lruWay(uint32_t set) const
     {
         const uint64_t match = byteMatchMask(
-            rankRow(set), numWays_, static_cast<uint8_t>(numWays_ - 1));
+            rows_.row(set), numWays_, static_cast<uint8_t>(numWays_ - 1));
         // The permutation invariant guarantees a match; fall back to way
         // 0 if it is ever violated (the auditor reports that separately).
         return match ? std::countr_zero(match) : 0;
@@ -140,9 +163,9 @@ class LruPolicy : public ReplacementPolicy
     PDP_HOT int
     takeLruAndPromote(uint32_t set)
     {
-        uint8_t *row = rankRow(set);
+        uint8_t *row = rows_.row(set);
 #if defined(__SSE2__)
-        if (vec16_) {
+        if (rows_.vec16()) {
             // Find the LRU rank and age every way in one row load.
             const __m128i v = _mm_loadu_si128(
                 reinterpret_cast<const __m128i *>(row));
@@ -167,19 +190,6 @@ class LruPolicy : public ReplacementPolicy
         return way;
     }
 
-    /** Hint that `set`'s rank row is about to be used; the substrate
-     *  issues this at access start so the row fetch overlaps the tag
-     *  probe. */
-    void
-    prefetchSet(uint32_t set) const
-    {
-#if defined(__GNUC__)
-        __builtin_prefetch(rankRow(set));
-#else
-        (void)set;
-#endif
-    }
-
   protected:
     /** Recency rank of one way: 0 = MRU .. ways-1 = LRU.  Subclasses
      *  compare ranks where they used to compare stamps (larger rank ==
@@ -187,35 +197,14 @@ class LruPolicy : public ReplacementPolicy
     uint8_t
     rankOf(uint32_t set, int way) const
     {
-        return rankRow(set)[way];
+        return rows_.row(set)[way];
     }
 
   private:
-    uint8_t *
-    rankRow(uint32_t set)
-    {
-        return rankBase_ + static_cast<size_t>(set) * rankStride_;
-    }
-
-    const uint8_t *
-    rankRow(uint32_t set) const
-    {
-        return rankBase_ + static_cast<size_t>(set) * rankStride_;
-    }
-
-    /**
-     * Rank rows live in the cache's per-set scratch block when it
-     * offers one (ways <= Cache::kMaxFpWays), so victim selection and
-     * promotion touch the same cache line the lookup already loaded;
-     * wider caches fall back to the policy-owned ranks_ vector.
-     * rankBase_/rankStride_ are fixed at attach() either way.
-     */
-    uint8_t *rankBase_ = nullptr;
-    size_t rankStride_ = 0;
-    /** Scratch rows are 16 writable bytes, so the rank ops can run as
-     *  single 16-lane SSE2 passes instead of runtime-count loops. */
-    bool vec16_ = false;
-    std::vector<uint8_t> ranks_;
+    /** Rank rows: the cache's scratch rows when it lends them, so victim
+     *  selection and promotion touch the line the lookup already loaded;
+     *  policy-owned rows for wider caches. */
+    ScratchRows rows_;
 };
 
 /** First-in-first-out replacement (insertion stamps only). */

@@ -15,6 +15,7 @@
 #include "check/check.h"
 #include "check/invariant_auditor.h"
 #include "telemetry/source.h"
+#include "util/bitutil.h"
 #include "util/sat_counter.h"
 
 namespace pdp
@@ -34,23 +35,25 @@ class SetDueling
     SetDueling(uint32_t num_sets, uint32_t leaders_per_policy = 32,
                unsigned psel_bits = 10, uint32_t salt = 0)
         : numSets_(num_sets),
-          region_(num_sets / leaders_per_policy),
+          region_(leaders_per_policy > 0 ? num_sets / leaders_per_policy
+                                         : 0),
           salt_(salt % num_sets),
           psel_(psel_bits, (1u << psel_bits) / 2)
     {
-        PDP_CHECK(leaders_per_policy > 0 && region_ >= 2,
+        PDP_CHECK(leaders_per_policy > 0 && region_.value() >= 2,
                   "dueling needs >= 2 sets per leader region: ", num_sets,
                   " sets / ", leaders_per_policy, " leaders");
     }
 
-    /** 0 = leader of A, 1 = leader of B, -1 = follower. */
+    /** 0 = leader of A, 1 = leader of B, -1 = follower.  Runs on every
+     *  fill, so power-of-two geometries take masks, not divisions. */
     int
     leaderType(uint32_t set) const
     {
-        const uint32_t pos = (set + salt_) % numSets_ % region_;
+        const uint32_t pos = region_.mod(numSets_.mod(set + salt_));
         if (pos == 0)
             return 0;
-        if (pos == region_ / 2)
+        if (pos == region_.value() / 2)
             return 1;
         return -1;
     }
@@ -107,8 +110,8 @@ class SetDueling
     void debugForcePsel(uint32_t v) { psel_.debugForceValue(v); }
 
   private:
-    uint32_t numSets_;
-    uint32_t region_;
+    FixedDivisor numSets_;
+    FixedDivisor region_;
     uint32_t salt_;
     SatCounter psel_;
 };

@@ -2,8 +2,9 @@
  * @file
  * The replacement/bypass policy interface of the cache substrate.
  *
- * A policy owns all of its per-set replacement state (recency stamps,
- * RRPVs, remaining protecting distances, ...).  The cache owns tags,
+ * A policy owns all of its per-set replacement state (recency ranks,
+ * RRPVs, remaining protecting distances, ...), kept in the cache's lent
+ * per-set scratch row where it fits (scratch_rows.h).  The cache owns tags,
  * valid/dirty bits, the reuse bit and the owning thread id, and exposes
  * them read-only to the policy.
  *
@@ -11,6 +12,13 @@
  * selectVictim() is only called when the set is full; it returns either a
  * way index or kBypass (honoured only by caches configured to allow
  * bypass, i.e. non-inclusive caches).
+ *
+ * Dispatch: the cache calls a policy through the non-virtual access-path
+ * ops (hitOp, victimOp, insertOp, bypassOp) of a static policy type P.
+ * For P = ReplacementPolicy they forward to the virtual hooks; the
+ * fused policies (one list in cache.cc) hide them with inline versions
+ * that run the same row operations as their hooks, and the cache uses
+ * those only for attached policies of exactly type P.
  */
 
 #ifndef PDP_POLICIES_REPLACEMENT_POLICY_H
@@ -80,6 +88,23 @@ class ReplacementPolicy
 
     /** The access missed and was bypassed (no allocation). */
     virtual void onBypass(const AccessContext &ctx) { (void)ctx; }
+
+    // --- access-path ops (see the file comment) ---
+
+    void hitOp(const AccessContext &ctx, int way) { onHit(ctx, way); }
+
+    int victimOp(const AccessContext &ctx) { return selectVictim(ctx); }
+
+    /** `replaced`: the way was chosen by victimOp() on this access (a
+     *  fused victimOp may already have installed it). */
+    void
+    insertOp(const AccessContext &ctx, int way, bool replaced)
+    {
+        (void)replaced;
+        onInsert(ctx, way);
+    }
+
+    void bypassOp(const AccessContext &ctx) { onBypass(ctx); }
 
     /** True if the policy ever returns kBypass. */
     virtual bool usesBypass() const { return false; }

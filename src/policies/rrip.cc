@@ -22,64 +22,30 @@ void
 RripPolicy::attach(Cache &cache, uint32_t num_sets, uint32_t num_ways)
 {
     ReplacementPolicy::attach(cache, num_sets, num_ways);
-    rrpvs_.assign(static_cast<size_t>(num_sets) * num_ways, maxRrpv_);
+    rows_.bind(cache.policyScratchBase(), Cache::policyScratchStride(),
+               num_sets, num_ways, maxRrpv_);
+    monitors_.clear();
     if (mode_ == Mode::Drrip)
-        dueling_.emplace(num_sets, /*leaders_per_policy=*/32,
-                         /*psel_bits=*/10);
+        monitors_.emplace_back(num_sets, /*leaders_per_policy=*/32,
+                               /*psel_bits=*/10);
 }
 
 void
 RripPolicy::onHit(const AccessContext &ctx, int way)
 {
-    // Hit promotion: predict near-immediate re-reference.
-    rrpv(ctx.set, way) = 0;
-}
-
-bool
-RripPolicy::setUsesBrrip(const AccessContext &ctx) const
-{
-    switch (mode_) {
-      case Mode::Srrip: return false;
-      case Mode::Brrip: return true;
-      case Mode::Drrip: return dueling_->setUsesB(ctx.set);
-    }
-    return false;
-}
-
-void
-RripPolicy::recordMiss(const AccessContext &ctx)
-{
-    if (mode_ == Mode::Drrip && !ctx.isWriteback)
-        dueling_->recordMiss(ctx.set);
+    hitOp(ctx, way);
 }
 
 int
 RripPolicy::selectVictim(const AccessContext &ctx)
 {
-    // Find a distant (RRPV == max) line, aging the set until one exists.
-    for (;;) {
-        for (uint32_t way = 0; way < numWays_; ++way)
-            if (rrpv(ctx.set, way) == maxRrpv_)
-                return static_cast<int>(way);
-        for (uint32_t way = 0; way < numWays_; ++way)
-            ++rrpv(ctx.set, way);
-    }
+    return victimOp(ctx);
 }
 
 void
 RripPolicy::onInsert(const AccessContext &ctx, int way)
 {
-    recordMiss(ctx);
-    uint8_t insert_rrpv;
-    if (setUsesBrrip(ctx)) {
-        // BRRIP: mostly distant, occasionally long.
-        insert_rrpv = rng_.chance(epsilon_) ? static_cast<uint8_t>(maxRrpv_ - 1)
-                                            : maxRrpv_;
-    } else {
-        // SRRIP: long.
-        insert_rrpv = static_cast<uint8_t>(maxRrpv_ - 1);
-    }
-    rrpv(ctx.set, way) = insert_rrpv;
+    insertOp(ctx, way, false);
 }
 
 void
@@ -88,14 +54,14 @@ RripPolicy::auditGlobal(InvariantReporter &reporter) const
     ReplacementPolicy::auditGlobal(reporter);
     reporter.check(epsilon_ >= 0.0 && epsilon_ <= 1.0, "rrip.epsilon",
                    name(), ": epsilon ", epsilon_, " outside [0,1]");
-    if (dueling_)
-        dueling_->audit(reporter, "DRRIP");
+    for (const SetDueling &monitor : monitors_)
+        monitor.audit(reporter, name().c_str());
 }
 
 void
 RripPolicy::auditSet(uint32_t set, InvariantReporter &reporter) const
 {
-    const uint8_t *base = &rrpvs_[static_cast<size_t>(set) * numWays_];
+    const uint8_t *base = rows_.row(set);
     for (uint32_t way = 0; way < numWays_; ++way)
         reporter.check(base[way] <= maxRrpv_, "rrip.rrpv_range", name(),
                        ": set ", set, " way ", way, " RRPV ",

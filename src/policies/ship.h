@@ -68,9 +68,9 @@ class ShipPolicy : public RripPolicy
     std::vector<bool> lineOutcome_;
 };
 
-// SHiP adds per-line signatures/outcome bits on top of RRIP's RRPVs;
-// all of it is policy-owned, the scratch row stays untouched.
-PDP_SCRATCH_LAYOUT(ShipPolicy, NoScratchState);
+// RRIP's RRPV row; the per-line signatures and outcome bits SHiP adds
+// do not fit it and stay policy-owned.
+PDP_SCRATCH_LAYOUT(ShipPolicy, RripRow);
 
 } // namespace pdp
 

@@ -1,5 +1,6 @@
 #include "sim/policy_factory.h"
 
+#include <optional>
 #include <stdexcept>
 
 #include "core/pdp_policy.h"
@@ -9,22 +10,19 @@
 #include "policies/rrip.h"
 #include "policies/sdp.h"
 #include "policies/ship.h"
+#include "util/parse.h"
 
 namespace pdp
 {
 
-std::unique_ptr<ReplacementPolicy>
-makePolicy(const std::string &spec)
+namespace
 {
-    std::string base = spec;
-    uint32_t arg = 0;
-    bool has_arg = false;
-    if (const auto colon = spec.find(':'); colon != std::string::npos) {
-        base = spec.substr(0, colon);
-        arg = static_cast<uint32_t>(std::stoul(spec.substr(colon + 1)));
-        has_arg = true;
-    }
 
+/** The policies whose spec is a bare name; nullptr if `base` is not
+ *  one of them. */
+std::unique_ptr<ReplacementPolicy>
+makeNamedPolicy(const std::string &base)
+{
     if (base == "LRU")
         return std::make_unique<LruPolicy>();
     if (base == "FIFO")
@@ -62,12 +60,44 @@ makePolicy(const std::string &spec)
         params.insertWithPdOne = true;
         return std::make_unique<PdpPolicy>(params);
     }
-    if (base == "SPDP-B")
-        return makeSpdpB(has_arg ? arg : 64);
-    if (base == "SPDP-NB")
-        return makeSpdpNb(has_arg ? arg : 64);
+    return nullptr;
+}
 
-    throw std::invalid_argument("unknown policy spec: " + spec);
+} // namespace
+
+std::unique_ptr<ReplacementPolicy>
+makePolicy(const std::string &spec)
+{
+    const size_t colon = spec.find(':');
+    const std::string base = spec.substr(0, colon);
+    std::optional<unsigned long> arg;
+    if (colon != std::string::npos) {
+        arg = parseUnsigned(spec.c_str() + colon + 1);
+        if (!arg)
+            throw std::invalid_argument("policy spec " + spec +
+                                        ": argument is not an unsigned "
+                                        "decimal integer");
+    }
+
+    if (base == "SPDP-B" || base == "SPDP-NB") {
+        const uint32_t d_max = PdpParams{}.dMax;
+        const unsigned long pd = arg.value_or(64);
+        if (pd < 1 || pd > d_max)
+            throw std::invalid_argument(
+                "policy spec " + spec + ": static PD " + std::to_string(pd) +
+                " outside [1, d_max = " + std::to_string(d_max) + "]");
+        const auto static_pd = static_cast<uint32_t>(pd);
+        return base == "SPDP-B" ? makeSpdpB(static_pd)
+                                : makeSpdpNb(static_pd);
+    }
+
+    auto policy = makeNamedPolicy(base);
+    if (!policy)
+        throw std::invalid_argument("unknown policy spec: " + spec);
+    if (arg)
+        throw std::invalid_argument("policy spec " + spec + ": " + base +
+                                    " takes no argument");
+    return policy;
 }
 
 std::vector<std::string>

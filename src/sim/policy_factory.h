@@ -21,7 +21,10 @@
 namespace pdp
 {
 
-/** Build a policy from its spec; throws std::invalid_argument if unknown. */
+/** Build a policy from its spec; throws std::invalid_argument naming the
+ *  spec if the name is unknown, an argument is not a whole unsigned
+ *  decimal, a static PD lies outside [1, d_max], or a policy that takes
+ *  no argument is given one. */
 std::unique_ptr<ReplacementPolicy> makePolicy(const std::string &spec);
 
 /** The single-core comparison roster of Fig. 10. */

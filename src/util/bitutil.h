@@ -44,6 +44,42 @@ ceilDiv(uint64_t a, uint64_t b)
     return (a + b - 1) / b;
 }
 
+/**
+ * Division by a divisor fixed at construction: a mask and a shift when
+ * it is a power of two (every geometry of the paper), the hardware
+ * divide otherwise.  Keeps per-access modulo arithmetic off the divider
+ * without restricting the geometries the simulator accepts.
+ */
+class FixedDivisor
+{
+  public:
+    explicit FixedDivisor(uint32_t d = 1)
+        : d_(d), pow2_(isPow2(d)), shift_(pow2_ ? floorLog2(d) : 0)
+    {
+    }
+
+    uint32_t value() const { return d_; }
+
+    template <typename T>
+    T
+    mod(T x) const
+    {
+        return pow2_ ? x & static_cast<T>(d_ - 1) : x % d_;
+    }
+
+    template <typename T>
+    T
+    div(T x) const
+    {
+        return pow2_ ? x >> shift_ : x / d_;
+    }
+
+  private:
+    uint32_t d_;
+    bool pow2_;
+    unsigned shift_;
+};
+
 /** Fold a 64-bit value down to `bits` bits by xor-folding. */
 inline uint32_t
 foldXor(uint64_t v, unsigned bits)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/cache.h"
+#include "cache/hierarchy.h"
 #include "cache/occupancy_tracker.h"
 #include "check/check.h"
 #include "check/invariant_auditor.h"
@@ -22,6 +23,7 @@
 #include "sim/multi_core_sim.h"
 #include "sim/policy_factory.h"
 #include "sim/single_core_sim.h"
+#include "trace/spec_suite.h"
 
 using namespace pdp;
 using check::CheckContext;
@@ -340,6 +342,20 @@ TEST(InjectedViolation, OccupancyLastEventAheadOfCounter)
 // Clean sweeps of the paper configurations under the auditor
 // ---------------------------------------------------------------------------
 
+/** runSingleCore(benchmark, policy, config), noting whether the LLC's
+ *  policy ran the cache's fused (devirtualized) access path — the
+ *  auditor attaches to the same path selection, so audited runs check
+ *  the fused code. */
+SimResult
+runAudited(const std::string &benchmark, const std::string &policy,
+           const SimConfig &config, bool &fused)
+{
+    auto gen = SpecSuite::make(benchmark);
+    Hierarchy hierarchy(config.hierarchy, makePolicy(policy));
+    fused = hierarchy.llc().fusedPath();
+    return runSingleCore(*gen, hierarchy, config);
+}
+
 TEST(AuditedSweep, Fig10ConfigPdpMaxCadence)
 {
     // The Fig. 10 single-core setup (paper L2 + 2 MB 16-way LLC) under
@@ -347,7 +363,9 @@ TEST(AuditedSweep, Fig10ConfigPdpMaxCadence)
     SimConfig cfg = SimConfig{}.scaled(0.02);
     cfg.auditEvery = 1;
     cfg.auditFailFast = true;  // die loudly if any invariant breaks
-    const SimResult result = runSingleCore("436.cactusADM", "PDP-3", cfg);
+    bool fused = false;
+    const SimResult result = runAudited("436.cactusADM", "PDP-3", cfg, fused);
+    EXPECT_TRUE(fused);
     EXPECT_GT(result.auditsRun, 0u);
     EXPECT_EQ(result.auditViolations, 0u);
     EXPECT_GT(result.llcAccesses, 0u);
@@ -355,12 +373,19 @@ TEST(AuditedSweep, Fig10ConfigPdpMaxCadence)
 
 TEST(AuditedSweep, Fig10PolicyPanelMaxCadence)
 {
-    // Every Fig. 10 policy, shorter runs, still audited on every access.
+    // Every Fig. 10 policy plus LRU, shorter runs, still audited on
+    // every access; LRU, DRRIP and the dynamic PDPs run fused.
     SimConfig cfg = SimConfig{}.scaled(0.004);
     cfg.auditEvery = 1;
     cfg.auditFailFast = true;
-    for (const std::string &policy : fig10PolicyNames()) {
-        const SimResult result = runSingleCore("429.mcf", policy, cfg);
+    std::vector<std::string> policies = fig10PolicyNames();
+    policies.push_back("LRU");
+    for (const std::string &policy : policies) {
+        bool fused = false;
+        const SimResult result = runAudited("429.mcf", policy, cfg, fused);
+        EXPECT_EQ(fused, policy == "LRU" || policy == "DRRIP" ||
+                             policy.rfind("PDP-", 0) == 0)
+            << policy;
         EXPECT_EQ(result.auditViolations, 0u) << policy;
         EXPECT_GT(result.auditsRun, 0u) << policy;
     }

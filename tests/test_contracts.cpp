@@ -56,13 +56,21 @@ static_assert(layoutHolds<TaDrripPolicy>());
 static_assert(layoutHolds<PippPolicy>());
 static_assert(layoutHolds<PdpPartitionPolicy>());
 
-// The recency family stores per-way ranks in the lent row; everyone
-// else keeps per-set state policy-owned and declares NoScratchState.
+// The recency family stores per-way ranks in the lent row, the RRIP
+// family its RRPVs and the PDP family its remaining protecting
+// distances; everyone else keeps per-set state policy-owned and
+// declares NoScratchState.
 static_assert(std::is_same_v<ScratchLayout<LruPolicy>::type, LruRankRow>);
 static_assert(
     std::is_same_v<ScratchLayout<InsertionLruPolicy>::type, LruRankRow>);
 static_assert(std::is_same_v<ScratchLayout<SdpPolicy>::type, LruRankRow>);
 static_assert(std::is_same_v<ScratchLayout<UcpPolicy>::type, LruRankRow>);
+static_assert(std::is_same_v<ScratchLayout<RripPolicy>::type, RripRow>);
+static_assert(std::is_same_v<ScratchLayout<ShipPolicy>::type, RripRow>);
+static_assert(std::is_same_v<ScratchLayout<TaDrripPolicy>::type, RripRow>);
+static_assert(std::is_same_v<ScratchLayout<PdpPolicy>::type, RpdRow>);
+static_assert(
+    std::is_same_v<ScratchLayout<PdpPartitionPolicy>::type, RpdRow>);
 static_assert(
     std::is_same_v<ScratchLayout<FifoPolicy>::type, NoScratchState>);
 static_assert(
@@ -70,20 +78,13 @@ static_assert(
 static_assert(
     std::is_same_v<ScratchLayout<EelruPolicy>::type, NoScratchState>);
 static_assert(
-    std::is_same_v<ScratchLayout<RripPolicy>::type, NoScratchState>);
-static_assert(
-    std::is_same_v<ScratchLayout<ShipPolicy>::type, NoScratchState>);
-static_assert(
-    std::is_same_v<ScratchLayout<PdpPolicy>::type, NoScratchState>);
-static_assert(
-    std::is_same_v<ScratchLayout<TaDrripPolicy>::type, NoScratchState>);
-static_assert(
     std::is_same_v<ScratchLayout<PippPolicy>::type, NoScratchState>);
-static_assert(
-    std::is_same_v<ScratchLayout<PdpPartitionPolicy>::type, NoScratchState>);
 
-// The rank row uses the whole block; the empty image stays empty.
+// The one-byte-per-way images use the whole block (16 ways); the empty
+// image stays empty.
 static_assert(sizeof(LruRankRow) == kPolicyScratchBytes);
+static_assert(sizeof(RripRow) == kPolicyScratchBytes);
+static_assert(sizeof(RpdRow) == kPolicyScratchBytes);
 static_assert(std::is_empty_v<NoScratchState>);
 
 TEST(ScratchContracts, RowImagesFitTheLentRow)
@@ -93,7 +94,37 @@ TEST(ScratchContracts, RowImagesFitTheLentRow)
     EXPECT_LE(ScratchLayout<LruPolicy>::size, kPolicyScratchBytes);
     EXPECT_LE(ScratchLayout<SdpPolicy>::size, kPolicyScratchBytes);
     EXPECT_LE(ScratchLayout<UcpPolicy>::size, kPolicyScratchBytes);
+    EXPECT_LE(ScratchLayout<RripPolicy>::size, kPolicyScratchBytes);
+    EXPECT_LE(ScratchLayout<ShipPolicy>::size, kPolicyScratchBytes);
+    EXPECT_LE(ScratchLayout<TaDrripPolicy>::size, kPolicyScratchBytes);
+    EXPECT_LE(ScratchLayout<PdpPolicy>::size, kPolicyScratchBytes);
+    EXPECT_LE(ScratchLayout<PdpPartitionPolicy>::size, kPolicyScratchBytes);
     EXPECT_EQ(ScratchLayout<FifoPolicy>::size, sizeof(NoScratchState));
+}
+
+TEST(ScratchContracts, RowResidentPoliciesUseTheLentRow)
+{
+    // The declared images are true: at 16 ways each row-resident
+    // policy's per-way byte lives at its way's offset in the cache's
+    // scratch row, and policy writes land there.
+    CacheConfig cfg;
+    cfg.sizeBytes = 64 * 16 * 64;
+    cfg.ways = 16;
+    auto rrip = std::make_unique<RripPolicy>(RripPolicy::Mode::Srrip);
+    RripPolicy *rrip_raw = rrip.get();
+    Cache rrip_cache(cfg, std::move(rrip));
+    rrip_raw->debugSetRrpv(3, 5, 2);
+    EXPECT_EQ(rrip_cache.policyScratchBase()[3 * Cache::policyScratchStride() +
+                                             5],
+              2);
+
+    auto pdp = std::make_unique<PdpPolicy>();
+    PdpPolicy *pdp_raw = pdp.get();
+    Cache pdp_cache(cfg, std::move(pdp));
+    pdp_raw->debugSetRpd(6, 15, 9);
+    EXPECT_EQ(pdp_cache.policyScratchBase()[6 * Cache::policyScratchStride() +
+                                            15],
+              9);
 }
 
 TEST(ScratchContracts, CacheLendsAFullRowPerSet)

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "cache/cache.h"
+#include "check/check.h"
+#include "core/pdp_policy.h"
 #include "policies/basic.h"
 #include "policies/dip.h"
 #include "policies/dueling.h"
@@ -236,4 +238,45 @@ TEST(PolicyFactory, BuildsEveryStandardSpec)
         EXPECT_FALSE(policy->name().empty());
     }
     EXPECT_THROW(makePolicy("NotAPolicy"), std::invalid_argument);
+}
+
+TEST(PolicyFactory, RejectsMalformedSpecs)
+{
+    // Trailing junk, a sign, an empty or non-numeric argument.
+    EXPECT_THROW(makePolicy("SPDP-B:64x"), std::invalid_argument);
+    EXPECT_THROW(makePolicy("SPDP-B:-1"), std::invalid_argument);
+    EXPECT_THROW(makePolicy("SPDP-B:"), std::invalid_argument);
+    EXPECT_THROW(makePolicy("LRU:abc"), std::invalid_argument);
+    // A static PD outside [1, d_max = 256]: PD 0 never protects a line,
+    // and RPDs saturate long before PD 100000.
+    EXPECT_THROW(makePolicy("SPDP-B:0"), std::invalid_argument);
+    EXPECT_THROW(makePolicy("SPDP-NB:257"), std::invalid_argument);
+    EXPECT_THROW(makePolicy("SPDP-NB:100000"), std::invalid_argument);
+    // An argument on a policy that takes none.
+    EXPECT_THROW(makePolicy("DRRIP:7"), std::invalid_argument);
+    EXPECT_THROW(makePolicy("PDP-8:3"), std::invalid_argument);
+    // The boundaries of the PD range are accepted.
+    EXPECT_EQ(static_cast<PdpPolicy &>(*makePolicy("SPDP-B:1")).pd(), 1u);
+    EXPECT_EQ(static_cast<PdpPolicy &>(*makePolicy("SPDP-NB:256")).pd(),
+              256u);
+
+    // The error names the spec.
+    try {
+        makePolicy("SPDP-B:64x");
+        FAIL() << "SPDP-B:64x accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("SPDP-B:64x"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(PolicyFactory, StaticPdpRejectsPdOutsideRange)
+{
+    for (uint32_t pd : {0u, 257u}) {
+        PdpParams params;
+        params.dynamic = false;
+        params.staticPd = pd;
+        EXPECT_THROW(PdpPolicy{params}, CheckFailure) << pd;
+    }
 }
