@@ -48,30 +48,6 @@ struct CacheStats
         return accesses ? static_cast<double>(bypasses) / accesses : 0.0;
     }
 
-    /**
-     * Accumulate another counter block into this one (set-sharded
-     * execution: per-shard stats summed in shard order).  Every field
-     * is a sum of per-access increments, so the merged block equals the
-     * block a single cache covering all shards would have kept,
-     * independent of how accesses interleaved across shards.
-     */
-    void
-    merge(const CacheStats &other)
-    {
-        accesses += other.accesses;
-        hits += other.hits;
-        misses += other.misses;
-        bypasses += other.bypasses;
-        writebackAccesses += other.writebackAccesses;
-        evictionsDirty += other.evictionsDirty;
-        prefetchFills += other.prefetchFills;
-        for (unsigned t = 0; t < kMaxThreads; ++t) {
-            threadAccesses[t] += other.threadAccesses[t];
-            threadHits[t] += other.threadHits[t];
-            threadMisses[t] += other.threadMisses[t];
-        }
-    }
-
     void
     reset()
     {

@@ -1,134 +1,32 @@
 /**
  * @file
- * Set-sharded view over the SoA cache substrate.
- *
- * A shard is a slice of the LLC's sets that one worker thread owns
- * exclusively.  The shard index is the HIGH bits of the full set index,
- * so a shard's local sets are exactly the LOW set bits of the line
- * address — which means each shard can be materialized as a plain
- * (smaller) Cache whose own setIndex() computes the right local set
- * natively, with no per-access translation beyond a shift.
- *
- * Equivalence (the contract the byte-identity tests pin down): for a
- * set-local policy (ReplacementPolicy::setLocal()), a sharded cache and
- * a monolithic cache given the same access stream produce identical
- * per-access outcomes.  Sharding partitions the stream by set while
- * preserving each set's subsequence order; a set-local policy's
- * decisions depend only on that subsequence; and the shard caches
- * together hold exactly the monolithic geometry (same ways, same line
- * size, sets split across shards), with tags that differ only by which
- * address bits land in the set index — a bijection per shard.  Stats
- * are per-access increments, so the shard-order merged CacheStats
- * equals the monolithic block.
+ * A one-shard plan, kept only so that perfbench/'s call
+ * `LlcStreamFrontEnd(hierarchy, ShardPlan::make(llc, 1))` still
+ * compiles: every LLC op carries its full set index (sim/llc_stream.h).
+ * The next change to perfbench/ drops that argument and deletes this
+ * header.
  */
 
 #ifndef PDP_CACHE_SHARD_VIEW_H
 #define PDP_CACHE_SHARD_VIEW_H
 
-#include <cstdint>
-#include <functional>
-#include <memory>
-#include <vector>
-
-#include "cache/cache.h"
 #include "cache/cache_config.h"
-#include "cache/cache_stats.h"
-#include "check/contracts.h"
+#include "check/check.h"
 
 namespace pdp
 {
 
-/**
- * The routing arithmetic of one sharded cache: how a full set index
- * splits into (shard, local set).  Plain data, cheap to copy into the
- * drivers' capture loops.
- */
+/** The only plan there is: the whole LLC as one shard. */
 struct ShardPlan
 {
-    /** Shard count; always a power of two (see make()). */
-    uint32_t shards = 1;
-    /** log2(sets per shard): the shift that extracts the shard index. */
-    uint32_t localSetBits = 0;
-    /** (sets per shard) - 1: the mask that extracts the local set. */
-    uint32_t localSetMask = 0;
-
-    /**
-     * Plan for `llc` with up to `requested` shards.  The effective
-     * count is the largest power of two that is <= requested and does
-     * not exceed the set count (so every shard owns at least one set);
-     * requested == 0 behaves like 1.
-     */
-    static ShardPlan make(const CacheConfig &llc, unsigned requested);
-
-    /** Shard owning full set index `set`. */
-    PDP_HOT uint32_t
-    shardOf(uint32_t set) const
+    /** The one-shard plan; `requested` above 1 is a CheckFailure. */
+    static ShardPlan
+    make(const CacheConfig &llc, unsigned requested)
     {
-        return set >> localSetBits;
+        PDP_CHECK(requested <= 1, "the LLC \"", llc.label,
+                  "\" always runs as one shard, not ", requested);
+        return {};
     }
-
-    /** `set` translated into its owning shard's local set index. */
-    PDP_HOT uint32_t
-    localSet(uint32_t set) const
-    {
-        return set & localSetMask;
-    }
-
-    /** Geometry of one shard: the full cache's ways and line size over
-     *  1/shards of the sets. */
-    CacheConfig shardConfig(const CacheConfig &llc, uint32_t shard) const;
-};
-
-/**
- * An LLC materialized as ShardPlan::shards independent Cache instances,
- * each with its own policy instance from the supplied factory.
- *
- * Per-shard ownership is what makes the sharded driver race-free: a
- * worker thread touches only its shard's Cache + policy, and there is
- * no shared mutable state at all (the plan is read-only).  Memory
- * totals equal the monolithic cache — the sets are split, not copied.
- */
-class ShardedLlc
-{
-  public:
-    using PolicyFactory =
-        std::function<std::unique_ptr<ReplacementPolicy>()>;
-
-    /** Builds plan + shard caches.  With more than one shard the
-     *  factory's policies must claim setLocal() (checked). */
-    ShardedLlc(const CacheConfig &llc, unsigned shards,
-               const PolicyFactory &makePolicy);
-
-    const ShardPlan &plan() const { return plan_; }
-    uint32_t numShards() const { return plan_.shards; }
-    Cache &shard(uint32_t i) { return *shards_[i]; }
-    const Cache &shard(uint32_t i) const { return *shards_[i]; }
-
-    /** Full-geometry set index (what the monolithic cache would use). */
-    PDP_HOT uint32_t
-    fullSetIndex(uint64_t line_addr) const
-    {
-        return static_cast<uint32_t>(line_addr & fullSetMask_);
-    }
-
-    /**
-     * Sequential convenience access: route by set and run the access on
-     * the owning shard.  `ctx.set` must hold the FULL set index (or be
-     * left for this call to fold).  The parallel drivers do not use
-     * this — they route in their capture loop and hand each shard its
-     * ops directly.
-     */
-    AccessOutcome access(AccessContext ctx);
-
-    /** Shard stats summed in shard order (deterministic merge). */
-    CacheStats mergedStats() const;
-
-    void resetStats();
-
-  private:
-    ShardPlan plan_;
-    uint64_t fullSetMask_ = 0;
-    std::vector<std::unique_ptr<Cache>> shards_;
 };
 
 } // namespace pdp

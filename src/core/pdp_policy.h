@@ -25,7 +25,6 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <typeinfo>
 #include <vector>
 
 #include "check/contracts.h"
@@ -157,16 +156,6 @@ class PdpPolicy : public ReplacementPolicy, public telemetry::Source
     /** A bypass still counts as an access to the set (Sec. 3: the S_d
      *  counter counts bypasses). */
     PDP_HOT void bypassOp(const AccessContext &ctx) { step(ctx); }
-
-    /** Static PDP only: RPD aging against a fixed PD is pure per-set
-     *  state.  Dynamic PDP couples sets through the RD sampler and the
-     *  recompute clock, and subclasses (the partitioned variant) add
-     *  per-thread global state, so neither may claim set-locality. */
-    bool
-    setLocal() const override
-    {
-        return !params_.dynamic && typeid(*this) == typeid(PdpPolicy);
-    }
 
     /** Epoch telemetry: PD, RDD histogram and the E(d_p) curve. */
     void telemetrySnapshot(telemetry::Snapshot &out) const override;

@@ -8,7 +8,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <typeinfo>
 #include <vector>
 
 #include "check/contracts.h"
@@ -78,16 +77,6 @@ class LruPolicy : public ReplacementPolicy
     {
         if (!replaced)
             promote(ctx.set, way);
-    }
-
-    /** Exact LruPolicy only: the rank permutation is pure per-set
-     *  state, but subclasses (DIP, SDP, UCP, ...) add global state —
-     *  PSEL counters, BIP throttles, per-thread targets — on top of
-     *  the ranks and must not inherit the claim. */
-    bool
-    setLocal() const override
-    {
-        return typeid(*this) == typeid(LruPolicy);
     }
 
     /** Make `way` the MRU line of its set (rank 0). */

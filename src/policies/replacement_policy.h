@@ -109,19 +109,6 @@ class ReplacementPolicy
     /** True if the policy ever returns kBypass. */
     virtual bool usesBypass() const { return false; }
 
-    /**
-     * True when every observable decision the policy makes for a set
-     * depends only on that set's own access subsequence (plus
-     * construction parameters) — never on a global clock, an RNG, PSEL
-     * dueling, a sampler or any other cross-set state.  The set-sharded
-     * driver (sim/sharded_sim.h) only parallelizes policies that opt
-     * in; everything else falls back to the sequential driver.
-     *
-     * Overrides must guard with `typeid(*this) == typeid(Self)` so
-     * subclasses that add global state do not inherit the claim.
-     */
-    virtual bool setLocal() const { return false; }
-
     // --- invariant audit hooks (see src/check/invariant_auditor.h) ---
 
     /**

@@ -10,7 +10,6 @@
 #include "cache/hierarchy.h"
 #include "check/flight_recorder.h"
 #include "cache/reference_cache.h"
-#include "cache/shard_view.h"
 #include "core/pdp_policy.h"
 #include "model/analytic_model.h"
 #include "policies/rrip.h"
@@ -18,7 +17,6 @@
 #include "service/scenario.h"
 #include "sim/lockstep_sweep.h"
 #include "sim/policy_factory.h"
-#include "sim/sharded_sim.h"
 #include "sim/static_pd_search.h"
 #include "telemetry/metrics.h"
 #include "trace/rdd_fingerprint.h"
@@ -86,8 +84,7 @@ RecordLookup::keys() const
 }
 
 Job
-singleCoreJob(std::string key, std::string benchmark,
-              std::function<std::unique_ptr<ReplacementPolicy>()> makePol,
+singleCoreJob(std::string key, std::string benchmark, PolicyFactory makePol,
               const SimConfig &config)
 {
     Job job;
@@ -96,11 +93,9 @@ singleCoreJob(std::string key, std::string benchmark,
     job.run = [benchmark = std::move(benchmark), makePol = std::move(makePol),
                config](const JobContext &ctx) {
         auto gen = SpecSuite::make(benchmark, ctx.seed);
+        Hierarchy hierarchy = makeHierarchy(config, makePol());
         JobOutcome outcome;
-        // Dispatches to the set-sharded driver when config.llcShards > 1
-        // and the policy allows it; plain sequential Hierarchy otherwise.
-        // Byte-identical either way (sim/sharded_sim.h).
-        outcome.single = runSingleCoreAuto(*gen, config, makePol);
+        outcome.single = runSingleCore(*gen, hierarchy, config);
         return outcome;
     };
     return job;
@@ -152,12 +147,9 @@ serviceJob(std::string key, std::vector<TenantSpec> tenants,
 }
 
 Job
-lockstepSweepJob(
-    std::string key, std::string benchmark,
-    std::vector<std::pair<
-        std::string, std::function<std::unique_ptr<ReplacementPolicy>()>>>
-        cells,
-    const SimConfig &config, unsigned threads)
+lockstepSweepJob(std::string key, std::string benchmark,
+                 std::vector<std::pair<std::string, PolicyFactory>> cells,
+                 const SimConfig &config, unsigned threads)
 {
     Job job;
     job.key = std::move(key);
@@ -166,8 +158,7 @@ lockstepSweepJob(
                    cells = std::move(cells), config,
                    threads](const JobContext &ctx) {
         auto gen = SpecSuite::make(benchmark, ctx.seed);
-        std::vector<std::function<std::unique_ptr<ReplacementPolicy>()>>
-            factories;
+        std::vector<PolicyFactory> factories;
         factories.reserve(cells.size());
         for (const auto &cell : cells)
             factories.push_back(cell.second);
@@ -207,7 +198,6 @@ scaledConfig(const SuiteOptions &options, uint64_t accesses = 3'000'000,
     config.accesses = accesses;
     config.warmup = warmup;
     config.telemetry = telemetryConfig(options);
-    config.llcShards = options.shards;
     return config.scaled(options.scale);
 }
 
@@ -231,8 +221,7 @@ lockstepThreads(const SuiteOptions &options)
     return std::max(1u, hw / std::max(1u, outer));
 }
 
-using PolicyCell = std::pair<
-    std::string, std::function<std::unique_ptr<ReplacementPolicy>()>>;
+using PolicyCell = std::pair<std::string, PolicyFactory>;
 
 /** Emit one benchmark's sweep cells: independent singleCoreJobs by
  *  default, or one lockstep group job (key "<prefix>lockstep") when the
@@ -685,8 +674,7 @@ modelValidationJob(const std::string &bench, const SimConfig &config,
             bool bypass;
         };
         std::vector<Cell> cells;
-        std::vector<std::function<std::unique_ptr<ReplacementPolicy>()>>
-            factories;
+        std::vector<PolicyFactory> factories;
         for (bool byp : {false, true}) {
             for (uint32_t pd : kValidationPds) {
                 cells.push_back({prefix + (byp ? "SPDP-B:" : "SPDP-NB:") +
@@ -943,8 +931,7 @@ exploreJob(const std::string &bench, const SimConfig &config, unsigned top_k,
         const ExplorePlan plan =
             planExplore(fp, top_k, seedFor(bench + "/explore-audit"));
 
-        std::vector<std::function<std::unique_ptr<ReplacementPolicy>()>>
-            factories;
+        std::vector<PolicyFactory> factories;
         for (const ExploreCell &cell : plan.chosen)
             factories.push_back(
                 [cell]() -> std::unique_ptr<ReplacementPolicy> {
@@ -1376,117 +1363,6 @@ hotpathTelemetryIdleJob(double scale)
     return job;
 }
 
-/**
- * Set-sharded LLC vs the monolithic cache on the identical stream: the
- * sharded side's timed segments spawn one worker per shard, each walking
- * the whole segment and performing only its own shard's accesses
- * (cache/shard_view.h routing), so the shards advance in parallel while
- * both sides see the same machine weather.  `sharded_speedup` is the
- * median per-pair mono/sharded time ratio; the job also PDP_CHECKs that
- * the merged shard stats equal the monolithic cache's — every hotpath
- * run doubles as an equivalence test.
- */
-Job
-hotpathShardedJob(double scale)
-{
-    Job job;
-    job.key = "hotpath/sharded/LRU-1v4";
-    job.seed = seedFor("hotpath/trace");
-    job.run = [scale](const JobContext &ctx) {
-        constexpr uint32_t kShards = 4;
-        Cache mono(CacheConfig::paperLlc(), makePolicy("LRU"));
-        ShardedLlc sharded(CacheConfig::paperLlc(), kShards,
-                           [] { return makePolicy("LRU"); });
-        const auto trace =
-            hotpathTrace(ctx.seed, mono.config().numLines() * 4);
-
-        AccessContext ma;
-        const auto monoWalk = [&](uint64_t addr, uint64_t next) {
-            mono.prefetchSet(mono.setIndex(next));
-            ma.lineAddr = addr;
-            ma.set = mono.setIndex(addr);
-            mono.access(ma);
-        };
-
-        const ShardPlan &plan = sharded.plan();
-        size_t shardedCursor = 0;
-        // One timed parallel pass over `count` accesses: worker s scans
-        // the segment and performs the accesses routed to shard s.
-        const auto shardedSegment = [&](uint64_t count) {
-            const size_t n = trace.size();
-            const size_t start = shardedCursor;
-            const auto walkShard = [&](uint32_t s) {
-                Cache &shardCache = sharded.shard(s);
-                AccessContext access;
-                size_t i = start;
-                for (uint64_t k = 0; k < count; ++k) {
-                    const uint64_t addr = trace[i];
-                    i = i + 1 == n ? 0 : i + 1;
-                    const uint32_t set = sharded.fullSetIndex(addr);
-                    if (plan.shardOf(set) != s)
-                        continue;
-                    access.lineAddr = addr;
-                    access.set = plan.localSet(set);
-                    shardCache.access(access);
-                }
-            };
-            // pdplint: allow(wall-clock) paired throughput measurement;
-            // only the volatile metrics dump sees the result.
-            const auto t0 = std::chrono::steady_clock::now();
-            std::vector<std::thread> workers;
-            workers.reserve(kShards - 1);
-            for (uint32_t s = 1; s < kShards; ++s)
-                workers.emplace_back(walkShard, s);
-            walkShard(0);
-            for (std::thread &worker : workers)
-                worker.join();
-            const double seconds =
-                // pdplint: allow(wall-clock) see above.
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-            shardedCursor = (start + count) % n;
-            return seconds;
-        };
-
-        // Warmup both sides over one full pass, then reset.
-        size_t monoCursor = 0;
-        timedSegment(trace, &monoCursor, trace.size(), monoWalk);
-        shardedSegment(trace.size());
-        mono.resetStats();
-        sharded.resetStats();
-
-        const uint64_t seg =
-            std::max<uint64_t>(hotpathTarget(scale) / kHotpathPairs, 1);
-        double monoSeconds = 0.0;
-        std::vector<double> ratios;
-        uint64_t done = 0;
-        for (int pair = 0; pair < kHotpathPairs; ++pair) {
-            const double m = timedSegment(trace, &monoCursor, seg, monoWalk);
-            const double s = shardedSegment(seg);
-            monoSeconds += m;
-            done += seg;
-            if (m > 0 && s > 0)
-                ratios.push_back(m / s);
-        }
-        std::sort(ratios.begin(), ratios.end());
-
-        const CacheStats merged = sharded.mergedStats();
-        PDP_CHECK(merged.accesses == mono.stats().accesses &&
-                      merged.hits == mono.stats().hits,
-                  "sharded LLC diverged from the monolithic cache: ",
-                  merged.hits, " hits vs ", mono.stats().hits);
-
-        JobOutcome outcome;
-        hotpathMetrics(outcome, done, monoSeconds, mono.stats().hitRate());
-        outcome.metrics["sharded_speedup"] =
-            ratios.empty() ? 0.0 : ratios[ratios.size() / 2];
-        outcome.metrics["shards"] = kShards;
-        return outcome;
-    };
-    return job;
-}
-
 /** Interleaved pairs in the lockstep-sweep measurement (odd; fewer than
  *  kHotpathPairs because each side is a full 19-config sweep). */
 constexpr int kSweepPairs = 3;
@@ -1514,8 +1390,7 @@ hotpathSweepJob(double scale)
         config.warmup = config.accesses / 4;
 
         const std::vector<uint32_t> grid = defaultPdGrid();
-        std::vector<std::function<std::unique_ptr<ReplacementPolicy>()>>
-            factories;
+        std::vector<PolicyFactory> factories;
         for (uint32_t pd : grid)
             factories.push_back([pd] { return makeSpdpB(pd); });
         const unsigned threads =
@@ -1657,9 +1532,7 @@ hotpathExploreJob(double scale)
             fopt.warmup = config.warmup;
             const RddFingerprint fp = fingerprintStream(*fgen, fopt);
             plan = planExplore(fp, 3, seedFor(bench + "/explore-audit"));
-            std::vector<
-                std::function<std::unique_ptr<ReplacementPolicy>()>>
-                factories;
+            std::vector<PolicyFactory> factories;
             for (const ExploreCell &cell : plan.chosen)
                 factories.push_back(
                     [cell]() -> std::unique_ptr<ReplacementPolicy> {
@@ -1737,7 +1610,6 @@ buildHotpath(const SuiteOptions &options)
     jobs.push_back(hotpathReferenceJob(options.scale));
     jobs.push_back(hotpathPartitionJob(options.scale));
     jobs.push_back(hotpathTelemetryIdleJob(options.scale));
-    jobs.push_back(hotpathShardedJob(options.scale));
     jobs.push_back(hotpathSweepJob(options.scale));
     jobs.push_back(hotpathExploreJob(options.scale));
     return jobs;
@@ -1767,7 +1639,6 @@ reportHotpath(std::ostream &out, const RecordLookup &records)
     keys.push_back("hotpath/llc/AoS-reference");
     keys.push_back("hotpath/shared/PDP-3-part-4c");
     keys.push_back("hotpath/llc/LRU-telemetry-idle");
-    keys.push_back("hotpath/sharded/LRU-1v4");
     keys.push_back("hotpath/sweep/SPDP-B-grid");
     keys.push_back("hotpath/explore/SPDP-grid");
     for (const std::string &key : keys) {
@@ -1796,11 +1667,6 @@ reportHotpath(std::ostream &out, const RecordLookup &records)
             << (compiled > 0 ? "compiled in" : "compiled out") << ")\n";
     }
 
-    double sharded = 0.0;
-    if (metric("hotpath/sharded/LRU-1v4", "sharded_speedup", &sharded))
-        out << "set-sharded LLC (4 shards) vs monolithic walk: "
-            << Table::num(sharded, 2) << "x (paired median; needs >= 4 "
-            << "cores to win)\n";
     double sweep = 0.0;
     if (metric("hotpath/sweep/SPDP-B-grid", "sweep_speedup", &sweep)) {
         double lanes = 0.0;
@@ -2038,6 +1904,16 @@ genericReport(std::ostream &out, const std::vector<JobRecord> &records)
 
 } // namespace
 
+std::vector<Job>
+selectJobs(const Suite &suite, const SuiteOptions &options)
+{
+    std::vector<Job> jobs = suite.buildJobs(options);
+    std::erase_if(jobs, [&](const Job &job) {
+        return job.key.find(options.filter) == std::string::npos;
+    });
+    return jobs;
+}
+
 int
 runSuite(const Suite &suite, const SuiteOptions &options, std::ostream &out)
 {
@@ -2045,12 +1921,7 @@ runSuite(const Suite &suite, const SuiteOptions &options, std::ostream &out)
     if (options.verbose)
         reporter.setVerbose(true);
 
-    std::vector<Job> jobs = suite.buildJobs(options);
-    if (!options.filter.empty()) {
-        std::erase_if(jobs, [&](const Job &job) {
-            return job.key.find(options.filter) == std::string::npos;
-        });
-    }
+    const std::vector<Job> jobs = selectJobs(suite, options);
 
     ResultsSink sink(suite.name);
     sink.setScale(options.scale);

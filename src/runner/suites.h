@@ -26,9 +26,9 @@
 #include <utility>
 #include <vector>
 
-#include "policies/replacement_policy.h"
 #include "runner/job.h"
 #include "runner/results_sink.h"
+#include "sim/lockstep_sweep.h"
 
 namespace pdp
 {
@@ -70,10 +70,6 @@ struct SuiteOptions
      *  index in every service job (--fault-at; 0 disables).  Exercises
      *  the fault flight recorder end to end. */
     uint64_t serviceFaultAt = 0;
-    /** LLC set-shards per single-core job (--shards; rounded down to a
-     *  power of two by the sim layer).  Semantics-preserving: policies
-     *  that cannot shard fall back to the sequential driver. */
-    unsigned shards = 1;
     /** Group each benchmark's sweep cells into one lockstep job over a
      *  single trace decode (--lockstep; sim/lockstep_sweep.h).  Records
      *  are byte-identical to the independent grid.  Ignored when
@@ -152,6 +148,10 @@ const Suite *findSuite(const std::string &name);
 int runSuite(const Suite &suite, const SuiteOptions &options,
              std::ostream &out);
 
+/** The jobs runSuite() executes: the suite's grid narrowed to the keys
+ *  that contain options.filter. */
+std::vector<Job> selectJobs(const Suite &suite, const SuiteOptions &options);
+
 /**
  * A single-core simulation job: constructs generator (seeded with
  * seedFor(benchmark) so every policy of one benchmark sees the same
@@ -163,10 +163,8 @@ Job singleCoreJob(std::string key, std::string benchmark,
 /** Same, with an explicit policy builder for policies that have no
  *  factory spec (e.g. DRRIP at a swept epsilon).  The builder runs on
  *  the worker thread and must be self-contained. */
-Job singleCoreJob(
-    std::string key, std::string benchmark,
-    std::function<std::unique_ptr<ReplacementPolicy>()> makePol,
-    const SimConfig &config);
+Job singleCoreJob(std::string key, std::string benchmark,
+                  PolicyFactory makePol, const SimConfig &config);
 
 /** A multi-core workload × policy job. */
 Job multiCoreJob(std::string key, WorkloadSpec workload,
@@ -186,12 +184,9 @@ Job serviceJob(std::string key, std::vector<TenantSpec> tenants,
  * order — byte-identical to the equivalent independent singleCoreJobs.
  * `threads` caps the intra-job worker fan-out over cells.
  */
-Job lockstepSweepJob(
-    std::string key, std::string benchmark,
-    std::vector<std::pair<
-        std::string, std::function<std::unique_ptr<ReplacementPolicy>()>>>
-        cells,
-    const SimConfig &config, unsigned threads = 1);
+Job lockstepSweepJob(std::string key, std::string benchmark,
+                     std::vector<std::pair<std::string, PolicyFactory>> cells,
+                     const SimConfig &config, unsigned threads = 1);
 
 } // namespace runner
 } // namespace pdp

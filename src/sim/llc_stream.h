@@ -1,28 +1,23 @@
 /**
  * @file
- * Shared front-end of the parallel single-core drivers: the sequential
- * generator + L2 walk, captured chunk by chunk as a replayable LLC op
- * stream.
+ * Front-end of the lockstep sweep driver: the sequential generator + L2
+ * walk, captured chunk by chunk as a replayable LLC op stream.
  *
- * The load-bearing observation (DESIGN.md "Set-sharded execution &
- * lockstep sweeps"): with no prefetcher attached, the LLC's input
- * stream is fully determined by the generator and the L2 walk — the L2
- * is always plain LRU, so nothing the LLC decides ever feeds back into
- * which ops reach it.  That lets one sequential front-end decode the
- * trace and fill the L2 once, emit the LLC ops (demand accesses plus
- * dirty-L2-victim writebacks, in hierarchy order) into a bounded chunk
- * buffer, and hand the chunk to workers:
+ * The load-bearing observation (DESIGN.md "Lockstep sweeps"): with no
+ * prefetcher attached, the LLC's input stream is fully determined by
+ * the generator and the L2 walk — the L2 is always plain LRU, so
+ * nothing the LLC decides ever feeds back into which ops reach it.
+ * That lets one sequential front-end decode the trace and fill the L2
+ * once, emit the LLC ops (demand accesses plus dirty-L2-victim
+ * writebacks, in hierarchy order) into a bounded chunk buffer, and hand
+ * the chunk to the lockstep sweep, which replays it against N
+ * per-config LLCs (lockstep_sweep.cc).
  *
- *  - the set-sharded driver routes each op to the shard cache owning
- *    its set (sharded_sim.cc);
- *  - the lockstep sweep replays the same chunk against N per-config
- *    LLCs (lockstep_sweep.cc).
- *
- * The per-access level slots double as the timing-model input: the
- * front-end stamps L2 hits, the LLC walk stamps hit/miss for demand
- * ops, and the coordinator replays TimingModel sequentially over the
- * (instr gap, level) pairs — the exact per-access sequence the
- * sequential driver would have fed it.
+ * Timing replays from the same buffers: each lane's LLC walk stamps
+ * hit/miss into its own level slots for demand ops, and the runs of L2
+ * hits between demand ops come folded into TimingSegments, so every
+ * lane feeds TimingModel the exact per-access sequence the sequential
+ * driver would have.
  */
 
 #ifndef PDP_SIM_LLC_STREAM_H
@@ -42,7 +37,7 @@ namespace pdp
 namespace detail
 {
 
-/** Per-access hierarchy level, stored as a byte in the chunk's level
+/** Per-access hierarchy level, stored as a byte in a lane's level
  *  slots (kLevelLlc/kLevelMemory are written by the LLC walk). */
 constexpr uint8_t kLevelL2 = 0;
 constexpr uint8_t kLevelLlc = 1;
@@ -64,18 +59,15 @@ struct LlcOp
     /** Chunk-local index of the demand access this op answers; -1 for
      *  writebacks (which have no timing-level slot). */
     int32_t accessIdx = -1;
-    /** Set index under the consumer's plan: the shard-local set for the
-     *  sharded driver, the full set for the 1-shard (lockstep) plan. */
+    /** LLC set index of lineAddr. */
     uint32_t set = 0;
-    /** Owning shard under the plan (always 0 for the 1-shard plan). */
-    uint8_t shard = 0;
     uint8_t threadId = 0;
     bool isWrite = false;
     bool isWriteback = false;
 };
 
 /** Accesses captured per chunk.  Big enough to amortize the per-chunk
- *  thread fan-out, small enough that the chunk's gap/level/op arrays
+ *  lane fan-out, small enough that the chunk's gap/level/op arrays
  *  stay resident in the host's caches. */
 constexpr size_t kStreamChunk = size_t{1} << 15;
 
@@ -98,9 +90,11 @@ struct TimingSegment
 class LlcStreamFrontEnd
 {
   public:
-    LlcStreamFrontEnd(const HierarchyConfig &config, const ShardPlan &plan)
-        : plan_(plan),
-          fullSetMask_(config.llc.numSets() - 1)
+    /** The ShardPlan argument is always the one-shard plan; it stays
+     *  only for perfbench/'s call (cache/shard_view.h). */
+    explicit LlcStreamFrontEnd(const HierarchyConfig &config,
+                               const ShardPlan & = ShardPlan{})
+        : setMask_(config.llc.numSets() - 1)
     {
         for (unsigned t = 0; t < config.numThreads; ++t) {
             CacheConfig l2cfg = config.l2;
@@ -109,7 +103,6 @@ class LlcStreamFrontEnd
                 l2cfg, std::make_unique<LruPolicy>()));
         }
         gaps_.resize(kStreamChunk);
-        levels_.resize(kStreamChunk);
         // Worst case two ops per access (demand + dirty L2 victim).
         ops_.reserve(2 * kStreamChunk);
         segments_.reserve(kStreamChunk);
@@ -117,9 +110,7 @@ class LlcStreamFrontEnd
 
     /**
      * Decode and L2-filter the next min(budget, kStreamChunk) accesses
-     * into the chunk buffers; returns how many were consumed.  Level
-     * slots of L2 misses are pre-stamped kLevelMemory and overwritten
-     * by whichever consumer processes the matching demand op.
+     * into the chunk buffers; returns how many were consumed.
      */
     size_t
     fill(AccessGenerator &gen, uint64_t budget)
@@ -145,21 +136,16 @@ class LlcStreamFrontEnd
             ctx.set = l2.setIndex(ctx.lineAddr);
             const AccessOutcome l2_out = l2.access(ctx);
             if (l2_out.hit) {
-                levels_[i] = kLevelL2;
                 run.gapSum += gaps_[i];
                 ++run.count;
                 continue;
             }
-            levels_[i] = kLevelMemory;
 
             LlcOp op;
             op.lineAddr = access.lineAddr;
             op.pc = access.pc;
             op.accessIdx = static_cast<int32_t>(i);
-            const uint32_t set =
-                static_cast<uint32_t>(access.lineAddr & fullSetMask_);
-            op.set = plan_.localSet(set);
-            op.shard = static_cast<uint8_t>(plan_.shardOf(set));
+            op.set = static_cast<uint32_t>(access.lineAddr & setMask_);
             op.threadId = access.threadId;
             op.isWrite = access.isWrite;
             ops_.push_back(op);
@@ -172,10 +158,8 @@ class LlcStreamFrontEnd
             if (l2_out.evictedValid && l2_out.evictedDirty) {
                 LlcOp wb;
                 wb.lineAddr = l2_out.evictedAddr;
-                const uint32_t wset = static_cast<uint32_t>(
-                    l2_out.evictedAddr & fullSetMask_);
-                wb.set = plan_.localSet(wset);
-                wb.shard = static_cast<uint8_t>(plan_.shardOf(wset));
+                wb.set = static_cast<uint32_t>(l2_out.evictedAddr &
+                                               setMask_);
                 wb.threadId = l2_out.evictedThread;
                 wb.isWrite = true;
                 wb.isWriteback = true;
@@ -187,7 +171,6 @@ class LlcStreamFrontEnd
     }
 
     const std::vector<uint32_t> &gaps() const { return gaps_; }
-    std::vector<uint8_t> &levels() { return levels_; }
     const std::vector<LlcOp> &ops() const { return ops_; }
 
     /** One TimingSegment per demand op, in op order. */
@@ -203,40 +186,13 @@ class LlcStreamFrontEnd
     }
 
   private:
-    ShardPlan plan_;
-    uint64_t fullSetMask_;
+    uint64_t setMask_;
     std::vector<std::unique_ptr<Cache>> l2s_;
     std::vector<uint32_t> gaps_;
-    std::vector<uint8_t> levels_;
     std::vector<LlcOp> ops_;
     std::vector<TimingSegment> segments_;
     TimingSegment tail_;
 };
-
-/**
- * Replay one chunk's ops belonging to `shard` against `cache`,
- * stamping demand levels into `levels` (slots are disjoint per op, so
- * concurrent workers of different shards never write the same byte).
- */
-inline void
-replayShardOps(Cache &cache, const std::vector<LlcOp> &ops, uint8_t shard,
-               uint8_t *levels)
-{
-    AccessContext ctx;
-    for (const LlcOp &op : ops) {
-        if (op.shard != shard)
-            continue;
-        ctx.lineAddr = op.lineAddr;
-        ctx.pc = op.pc;
-        ctx.set = op.set;
-        ctx.threadId = op.threadId;
-        ctx.isWrite = op.isWrite;
-        ctx.isWriteback = op.isWriteback;
-        const AccessOutcome out = cache.access(ctx);
-        if (op.accessIdx >= 0)
-            levels[op.accessIdx] = out.hit ? kLevelLlc : kLevelMemory;
-    }
-}
 
 } // namespace detail
 } // namespace pdp

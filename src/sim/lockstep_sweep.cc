@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <thread>
 
-#include "cache/shard_view.h"
 #include "check/check.h"
 #include "sim/llc_stream.h"
 
@@ -35,7 +34,19 @@ walkLane(Lane &lane, const std::vector<detail::LlcOp> &ops,
          const std::vector<detail::TimingSegment> &segments,
          const detail::TimingSegment &tail, const uint32_t *gaps)
 {
-    detail::replayShardOps(*lane.llc, ops, 0, lane.levels.data());
+    AccessContext ctx;
+    for (const detail::LlcOp &op : ops) {
+        ctx.lineAddr = op.lineAddr;
+        ctx.pc = op.pc;
+        ctx.set = op.set;
+        ctx.threadId = op.threadId;
+        ctx.isWrite = op.isWrite;
+        ctx.isWriteback = op.isWriteback;
+        const AccessOutcome out = lane.llc->access(ctx);
+        if (op.accessIdx >= 0)
+            lane.levels[op.accessIdx] =
+                out.hit ? detail::kLevelLlc : detail::kLevelMemory;
+    }
     if (!lane.timing)
         return;
     size_t seg = 0;
@@ -92,11 +103,9 @@ runPhase(AccessGenerator &gen, detail::LlcStreamFrontEnd &frontEnd,
 } // namespace
 
 std::vector<SimResult>
-runSingleCoreLockstep(
-    AccessGenerator &gen, const SimConfig &config,
-    const std::vector<
-        std::function<std::unique_ptr<ReplacementPolicy>()>> &makePolicies,
-    unsigned threads)
+runSingleCoreLockstep(AccessGenerator &gen, const SimConfig &config,
+                      const std::vector<PolicyFactory> &makePolicies,
+                      unsigned threads)
 {
     PDP_CHECK(!config.telemetry.enabled && config.auditEvery == 0 &&
                   !config.withPrefetcher,
@@ -105,9 +114,7 @@ runSingleCoreLockstep(
     if (makePolicies.empty())
         return {};
 
-    // 1-shard plan: ops carry the full LLC set index, shard 0.
-    const ShardPlan plan = ShardPlan::make(config.hierarchy.llc, 1);
-    detail::LlcStreamFrontEnd frontEnd(config.hierarchy, plan);
+    detail::LlcStreamFrontEnd frontEnd(config.hierarchy);
 
     std::vector<Lane> lanes(makePolicies.size());
     for (size_t c = 0; c < lanes.size(); ++c) {
@@ -129,29 +136,10 @@ runSingleCoreLockstep(
 
     std::vector<SimResult> results;
     results.reserve(lanes.size());
-    for (Lane &lane : lanes) {
-        const CacheStats &llc = lane.llc->stats();
-        const TimingModel &timing = *lane.timing;
-        SimResult result;
-        result.benchmark = gen.name();
-        result.policy = lane.llc->policy().name();
-        result.instructions = timing.instructions();
-        result.cycles = timing.cycles();
-        result.ipc = timing.ipc();
-        result.llcAccesses = llc.accesses;
-        result.llcHits = llc.hits;
-        result.llcMisses = llc.misses;
-        result.llcBypasses = llc.bypasses;
-        result.mpki = result.instructions
-            ? 1000.0 * static_cast<double>(llc.misses) /
-                  static_cast<double>(result.instructions)
-            : 0.0;
-        result.bypassFraction = llc.accesses
-            ? static_cast<double>(llc.bypasses) /
-                  static_cast<double>(llc.accesses)
-            : 0.0;
-        results.push_back(std::move(result));
-    }
+    for (const Lane &lane : lanes)
+        results.push_back(makeSimResult(gen.name(),
+                                        lane.llc->policy().name(),
+                                        lane.llc->stats(), *lane.timing));
     return results;
 }
 

@@ -9,10 +9,9 @@
  * lockstep driver decodes and L2-filters once per chunk and replays the
  * captured LLC op stream against N per-config LLC caches side by side,
  * amortizing the front-end across the whole sweep.  Each config's LLC
- * sees the full op stream in order, so this is *exact for every policy*
- * (unlike sharding, which needs set-locality): the returned SimResults
- * are byte-identical to N independent sequential runs, which the
- * byte-identity tests pin down.
+ * sees the full op stream in order, so this is *exact for every policy*:
+ * the returned SimResults are byte-identical to N independent
+ * sequential runs, which the byte-identity tests pin down.
  *
  * On top of the amortization, the per-chunk config walks are
  * independent (each config's Cache, policy, level buffer and timing
@@ -34,19 +33,20 @@
 namespace pdp
 {
 
+/** Builds one LLC policy instance per call (one per lane or job). */
+using PolicyFactory = std::function<std::unique_ptr<ReplacementPolicy>()>;
+
 /**
  * Simulate every policy in `makePolicies` over one decode of `gen`,
  * returning one SimResult per factory, in input order.  `threads` caps
  * the per-chunk worker fan-out over configs (0 or 1 = inline).
- * config.llcShards is ignored here; telemetry/audit/prefetcher configs
- * are rejected (they observe global order and belong to the sequential
- * driver).
+ * Telemetry/audit/prefetcher configs are rejected (they observe global
+ * order and belong to the sequential driver).
  */
-std::vector<SimResult> runSingleCoreLockstep(
-    AccessGenerator &gen, const SimConfig &config,
-    const std::vector<
-        std::function<std::unique_ptr<ReplacementPolicy>()>> &makePolicies,
-    unsigned threads = 1);
+std::vector<SimResult>
+runSingleCoreLockstep(AccessGenerator &gen, const SimConfig &config,
+                      const std::vector<PolicyFactory> &makePolicies,
+                      unsigned threads = 1);
 
 } // namespace pdp
 

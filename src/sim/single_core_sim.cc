@@ -7,6 +7,41 @@
 namespace pdp
 {
 
+Hierarchy
+makeHierarchy(const SimConfig &config,
+              std::unique_ptr<ReplacementPolicy> llcPolicy)
+{
+    Hierarchy hierarchy(config.hierarchy, std::move(llcPolicy));
+    if (config.withPrefetcher)
+        hierarchy.attachPrefetcher(std::make_unique<StreamPrefetcher>());
+    return hierarchy;
+}
+
+SimResult
+makeSimResult(const std::string &benchmark, const std::string &policy,
+              const CacheStats &llc, const TimingModel &timing)
+{
+    SimResult result;
+    result.benchmark = benchmark;
+    result.policy = policy;
+    result.instructions = timing.instructions();
+    result.cycles = timing.cycles();
+    result.ipc = timing.ipc();
+    result.llcAccesses = llc.accesses;
+    result.llcHits = llc.hits;
+    result.llcMisses = llc.misses;
+    result.llcBypasses = llc.bypasses;
+    result.mpki = result.instructions
+        ? 1000.0 * static_cast<double>(llc.misses) /
+              static_cast<double>(result.instructions)
+        : 0.0;
+    result.bypassFraction = llc.accesses
+        ? static_cast<double>(llc.bypasses) /
+              static_cast<double>(llc.accesses)
+        : 0.0;
+    return result;
+}
+
 SimResult
 runSingleCore(AccessGenerator &gen, Hierarchy &hierarchy,
               const SimConfig &config)
@@ -63,26 +98,9 @@ runSingleCore(AccessGenerator &gen, Hierarchy &hierarchy,
         }
     }
 
-    const CacheStats &llc = hierarchy.llc().stats();
-
-    SimResult result;
-    result.benchmark = gen.name();
-    result.policy = hierarchy.llc().policy().name();
-    result.instructions = timing.instructions();
-    result.cycles = timing.cycles();
-    result.ipc = timing.ipc();
-    result.llcAccesses = llc.accesses;
-    result.llcHits = llc.hits;
-    result.llcMisses = llc.misses;
-    result.llcBypasses = llc.bypasses;
-    result.mpki = result.instructions
-        ? 1000.0 * static_cast<double>(llc.misses) /
-              static_cast<double>(result.instructions)
-        : 0.0;
-    result.bypassFraction = llc.accesses
-        ? static_cast<double>(llc.bypasses) /
-              static_cast<double>(llc.accesses)
-        : 0.0;
+    SimResult result =
+        makeSimResult(gen.name(), hierarchy.llc().policy().name(),
+                      hierarchy.llc().stats(), timing);
     if (auditor) {
         hierarchy.llc().setAuditor(nullptr);
         auditor->auditNow();
@@ -102,9 +120,7 @@ runSingleCore(const std::string &benchmark, const std::string &policy_spec,
               const SimConfig &config)
 {
     auto gen = SpecSuite::make(benchmark);
-    Hierarchy hierarchy(config.hierarchy, makePolicy(policy_spec));
-    if (config.withPrefetcher)
-        hierarchy.attachPrefetcher(std::make_unique<StreamPrefetcher>());
+    Hierarchy hierarchy = makeHierarchy(config, makePolicy(policy_spec));
     return runSingleCore(*gen, hierarchy, config);
 }
 

@@ -36,12 +36,6 @@ struct SimConfig
     bool auditFailFast = false;
     /** Epoch telemetry knobs (off by default; see src/telemetry/). */
     telemetry::TelemetryConfig telemetry{};
-    /** LLC set-shards for the intra-job parallel driver (rounded down
-     *  to a power of two; 1 = sequential).  Honoured by
-     *  runSingleCoreAuto for set-local policies only — everything else
-     *  falls back to the sequential driver, so the knob is always
-     *  semantics-preserving (see sim/sharded_sim.h). */
-    unsigned llcShards = 1;
 
     /** Scale both run length and warmup (quick CI runs). */
     SimConfig
@@ -77,6 +71,17 @@ struct SimResult
      *  shared_ptr keeps SimResult cheap to copy). */
     std::shared_ptr<const telemetry::RunTelemetry> telemetry;
 };
+
+/** The hierarchy `config` describes around `llcPolicy`, with the
+ *  stream prefetcher attached when config.withPrefetcher is set. */
+Hierarchy makeHierarchy(const SimConfig &config,
+                        std::unique_ptr<ReplacementPolicy> llcPolicy);
+
+/** A SimResult from measured-phase LLC stats and timing (the audit and
+ *  telemetry fields stay empty). */
+SimResult makeSimResult(const std::string &benchmark,
+                        const std::string &policy, const CacheStats &llc,
+                        const TimingModel &timing);
 
 /**
  * Drive `gen` through an existing hierarchy.  The caller keeps access to

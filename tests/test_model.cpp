@@ -372,8 +372,7 @@ TEST_P(ModelValidationTest, PredictionTracksSimulationWithinBound)
         Prediction pred;
     };
     std::vector<Cell> cells;
-    std::vector<std::function<std::unique_ptr<ReplacementPolicy>()>>
-        factories;
+    std::vector<PolicyFactory> factories;
     for (bool byp : {false, true}) {
         for (uint32_t pd : {16u, 64u, 256u}) {
             cells.push_back({(byp ? "SPDP-B:" : "SPDP-NB:") +

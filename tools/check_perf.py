@@ -8,8 +8,6 @@ are gated:
 
   * ``vs_aos`` — the SoA substrate against the frozen pre-SoA reference
     cache, one row per policy configuration,
-  * ``sharded_speedup`` — the 4-way set-sharded LLC against the
-    monolithic sequential walk,
   * ``sweep_speedup`` — the lockstep multi-config sweep against the
     equivalent independent sequential runs,
   * ``explore_speedup`` — the model-pruned design-space explorer
@@ -74,7 +72,6 @@ EXPLORE_KEY = "hotpath/explore/SPDP-grid"
 # The gated ratio families: metric name -> short label for the report.
 FAMILIES = [
     ("vs_aos", "vs AoS"),
-    ("sharded_speedup", "sharded"),
     ("sweep_speedup", "sweep"),
     ("explore_speedup", "explore"),
 ]

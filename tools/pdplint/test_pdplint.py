@@ -151,11 +151,11 @@ class FixtureTest(unittest.TestCase):
     def test_hot_trace_ok(self):
         self.assert_fixture("hot_trace_ok.cc")
 
-    def test_shard_routing_bad(self):
-        self.assert_fixture("shard_routing_bad.cc")
+    def test_op_replay_bad(self):
+        self.assert_fixture("op_replay_bad.cc")
 
-    def test_shard_routing_ok(self):
-        self.assert_fixture("shard_routing_ok.cc")
+    def test_op_replay_ok(self):
+        self.assert_fixture("op_replay_ok.cc")
 
     def test_scratch_bad(self):
         self.assert_fixture("scratch_bad.cc")
@@ -179,7 +179,7 @@ class FixtureTest(unittest.TestCase):
         self.assertEqual(set(checks.ALL_CHECKS), covered)
         for name in ("determinism_ok.cc", "hotpath_ok.cc",
                      "hot_trace_ok.cc", "scratch_ok.cc",
-                     "shard_routing_ok.cc"):
+                     "op_replay_ok.cc"):
             self.assertEqual(self.by_file.get(name, set()), set(), name)
 
 

@@ -10,16 +10,15 @@
  *                   [--json DIR|none] [--timeout SECONDS] [--verbose]
  *                   [--telemetry[=DIR]] [--trace]
  *                   [--obs-sample-rate X] [--perf-counters]
- *                   [--fault-at N]
- *                   [--shards N] [--lockstep]
+ *                   [--fault-at N] [--lockstep]
  *                   [--tenants N] [--churn N] [--deterministic-json]
  *                   [--explore] [--explore-topk N]
  *
- * --shards N set-shards each single-core job's LLC across N worker
- * threads (semantics-preserving; policies that cannot shard fall back
- * to the sequential driver).  --lockstep groups each benchmark's sweep
- * cells into one job over a single trace decode.  Both produce records
- * byte-identical to the default independent grid.
+ * --lockstep groups each benchmark's sweep cells into one job over a
+ * single trace decode, with records byte-identical to the default
+ * independent grid.  --filter keeps the jobs whose key contains the
+ * substring; under --lockstep a sweep cell's key is only reachable
+ * through its benchmark's group job (".../<benchmark>/lockstep").
  *
  * --telemetry records per-epoch policy snapshots (PD, RDD, PSEL,
  * partition allocations, interval hit rates) into each job's results;
@@ -56,8 +55,8 @@
  * PDP_BENCH_SCALE, PDP_BENCH_JOBS, PDP_BENCH_VERBOSE, PDP_BENCH_JSON.
  * Exit code is the number of jobs that did not finish Ok plus the
  * number of result files that could not be written (2 for usage errors,
- * including an output directory that does not exist), so CI can gate
- * on it.
+ * including an output directory that does not exist and a filter that
+ * leaves a suite with no job), so CI can gate on it.
  */
 
 #include <cstdio>
@@ -87,15 +86,14 @@ printUsage(std::FILE *to)
                  "                       [--telemetry[=DIR]] [--trace]\n"
                  "                       [--obs-sample-rate X]\n"
                  "                       [--perf-counters] [--fault-at N]\n"
-                 "                       [--shards N] [--lockstep]\n"
+                 "                       [--lockstep]\n"
                  "                       [--tenants N] [--churn N]\n"
                  "                       [--deterministic-json]\n"
                  "                       [--explore] [--explore-topk N]\n"
                  "\n"
-                 "--shards N set-shards each job's LLC across N threads;\n"
                  "--lockstep runs each benchmark's sweep cells over one\n"
-                 "trace decode.  Both keep records byte-identical to the\n"
-                 "independent grid.\n"
+                 "trace decode, as one job per benchmark, with records\n"
+                 "byte-identical to the independent grid.\n"
                  "\n"
                  "--telemetry samples per-epoch policy state into the\n"
                  "BENCH json (optional =DIR overrides --json); --trace\n"
@@ -170,16 +168,6 @@ main(int argc, char **argv)
                 return 2;
             }
             options.workers = static_cast<unsigned>(*jobs);
-        } else if (arg == "--shards") {
-            const auto shards = pdp::parseUnsigned(needValue(i));
-            if (!shards || *shards == 0 || *shards > 1024) {
-                std::fprintf(stderr,
-                             "--shards wants an integer in [1, 1024], got "
-                             "\"%s\" (rounded down to a power of two)\n",
-                             argv[i]);
-                return 2;
-            }
-            options.shards = static_cast<unsigned>(*shards);
         } else if (arg == "--lockstep") {
             options.lockstep = true;
         } else if (arg == "--tenants") {
@@ -319,7 +307,9 @@ main(int argc, char **argv)
         return 2;
     }
 
-    int notOk = 0;
+    // Resolve every suite and its filtered grid before any job runs: a
+    // filter that selects nothing is a usage error, not an empty run.
+    std::vector<const pdp::runner::Suite *> resolved;
     for (const std::string &name : suites) {
         const pdp::runner::Suite *suite = pdp::runner::findSuite(name);
         if (!suite) {
@@ -327,7 +317,23 @@ main(int argc, char **argv)
                          name.c_str());
             return 2;
         }
-        notOk += pdp::runner::runSuite(*suite, options, std::cout);
+        if (pdp::runner::selectJobs(*suite, options).empty()) {
+            std::fprintf(stderr,
+                         "--filter \"%s\" matches no job of suite %s\n",
+                         options.filter.c_str(), name.c_str());
+            if (options.lockstep)
+                std::fprintf(stderr,
+                             "(--lockstep groups each benchmark's sweep "
+                             "cells into one job keyed "
+                             ".../<benchmark>/lockstep; filter by "
+                             "benchmark or drop --lockstep)\n");
+            return 2;
+        }
+        resolved.push_back(suite);
     }
+
+    int notOk = 0;
+    for (const pdp::runner::Suite *suite : resolved)
+        notOk += pdp::runner::runSuite(*suite, options, std::cout);
     return notOk > 255 ? 255 : notOk;
 }
