@@ -24,6 +24,8 @@ struct CacheConfig
     /** Non-inclusive caches may honour policy bypass requests. */
     bool allowBypass = false;
 
+    bool operator==(const CacheConfig &) const = default;
+
     uint32_t
     numSets() const
     {

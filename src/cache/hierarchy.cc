@@ -50,8 +50,6 @@ Hierarchy::access(const Access &access)
         const AccessOutcome llc_out = llc_->access(ctx);
         result.level = llc_out.hit ? HitLevel::Llc : HitLevel::Memory;
         result.llcBypassed = llc_out.bypassed;
-        if (llc_out.evictedValid && llc_out.evictedDirty)
-            ++memoryWritebacks_;
 
         // Dirty L2 victim writes back into the LLC.
         if (l2_out.evictedValid && l2_out.evictedDirty) {
@@ -61,11 +59,7 @@ Hierarchy::access(const Access &access)
             wb.threadId = l2_out.evictedThread;
             wb.isWrite = true;
             wb.isWriteback = true;
-            const AccessOutcome wb_out = llc_->access(wb);
-            if (wb_out.evictedValid && wb_out.evictedDirty)
-                ++memoryWritebacks_;
-            if (!wb_out.hit && wb_out.bypassed)
-                ++memoryWritebacks_; // bypassed writeback goes to memory
+            llc_->access(wb);
         }
     }
 
@@ -89,9 +83,7 @@ Hierarchy::access(const Access &access)
             pf.isPrefetch = true;
             if (!llc_->contains(addr)) {
                 pf.set = llc_->setIndex(addr);
-                const AccessOutcome pf_out = llc_->access(pf);
-                if (pf_out.evictedValid && pf_out.evictedDirty)
-                    ++memoryWritebacks_;
+                llc_->access(pf);
             }
             pf.set = l2.setIndex(addr);
             const AccessOutcome l2_pf = l2.access(pf);
@@ -116,7 +108,6 @@ Hierarchy::resetStats()
     for (auto &l2 : l2s_)
         l2->resetStats();
     llc_->resetStats();
-    memoryWritebacks_ = 0;
 }
 
 } // namespace pdp

@@ -43,6 +43,8 @@ struct HierarchyConfig
     CacheConfig l2 = CacheConfig::paperL2();
     CacheConfig llc = CacheConfig::paperLlc();
     unsigned numThreads = 1;
+
+    bool operator==(const HierarchyConfig &) const = default;
 };
 
 /** The two-level simulated hierarchy. */
@@ -69,16 +71,12 @@ class Hierarchy
 
     StreamPrefetcher *prefetcher() { return prefetcher_.get(); }
 
-    /** Demand accesses that hit a prefetched LLC line. */
-    uint64_t memoryWritebacks() const { return memoryWritebacks_; }
-
     void resetStats();
 
   private:
     std::vector<std::unique_ptr<Cache>> l2s_;
     std::unique_ptr<Cache> llc_;
     std::unique_ptr<StreamPrefetcher> prefetcher_;
-    uint64_t memoryWritebacks_ = 0;
 };
 
 } // namespace pdp

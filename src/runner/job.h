@@ -39,6 +39,7 @@
 
 #include "hw/perf_counters.h"
 #include "service/service_sim.h"
+#include "sim/lockstep_sweep.h"
 #include "sim/multi_core_sim.h"
 #include "sim/single_core_sim.h"
 #include "util/rng.h"
@@ -70,9 +71,9 @@ struct JobContext
 {
     /** The job's explicit seed (Job::seed), for generator construction. */
     uint64_t seed = 0;
-    /** Index of the worker executing the job (reporting only; results
-     *  must not depend on it). */
-    unsigned worker = 0;
+    /** Threads a lockstep job may spread its lanes over (results must
+     *  not depend on it; see ThreadPoolExecutor::run). */
+    unsigned laneThreads = 1;
 };
 
 /** What a job produced: structured sim results and/or scalar metrics. */
@@ -117,6 +118,14 @@ toString(JobStatus status)
     return "unknown";
 }
 
+/** One single-core simulation cell (runner::singleCoreJob). */
+struct SingleCoreCell
+{
+    std::string benchmark;
+    PolicyFactory makePolicy;
+    SimConfig config;
+};
+
 /** One schedulable unit of an experiment. */
 struct Job
 {
@@ -139,6 +148,9 @@ struct Job
      *  so downstream consumers (sinks, reports) can't tell a fanned-out
      *  job from the equivalent independent jobs. */
     std::function<std::vector<KeyedOutcome>(const JobContext &)> runMany;
+    /** What a single-core `run` simulates, for runner::selectJobs to
+     *  fold into a lockstep sweep; empty for every other job. */
+    std::optional<SingleCoreCell> cell;
 };
 
 /** Outcome + bookkeeping of one executed job. */

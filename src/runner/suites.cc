@@ -90,12 +90,13 @@ singleCoreJob(std::string key, std::string benchmark, PolicyFactory makePol,
     Job job;
     job.key = std::move(key);
     job.seed = seedFor(benchmark);
-    job.run = [benchmark = std::move(benchmark), makePol = std::move(makePol),
-               config](const JobContext &ctx) {
-        auto gen = SpecSuite::make(benchmark, ctx.seed);
-        Hierarchy hierarchy = makeHierarchy(config, makePol());
+    job.cell = SingleCoreCell{std::move(benchmark), std::move(makePol),
+                              config};
+    job.run = [cell = *job.cell](const JobContext &ctx) {
+        auto gen = SpecSuite::make(cell.benchmark, ctx.seed);
+        Hierarchy hierarchy = makeHierarchy(cell.config, cell.makePolicy());
         JobOutcome outcome;
-        outcome.single = runSingleCore(*gen, hierarchy, config);
+        outcome.single = runSingleCore(*gen, hierarchy, cell.config);
         return outcome;
     };
     return job;
@@ -146,34 +147,6 @@ serviceJob(std::string key, std::vector<TenantSpec> tenants,
     return job;
 }
 
-Job
-lockstepSweepJob(std::string key, std::string benchmark,
-                 std::vector<std::pair<std::string, PolicyFactory>> cells,
-                 const SimConfig &config, unsigned threads)
-{
-    Job job;
-    job.key = std::move(key);
-    job.seed = seedFor(benchmark);
-    job.runMany = [benchmark = std::move(benchmark),
-                   cells = std::move(cells), config,
-                   threads](const JobContext &ctx) {
-        auto gen = SpecSuite::make(benchmark, ctx.seed);
-        std::vector<PolicyFactory> factories;
-        factories.reserve(cells.size());
-        for (const auto &cell : cells)
-            factories.push_back(cell.second);
-        const std::vector<SimResult> results =
-            runSingleCoreLockstep(*gen, config, factories, threads);
-        std::vector<KeyedOutcome> outcomes(results.size());
-        for (size_t c = 0; c < results.size(); ++c) {
-            outcomes[c].key = cells[c].first;
-            outcomes[c].outcome.single = results[c];
-        }
-        return outcomes;
-    };
-    return job;
-}
-
 namespace
 {
 
@@ -201,51 +174,8 @@ scaledConfig(const SuiteOptions &options, uint64_t accesses = 3'000'000,
     return config.scaled(options.scale);
 }
 
-/** Whether this run may group sweep cells into lockstep jobs: telemetry
- *  and event traces observe global order, so they force the independent
- *  grid (the records are byte-identical either way). */
-bool
-lockstepEligible(const SuiteOptions &options)
-{
-    return options.lockstep && !options.telemetry && !options.trace;
-}
-
-/** Intra-job worker fan-out for one lockstep group: whatever hardware
- *  parallelism the outer executor leaves unused.  Results never depend
- *  on this (it only slices the per-chunk cell walks). */
-unsigned
-lockstepThreads(const SuiteOptions &options)
-{
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const unsigned outer = options.workers ? options.workers : hw;
-    return std::max(1u, hw / std::max(1u, outer));
-}
-
-using PolicyCell = std::pair<std::string, PolicyFactory>;
-
-/** Emit one benchmark's sweep cells: independent singleCoreJobs by
- *  default, or one lockstep group job (key "<prefix>lockstep") when the
- *  options ask for it.  Record keys and seeds are identical either way,
- *  so the deterministic dumps match byte for byte. */
-void
-emitCells(std::vector<Job> *jobs, const SuiteOptions &options,
-          const std::string &prefix, const std::string &bench,
-          std::vector<PolicyCell> cells, const SimConfig &config)
-{
-    if (lockstepEligible(options)) {
-        jobs->push_back(lockstepSweepJob(prefix + "lockstep", bench,
-                                         std::move(cells), config,
-                                         lockstepThreads(options)));
-        return;
-    }
-    for (PolicyCell &cell : cells)
-        jobs->push_back(singleCoreJob(std::move(cell.first), bench,
-                                      std::move(cell.second), config));
-}
-
-/** Miss-minimizing point of an already-run static-PD grid (strictly
- *  smaller wins, so ties keep the earliest grid point — the same
- *  tie-break as pdp::bestStaticPd). */
+/** Miss-minimizing point of an already-run static-PD grid, picked by
+ *  pdp::fewestMisses as pdp::bestStaticPd picks its own. */
 struct GridBest
 {
     uint32_t pd = 0;
@@ -255,17 +185,14 @@ struct GridBest
 GridBest
 bestOverPdGrid(const RecordLookup &records, const std::string &prefix)
 {
-    GridBest best;
-    for (uint32_t pd : defaultPdGrid()) {
-        const SimResult *r = records.single(prefix + std::to_string(pd));
-        if (!r)
-            continue;
-        if (!best.result || r->llcMisses < best.result->llcMisses) {
-            best.pd = pd;
-            best.result = r;
-        }
-    }
-    return best;
+    const std::vector<uint32_t> grid = defaultPdGrid();
+    std::vector<const SimResult *> results;
+    for (uint32_t pd : grid)
+        results.push_back(records.single(prefix + std::to_string(pd)));
+    const size_t best = fewestMisses(results);
+    if (best == results.size())
+        return {};
+    return {grid[best], results[best]};
 }
 
 // ---------------------------------------------------------------------------
@@ -282,18 +209,14 @@ buildFig10(const SuiteOptions &options)
     std::vector<Job> jobs;
     for (const std::string &bench : SpecSuite::singleCoreNames()) {
         const std::string prefix = "fig10/" + bench + "/";
-        std::vector<PolicyCell> cells;
-        cells.emplace_back(prefix + "DIP",
-                           [] { return makePolicy("DIP"); });
+        jobs.push_back(singleCoreJob(prefix + "DIP", bench, "DIP", config));
         for (const std::string &policy : kFig10Policies)
-            cells.emplace_back(prefix + policy, [policy] {
-                return makePolicy(policy);
-            });
+            jobs.push_back(
+                singleCoreJob(prefix + policy, bench, policy, config));
         for (uint32_t pd : defaultPdGrid())
-            cells.emplace_back(
-                prefix + "SPDP-B:" + std::to_string(pd),
-                [pd] { return makeSpdpB(pd); });
-        emitCells(&jobs, options, prefix, bench, std::move(cells), config);
+            jobs.push_back(singleCoreJob(
+                prefix + "SPDP-B:" + std::to_string(pd), bench,
+                [pd] { return makeSpdpB(pd); }, config));
     }
     return jobs;
 }
@@ -415,18 +338,18 @@ buildFig4(const SuiteOptions &options)
     std::vector<Job> jobs;
     for (const std::string &bench : SpecSuite::singleCoreNames()) {
         const std::string prefix = "fig4/" + bench + "/";
-        std::vector<PolicyCell> cells;
         for (unsigned denom : kFig4EpsDenoms)
-            cells.emplace_back(
-                prefix + "DRRIP-eps:" + std::to_string(denom),
-                [denom] { return makeDrrip(1.0 / denom); });
+            jobs.push_back(singleCoreJob(
+                prefix + "DRRIP-eps:" + std::to_string(denom), bench,
+                [denom] { return makeDrrip(1.0 / denom); }, config));
         for (uint32_t pd : defaultPdGrid()) {
-            cells.emplace_back(prefix + "SPDP-NB:" + std::to_string(pd),
-                               [pd] { return makeSpdpNb(pd); });
-            cells.emplace_back(prefix + "SPDP-B:" + std::to_string(pd),
-                               [pd] { return makeSpdpB(pd); });
+            jobs.push_back(singleCoreJob(
+                prefix + "SPDP-NB:" + std::to_string(pd), bench,
+                [pd] { return makeSpdpNb(pd); }, config));
+            jobs.push_back(singleCoreJob(
+                prefix + "SPDP-B:" + std::to_string(pd), bench,
+                [pd] { return makeSpdpB(pd); }, config));
         }
-        emitCells(&jobs, options, prefix, bench, std::move(cells), config);
     }
     return jobs;
 }
@@ -656,13 +579,12 @@ suiteFingerprint(const std::string &bench, uint64_t seed,
  *  microseconds, then simulate the identical cells over one lockstep
  *  decode and attach the error metrics. */
 Job
-modelValidationJob(const std::string &bench, const SimConfig &config,
-                   unsigned threads)
+modelValidationJob(const std::string &bench, const SimConfig &config)
 {
     Job job;
     job.key = "model_validation/" + bench + "/lockstep";
     job.seed = seedFor(bench);
-    job.runMany = [bench, config, threads](const JobContext &ctx) {
+    job.runMany = [bench, config](const JobContext &ctx) {
         const std::string prefix = "model_validation/" + bench + "/";
         const RddFingerprint fp = suiteFingerprint(bench, ctx.seed, config);
         const model::AnalyticModel estimator{model::ModelConfig{}};
@@ -691,7 +613,7 @@ modelValidationJob(const std::string &bench, const SimConfig &config,
 
         auto gen = SpecSuite::make(bench, ctx.seed);
         const std::vector<SimResult> results =
-            runSingleCoreLockstep(*gen, config, factories, threads);
+            runSingleCoreLockstep(*gen, config, factories, ctx.laneThreads);
 
         std::vector<KeyedOutcome> outcomes(results.size());
         for (size_t c = 0; c < results.size(); ++c) {
@@ -722,10 +644,9 @@ buildModelValidation(const SuiteOptions &options)
     // The window the balance model was calibrated on (tests/test_model
     // pins the committed error bounds to it).
     const SimConfig config = scaledConfig(options, 2'000'000, 600'000);
-    const unsigned threads = lockstepThreads(options);
     std::vector<Job> jobs;
     for (const std::string &bench : SpecSuite::singleCoreNames())
-        jobs.push_back(modelValidationJob(bench, config, threads));
+        jobs.push_back(modelValidationJob(bench, config));
     return jobs;
 }
 
@@ -919,13 +840,12 @@ planExplore(const RddFingerprint &fp, unsigned top_k, uint64_t audit_seed)
  *  record keys as the exhaustive grid plus one "model" summary record
  *  (pure deterministic metrics, no wall-clock). */
 Job
-exploreJob(const std::string &bench, const SimConfig &config, unsigned top_k,
-           unsigned threads)
+exploreJob(const std::string &bench, const SimConfig &config, unsigned top_k)
 {
     Job job;
     job.key = "explore/" + bench + "/pruned";
     job.seed = seedFor(bench);
-    job.runMany = [bench, config, top_k, threads](const JobContext &ctx) {
+    job.runMany = [bench, config, top_k](const JobContext &ctx) {
         const std::string prefix = "explore/" + bench + "/";
         const RddFingerprint fp = suiteFingerprint(bench, ctx.seed, config);
         const ExplorePlan plan =
@@ -941,7 +861,7 @@ exploreJob(const std::string &bench, const SimConfig &config, unsigned top_k,
 
         auto gen = SpecSuite::make(bench, ctx.seed);
         const std::vector<SimResult> results =
-            runSingleCoreLockstep(*gen, config, factories, threads);
+            runSingleCoreLockstep(*gen, config, factories, ctx.laneThreads);
 
         std::vector<KeyedOutcome> outcomes;
         outcomes.reserve(results.size() + 1);
@@ -982,18 +902,15 @@ buildExplore(const SuiteOptions &options)
         const std::string prefix = "explore/" + bench + "/";
         if (options.explore) {
             jobs.push_back(exploreJob(bench, config,
-                                      std::max(1u, options.exploreTopK),
-                                      lockstepThreads(options)));
+                                      std::max(1u, options.exploreTopK)));
             continue;
         }
-        std::vector<PolicyCell> cells;
-        for (uint32_t pd : defaultPdGrid())
-            cells.emplace_back(prefix + "SPDP-NB:" + std::to_string(pd),
-                               [pd] { return makeSpdpNb(pd); });
-        for (uint32_t pd : defaultPdGrid())
-            cells.emplace_back(prefix + "SPDP-B:" + std::to_string(pd),
-                               [pd] { return makeSpdpB(pd); });
-        emitCells(&jobs, options, prefix, bench, std::move(cells), config);
+        for (bool byp : {false, true})
+            for (uint32_t pd : defaultPdGrid())
+                jobs.push_back(singleCoreJob(
+                    prefix + exploreFamily(byp) + std::to_string(pd), bench,
+                    [pd, byp] { return byp ? makeSpdpB(pd) : makeSpdpNb(pd); },
+                    config));
     }
     return jobs;
 }
@@ -1902,6 +1819,47 @@ genericReport(std::ostream &out, const std::vector<JobRecord> &records)
     table.print(out);
 }
 
+/** Whether `next` may join the lockstep sweep that `first` opens. */
+bool
+sharesDecode(const Job &first, const Job &next)
+{
+    return first.cell && next.cell && first.seed == next.seed &&
+        first.cell->benchmark == next.cell->benchmark &&
+        first.cell->config == next.cell->config &&
+        !observesGlobalOrder(first.cell->config);
+}
+
+/** One lockstep sweep over the single-core cells jobs[begin, end), with
+ *  one soft `timeout` budget per cell. */
+Job
+sweepJob(const std::vector<Job> &jobs, size_t begin, size_t end,
+         double timeout)
+{
+    Job job;
+    job.key = jobs[begin].key + ".." + jobs[end - 1].key;
+    job.seed = jobs[begin].seed;
+    job.timeoutSeconds = timeout * (end - begin);
+    std::vector<std::string> keys;
+    std::vector<PolicyFactory> factories;
+    for (size_t c = begin; c < end; ++c) {
+        keys.push_back(jobs[c].key);
+        factories.push_back(jobs[c].cell->makePolicy);
+    }
+    job.runMany = [cell = *jobs[begin].cell, keys = std::move(keys),
+                   factories = std::move(factories)](const JobContext &ctx) {
+        auto gen = SpecSuite::make(cell.benchmark, ctx.seed);
+        const std::vector<SimResult> results = runSingleCoreLockstep(
+            *gen, cell.config, factories, ctx.laneThreads);
+        std::vector<KeyedOutcome> outcomes(results.size());
+        for (size_t c = 0; c < results.size(); ++c) {
+            outcomes[c].key = keys[c];
+            outcomes[c].outcome.single = results[c];
+        }
+        return outcomes;
+    };
+    return job;
+}
+
 } // namespace
 
 std::vector<Job>
@@ -1911,7 +1869,17 @@ selectJobs(const Suite &suite, const SuiteOptions &options)
     std::erase_if(jobs, [&](const Job &job) {
         return job.key.find(options.filter) == std::string::npos;
     });
-    return jobs;
+    std::vector<Job> selected;
+    for (size_t begin = 0, end = 0; begin < jobs.size(); begin = end) {
+        end = begin + 1;
+        while (end < jobs.size() && sharesDecode(jobs[begin], jobs[end]))
+            ++end;
+        selected.push_back(
+            end - begin == 1
+                ? std::move(jobs[begin])
+                : sweepJob(jobs, begin, end, options.timeoutSeconds));
+    }
+    return selected;
 }
 
 int

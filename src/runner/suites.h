@@ -23,12 +23,10 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "runner/job.h"
 #include "runner/results_sink.h"
-#include "sim/lockstep_sweep.h"
 
 namespace pdp
 {
@@ -70,11 +68,6 @@ struct SuiteOptions
      *  index in every service job (--fault-at; 0 disables).  Exercises
      *  the fault flight recorder end to end. */
     uint64_t serviceFaultAt = 0;
-    /** Group each benchmark's sweep cells into one lockstep job over a
-     *  single trace decode (--lockstep; sim/lockstep_sweep.h).  Records
-     *  are byte-identical to the independent grid.  Ignored when
-     *  telemetry/trace is on (those observe global order). */
-    bool lockstep = false;
     /** Service suite: initial (and max concurrent) tenant count
      *  (--tenants; bounded by CacheStats::kMaxThreads). */
     unsigned serviceTenants = 16;
@@ -149,7 +142,9 @@ int runSuite(const Suite &suite, const SuiteOptions &options,
              std::ostream &out);
 
 /** The jobs runSuite() executes: the suite's grid narrowed to the keys
- *  that contain options.filter. */
+ *  that contain options.filter, each run of adjacent cells that may
+ *  share a decode folded into one lockstep sweep keyed
+ *  "<first key>..<last key>" (DESIGN.md "Lockstep sweeps"). */
 std::vector<Job> selectJobs(const Suite &suite, const SuiteOptions &options);
 
 /**
@@ -176,17 +171,6 @@ Job multiCoreJob(std::string key, WorkloadSpec workload,
 Job serviceJob(std::string key, std::vector<TenantSpec> tenants,
                std::string policySpec, const ServiceConfig &config,
                uint64_t seed);
-
-/**
- * One schedulable lockstep sweep: every (key, policy factory) cell of
- * `cells` simulated over ONE decode of `benchmark`
- * (sim/lockstep_sweep.h), producing one keyed record per cell in cell
- * order — byte-identical to the equivalent independent singleCoreJobs.
- * `threads` caps the intra-job worker fan-out over cells.
- */
-Job lockstepSweepJob(std::string key, std::string benchmark,
-                     std::vector<std::pair<std::string, PolicyFactory>> cells,
-                     const SimConfig &config, unsigned threads = 1);
 
 } // namespace runner
 } // namespace pdp

@@ -1,5 +1,6 @@
 #include "runner/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -27,11 +28,11 @@ ThreadPoolExecutor::ThreadPoolExecutor(ExecutorOptions options)
 }
 
 std::vector<JobRecord>
-ThreadPoolExecutor::execute(const Job &job, unsigned worker) const
+ThreadPoolExecutor::execute(const Job &job, unsigned laneThreads) const
 {
     JobContext ctx;
     ctx.seed = job.seed;
-    ctx.worker = worker;
+    ctx.laneThreads = laneThreads;
 
     std::vector<JobRecord> group;
 
@@ -148,14 +149,18 @@ ThreadPoolExecutor::run(const std::vector<Job> &jobs)
     std::vector<std::vector<JobRecord>> groups(jobs.size());
     std::atomic<size_t> next{0};
     std::atomic<unsigned> busy{0};
+    const unsigned fanOut = static_cast<unsigned>(
+        std::min<size_t>(workers_, jobs.size()));
+    const unsigned laneThreads =
+        std::max(1u, std::thread::hardware_concurrency() / fanOut);
 
-    auto worker = [&](unsigned id) {
+    auto worker = [&] {
         for (;;) {
             const size_t index = next.fetch_add(1);
             if (index >= jobs.size())
                 return;
             busy.fetch_add(1);
-            groups[index] = execute(jobs[index], id);
+            groups[index] = execute(jobs[index], laneThreads);
             const unsigned stillBusy = busy.fetch_sub(1) - 1;
             if (options_.reporter)
                 options_.reporter->jobFinished(groups[index].front(),
@@ -167,15 +172,13 @@ ThreadPoolExecutor::run(const std::vector<Job> &jobs)
         }
     };
 
-    const unsigned fanOut = static_cast<unsigned>(
-        std::min<size_t>(workers_, jobs.size()));
     if (fanOut <= 1) {
-        worker(0);
+        worker();
     } else {
         std::vector<std::thread> threads;
         threads.reserve(fanOut);
         for (unsigned id = 0; id < fanOut; ++id)
-            threads.emplace_back(worker, id);
+            threads.emplace_back(worker);
         for (std::thread &t : threads)
             t.join();
     }

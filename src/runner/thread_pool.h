@@ -70,13 +70,14 @@ class ThreadPoolExecutor
      * sequence is still a pure function of the job list.  With
      * workers() == 1 (or a single job) execution is inline on the
      * calling thread — handy under a debugger and the baseline for the
-     * determinism tests.
+     * determinism tests.  Every job's JobContext::laneThreads is
+     * max(1, hardware threads / min(workers(), jobs.size())).
      */
     std::vector<JobRecord> run(const std::vector<Job> &jobs);
 
   private:
     /** Execute one job; always returns at least one record. */
-    std::vector<JobRecord> execute(const Job &job, unsigned worker) const;
+    std::vector<JobRecord> execute(const Job &job, unsigned laneThreads) const;
 
     ExecutorOptions options_;
     unsigned workers_ = 1;

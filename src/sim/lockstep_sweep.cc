@@ -1,6 +1,7 @@
 #include "sim/lockstep_sweep.h"
 
 #include <algorithm>
+#include <exception>
 #include <thread>
 
 #include "check/check.h"
@@ -68,6 +69,8 @@ runPhase(AccessGenerator &gen, detail::LlcStreamFrontEnd &frontEnd,
 {
     const unsigned fanOut = std::min<unsigned>(
         std::max(1u, threads), static_cast<unsigned>(lanes.size()));
+    // Per-lane slots, read after the join: nothing escapes a worker.
+    std::vector<std::exception_ptr> errors(lanes.size());
     uint64_t remaining = total;
     while (remaining > 0) {
         const size_t n = frontEnd.fill(gen, remaining);
@@ -81,22 +84,26 @@ runPhase(AccessGenerator &gen, detail::LlcStreamFrontEnd &frontEnd,
         const uint32_t *gaps = frontEnd.gaps().data();
 
         // Worker w owns lanes w, w+fanOut, w+2*fanOut, ... — a static
-        // partition, so no two workers ever touch the same lane.
+        // partition, so no two workers ever touch the same lane.  Its
+        // lanes after a failing one cannot hold the lowest failure.
         auto walkSlice = [&](unsigned w) {
-            for (size_t c = w; c < lanes.size(); c += fanOut)
-                walkLane(lanes[c], ops, segments, tail, gaps);
+            for (size_t c = w; c < lanes.size(); c += fanOut) {
+                try {
+                    walkLane(lanes[c], ops, segments, tail, gaps);
+                } catch (...) {
+                    errors[c] = std::current_exception();
+                    return;
+                }
+            }
         };
-        if (fanOut <= 1) {
-            walkSlice(0);
-        } else {
-            std::vector<std::thread> workers;
-            workers.reserve(fanOut - 1);
-            for (unsigned w = 1; w < fanOut; ++w)
-                workers.emplace_back(walkSlice, w);
-            walkSlice(0);
-            for (std::thread &worker : workers)
-                worker.join();
-        }
+        std::vector<std::jthread> workers; // joined on every exit
+        for (unsigned w = 1; w < fanOut; ++w)
+            workers.emplace_back(walkSlice, w);
+        walkSlice(0);
+        workers.clear();
+        for (const std::exception_ptr &error : errors)
+            if (error)
+                std::rethrow_exception(error);
     }
 }
 
@@ -107,8 +114,7 @@ runSingleCoreLockstep(AccessGenerator &gen, const SimConfig &config,
                       const std::vector<PolicyFactory> &makePolicies,
                       unsigned threads)
 {
-    PDP_CHECK(!config.telemetry.enabled && config.auditEvery == 0 &&
-                  !config.withPrefetcher,
+    PDP_CHECK(!observesGlobalOrder(config),
               "lockstep sweeps observe no global order: run telemetry/"
               "audit/prefetcher configs on the sequential driver");
     if (makePolicies.empty())

@@ -36,12 +36,22 @@ namespace pdp
 /** Builds one LLC policy instance per call (one per lane or job). */
 using PolicyFactory = std::function<std::unique_ptr<ReplacementPolicy>()>;
 
+/** Whether `config` observes the global access order (telemetry, audit
+ *  or a prefetcher), which keeps it on the sequential runSingleCore. */
+inline bool
+observesGlobalOrder(const SimConfig &config)
+{
+    return config.telemetry.enabled || config.auditEvery != 0 ||
+        config.withPrefetcher;
+}
+
 /**
  * Simulate every policy in `makePolicies` over one decode of `gen`,
  * returning one SimResult per factory, in input order.  `threads` caps
  * the per-chunk worker fan-out over configs (0 or 1 = inline).
- * Telemetry/audit/prefetcher configs are rejected (they observe global
- * order and belong to the sequential driver).
+ * Configs that observesGlobalOrder() throw CheckFailure.  A lane's
+ * exception is rethrown after every worker joins — the lowest-numbered
+ * failing lane's, so the error is the same at any thread count.
  */
 std::vector<SimResult>
 runSingleCoreLockstep(AccessGenerator &gen, const SimConfig &config,

@@ -119,7 +119,6 @@ runMultiCore(const WorkloadSpec &workload, const std::string &policy_spec,
     // realistic until everyone has finished, as in the paper.
     std::vector<ThreadOutcome> outcomes(cores);
     std::vector<uint64_t> measured(cores, 0);
-    std::vector<uint64_t> frozenMisses(cores, 0);
     unsigned remaining = cores;
     {
         telemetry::ScopedPhaseTimer phase(
@@ -137,8 +136,7 @@ runMultiCore(const WorkloadSpec &workload, const std::string &policy_spec,
                     ThreadOutcome &out = outcomes[t];
                     out.benchmark = workload.benchmarks[t];
                     out.ipc = timers[t].ipc();
-                    out.llcMisses = hierarchy.llc().stats().threadMisses[t] -
-                        frozenMisses[t];
+                    out.llcMisses = hierarchy.llc().stats().threadMisses[t];
                     out.mpki = timers[t].instructions()
                         ? 1000.0 * static_cast<double>(out.llcMisses) /
                               static_cast<double>(timers[t].instructions())

@@ -36,6 +36,7 @@ struct SimConfig
     bool auditFailFast = false;
     /** Epoch telemetry knobs (off by default; see src/telemetry/). */
     telemetry::TelemetryConfig telemetry{};
+    bool operator==(const SimConfig &) const = default;
 
     /** Scale both run length and warmup (quick CI runs). */
     SimConfig

@@ -1,6 +1,9 @@
 #include "sim/static_pd_search.h"
 
+#include <thread>
+
 #include "core/pdp_policy.h"
+#include "sim/lockstep_sweep.h"
 #include "trace/spec_suite.h"
 
 namespace pdp
@@ -13,6 +16,17 @@ defaultPdGrid()
             144, 160, 192, 224, 256};
 }
 
+size_t
+fewestMisses(const std::vector<const SimResult *> &results)
+{
+    size_t best = results.size();
+    for (size_t i = 0; i < results.size(); ++i)
+        if (results[i] && (best == results.size() ||
+                           results[i]->llcMisses < results[best]->llcMisses))
+            best = i;
+    return best;
+}
+
 StaticPdResult
 bestStaticPd(const std::string &benchmark, bool bypass,
              const SimConfig &config, std::vector<uint32_t> grid)
@@ -20,18 +34,22 @@ bestStaticPd(const std::string &benchmark, bool bypass,
     if (grid.empty())
         grid = defaultPdGrid();
 
+    std::vector<PolicyFactory> factories;
+    for (uint32_t pd : grid)
+        factories.push_back([pd, bypass] {
+            return bypass ? makeSpdpB(pd) : makeSpdpNb(pd);
+        });
+    auto gen = SpecSuite::make(benchmark);
+    std::vector<SimResult> results = runSingleCoreLockstep(
+        *gen, config, factories, std::thread::hardware_concurrency());
+
+    std::vector<const SimResult *> candidates;
+    for (const SimResult &r : results)
+        candidates.push_back(&r);
     StaticPdResult out;
-    for (uint32_t pd : grid) {
-        auto gen = SpecSuite::make(benchmark);
-        Hierarchy hierarchy(config.hierarchy,
-                            bypass ? makeSpdpB(pd) : makeSpdpNb(pd));
-        SimResult r = runSingleCore(*gen, hierarchy, config);
-        if (out.bestPd == 0 || r.llcMisses < out.best.llcMisses) {
-            out.bestPd = pd;
-            out.best = r;
-        }
-        out.sweep.emplace_back(pd, std::move(r));
-    }
+    out.bestPd = grid[fewestMisses(candidates)];
+    for (size_t i = 0; i < grid.size(); ++i)
+        out.sweep.emplace_back(grid[i], std::move(results[i]));
     return out;
 }
 

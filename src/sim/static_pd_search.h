@@ -21,7 +21,6 @@ namespace pdp
 struct StaticPdResult
 {
     uint32_t bestPd = 0;
-    SimResult best;
     /** Full sweep, one entry per grid point. */
     std::vector<std::pair<uint32_t, SimResult>> sweep;
 };
@@ -29,8 +28,14 @@ struct StaticPdResult
 /** The default PD grid (16 = associativity up to d_max = 256). */
 std::vector<uint32_t> defaultPdGrid();
 
+/** Index of the result with the fewest LLC misses, ties to the earliest;
+ *  nulls are skipped (results.size() when every entry is null). */
+size_t fewestMisses(const std::vector<const SimResult *> &results);
+
 /**
- * Sweep static PDs for one benchmark and return the miss-minimizing one.
+ * Sweep static PDs for one benchmark over one lockstep decode
+ * (sim/lockstep_sweep.h) and return the fewestMisses() one.  A config
+ * that observesGlobalOrder() throws CheckFailure.
  *
  * @param benchmark suite benchmark name
  * @param bypass true for SPDP-B, false for SPDP-NB

@@ -40,6 +40,7 @@ struct TimingParams
     uint32_t memLatency = 200;    //!< memory access latency
     uint32_t mlp = 4;             //!< overlap factor for clustered misses
     uint32_t mlpWindow = 128;     //!< instr window for miss clustering
+    bool operator==(const TimingParams &) const = default;
 };
 
 /** Streaming cycle/instruction accumulator for one thread. */

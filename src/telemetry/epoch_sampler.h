@@ -54,6 +54,8 @@ struct TelemetryConfig
     /** Snapshot hardware perf counters per epoch (--perf-counters);
      *  degrades to no-op where perf_event_open is unavailable. */
     bool perfCounters = false;
+
+    bool operator==(const TelemetryConfig &) const = default;
 };
 
 /** One epoch's sample. */

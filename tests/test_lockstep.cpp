@@ -18,6 +18,7 @@
 #include "cache/shard_view.h"
 #include "check/check.h"
 #include "core/pdp_policy.h"
+#include "policies/basic.h"
 #include "runner/results_sink.h"
 #include "runner/suites.h"
 #include "runner/thread_pool.h"
@@ -228,38 +229,209 @@ TEST(ThreadPoolExecutorMany, EmptyGroupIsAFailure)
 }
 
 // ---------------------------------------------------------------------------
-// Suite-level byte-identity: lockstep grids dump the same documents.
+// Suite-level byte-identity: selectJobs folds adjacent single-core cells
+// into lockstep sweeps, and the records must not show it.
 
 namespace
 {
 
-std::string
-suiteDump(const std::string &suiteName, const SuiteOptions &options)
+/** The suite's grid narrowed by `filter`, one job per cell. */
+std::vector<Job>
+ungroupedJobs(const Suite &suite, const SuiteOptions &options)
 {
-    const Suite *suite = findSuite(suiteName);
-    EXPECT_NE(suite, nullptr);
-    const std::vector<Job> jobs = selectJobs(*suite, options);
-    EXPECT_FALSE(jobs.empty());
+    std::vector<Job> jobs = suite.buildJobs(options);
+    std::erase_if(jobs, [&](const Job &job) {
+        return job.key.find(options.filter) == std::string::npos;
+    });
+    return jobs;
+}
+
+struct SuiteRun
+{
+    std::vector<std::string> keys;
+    std::string dump;
+};
+
+SuiteRun
+runJobs(const std::string &suiteName, const std::vector<Job> &jobs)
+{
     ResultsSink sink(suiteName);
     ExecutorOptions eopts;
     eopts.workers = 2;
     eopts.onComplete = [&sink](const JobRecord &r) { sink.add(r); };
-    ThreadPoolExecutor(eopts).run(jobs);
-    return sink.toJson(/*includeVolatile=*/false).dump(2);
+    SuiteRun run;
+    for (const JobRecord &record : ThreadPoolExecutor(eopts).run(jobs)) {
+        EXPECT_EQ(record.status, JobStatus::Ok) << record.key;
+        run.keys.push_back(record.key);
+    }
+    run.dump = sink.toJson(/*includeVolatile=*/false).dump(2);
+    return run;
+}
+
+/** Runs the suite grouped and ungrouped, expects the same records in
+ *  the same order, and returns the grouped job list. */
+std::vector<Job>
+expectGroupingInvisible(const std::string &suiteName,
+                        const SuiteOptions &options)
+{
+    const Suite *suite = findSuite(suiteName);
+    EXPECT_NE(suite, nullptr);
+    if (!suite)
+        return {};
+    const std::vector<Job> grouped = selectJobs(*suite, options);
+    const std::vector<Job> cells = ungroupedJobs(*suite, options);
+    EXPECT_LT(grouped.size(), cells.size());
+    const SuiteRun a = runJobs(suiteName, grouped);
+    const SuiteRun b = runJobs(suiteName, cells);
+    EXPECT_EQ(a.keys, b.keys);
+    EXPECT_EQ(a.dump, b.dump);
+    EXPECT_NE(a.dump.find("\"llc_misses\""), std::string::npos);
+    return grouped;
+}
+
+SuiteOptions
+quickSuite(std::string filter = "")
+{
+    SuiteOptions options;
+    options.scale = 0.02;
+    options.filter = std::move(filter);
+    return options;
+}
+
+/** LRU that throws on its `limit`-th victim pick, naming its lane. */
+class ThrowingLru : public LruPolicy
+{
+  public:
+    ThrowingLru(uint64_t limit, std::string lane)
+        : limit_(limit), lane_(std::move(lane))
+    {}
+
+    int
+    selectVictim(const AccessContext &ctx) override
+    {
+        if (++picks_ == limit_)
+            throw std::runtime_error("lane " + lane_ + " gave up after " +
+                                     std::to_string(limit_) +
+                                     " victim picks");
+        return LruPolicy::selectVictim(ctx);
+    }
+
+  private:
+    uint64_t limit_;
+    uint64_t picks_ = 0;
+    std::string lane_;
+};
+
+/** Four cells of one sweep; lanes 1 and 3 throw at the same op. */
+std::vector<Job>
+throwingCells()
+{
+    const SimConfig config = quickConfig();
+    std::vector<Job> jobs;
+    for (int lane = 0; lane < 4; ++lane) {
+        const std::string name = std::to_string(lane);
+        PolicyFactory make = [] { return makePolicy("LRU"); };
+        if (lane % 2 == 1)
+            make = [name] {
+                return std::make_unique<ThrowingLru>(1000, name);
+            };
+        jobs.push_back(
+            singleCoreJob("probe/429.mcf/" + name, "429.mcf", make, config));
+    }
+    return jobs;
 }
 
 } // namespace
 
-TEST(SuiteLockstepTest, Fig4LockstepDumpMatchesIndependent)
+TEST(SuiteLockstepTest, Fig4GroupedDumpMatchesUngrouped)
 {
-    SuiteOptions independent;
-    independent.scale = 0.02;
-    independent.filter = "fig4/429.mcf/";
-    SuiteOptions lockstep = independent;
-    lockstep.lockstep = true;
+    const std::vector<Job> grouped = expectGroupingInvisible(
+        "fig4_static_pdp", quickSuite("fig4/429.mcf/"));
+    EXPECT_EQ(grouped.size(), 1u);
+}
 
-    const std::string a = suiteDump("fig4_static_pdp", independent);
-    const std::string b = suiteDump("fig4_static_pdp", lockstep);
-    EXPECT_EQ(a, b);
-    EXPECT_NE(a.find("\"llc_misses\""), std::string::npos);
+TEST(SuiteLockstepTest, SmokeGroupedDumpMatchesUngrouped)
+{
+    SuiteOptions options = quickSuite();
+    options.timeoutSeconds = 1000.0;
+    const std::vector<Job> grouped =
+        expectGroupingInvisible("smoke", options);
+    // soplex {DIP, PDP-3}, cactusADM {DRRIP, PDP-3, SPDP-B:64}, soplex
+    // {SPDP-B:32, :64, :128}: the two soplex stretches are not adjacent,
+    // so they stay two sweeps.  The 2-core job is no cell.
+    std::vector<std::string> keys;
+    for (const Job &job : grouped)
+        keys.push_back(job.key);
+    EXPECT_EQ(keys, (std::vector<std::string>{
+                        "smoke/450.soplex/DIP..smoke/450.soplex/PDP-3",
+                        "smoke/436.cactusADM/DRRIP.."
+                        "smoke/436.cactusADM/SPDP-B:64",
+                        "smoke/450.soplex/SPDP-B:32.."
+                        "smoke/450.soplex/SPDP-B:128",
+                        "smoke/multi/w0/PDP-2",
+                    }));
+    // Each cell keeps its own soft --timeout budget inside a sweep.
+    EXPECT_EQ(grouped[0].timeoutSeconds, 2000.0);
+    EXPECT_EQ(grouped[1].timeoutSeconds, 3000.0);
+    EXPECT_EQ(grouped[3].timeoutSeconds, 0.0);
+}
+
+TEST(SuiteLockstepTest, OneCellFilterYieldsOneRecord)
+{
+    const Suite *suite = findSuite("fig4_static_pdp");
+    ASSERT_NE(suite, nullptr);
+    const std::vector<Job> jobs =
+        selectJobs(*suite, quickSuite("fig4/429.mcf/SPDP-B:64"));
+    ASSERT_EQ(jobs.size(), 1u);
+    EXPECT_EQ(jobs[0].key, "fig4/429.mcf/SPDP-B:64");
+    const auto records = ThreadPoolExecutor().run(jobs);
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].status, JobStatus::Ok);
+    ASSERT_TRUE(records[0].outcome.single.has_value());
+    EXPECT_EQ(records[0].outcome.single->policy, "SPDP-B");
+}
+
+TEST(SuiteLockstepTest, TelemetryConfigIsNeverGrouped)
+{
+    const Suite *suite = findSuite("fig4_static_pdp");
+    ASSERT_NE(suite, nullptr);
+    SuiteOptions options = quickSuite("fig4/429.mcf/");
+    options.telemetry = true;
+    const std::vector<Job> jobs = selectJobs(*suite, options);
+    EXPECT_EQ(jobs.size(), ungroupedJobs(*suite, options).size());
+    for (const Job &job : jobs) {
+        EXPECT_TRUE(job.cell.has_value()) << job.key;
+        EXPECT_TRUE(job.run != nullptr) << job.key;
+    }
+}
+
+TEST(SuiteLockstepTest, LaneExceptionIsTheSameAtAnyThreadCount)
+{
+    const std::vector<Job> cells = throwingCells();
+    Suite probe{"probe", "", [&cells](const SuiteOptions &) { return cells; },
+                nullptr};
+    const std::vector<Job> jobs = selectJobs(probe, SuiteOptions{});
+    ASSERT_EQ(jobs.size(), 1u);
+
+    std::vector<std::string> errors;
+    for (unsigned threads : {1u, 4u}) {
+        JobContext ctx;
+        ctx.seed = jobs[0].seed;
+        ctx.laneThreads = threads;
+        try {
+            jobs[0].runMany(ctx);
+            ADD_FAILURE() << "no lane threw at " << threads << " threads";
+        } catch (const std::runtime_error &e) {
+            errors.push_back(e.what());
+        }
+    }
+    ASSERT_EQ(errors.size(), 2u);
+    EXPECT_EQ(errors[0], "lane 1 gave up after 1000 victim picks");
+    EXPECT_EQ(errors[1], errors[0]);
+
+    const auto records = ThreadPoolExecutor().run(jobs);
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].key, "probe/429.mcf/0..probe/429.mcf/3");
+    EXPECT_EQ(records[0].status, JobStatus::Failed);
+    EXPECT_EQ(records[0].error, errors[0]);
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/check.h"
 #include "hw/overhead_model.h"
 #include "prefetch/stream_prefetcher.h"
 #include "sim/multi_core_sim.h"
@@ -108,6 +109,16 @@ TEST(StaticPdSearch, FindsTheSweetSpot)
         bestStaticPd("436.cactusADM", true, config, {16, 48, 80, 160});
     EXPECT_EQ(r.bestPd, 80u);
     EXPECT_EQ(r.sweep.size(), 4u);
+}
+
+TEST(StaticPdSearch, RejectsAPrefetcherConfig)
+{
+    SimConfig config;
+    config.accesses = 50000;
+    config.warmup = 10000;
+    config.withPrefetcher = true;
+    EXPECT_THROW(bestStaticPd("436.cactusADM", true, config, {16, 80}),
+                 CheckFailure);
 }
 
 TEST(MultiCoreSim, MetricsAreCoherent)

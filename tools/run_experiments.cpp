@@ -10,15 +10,12 @@
  *                   [--json DIR|none] [--timeout SECONDS] [--verbose]
  *                   [--telemetry[=DIR]] [--trace]
  *                   [--obs-sample-rate X] [--perf-counters]
- *                   [--fault-at N] [--lockstep]
+ *                   [--fault-at N]
  *                   [--tenants N] [--churn N] [--deterministic-json]
  *                   [--explore] [--explore-topk N]
  *
- * --lockstep groups each benchmark's sweep cells into one job over a
- * single trace decode, with records byte-identical to the default
- * independent grid.  --filter keeps the jobs whose key contains the
- * substring; under --lockstep a sweep cell's key is only reachable
- * through its benchmark's group job (".../<benchmark>/lockstep").
+ * --filter keeps the jobs whose key contains the substring, before
+ * runner::selectJobs folds adjacent cells into lockstep sweeps.
  *
  * --telemetry records per-epoch policy snapshots (PD, RDD, PSEL,
  * partition allocations, interval hit rates) into each job's results;
@@ -86,14 +83,9 @@ printUsage(std::FILE *to)
                  "                       [--telemetry[=DIR]] [--trace]\n"
                  "                       [--obs-sample-rate X]\n"
                  "                       [--perf-counters] [--fault-at N]\n"
-                 "                       [--lockstep]\n"
                  "                       [--tenants N] [--churn N]\n"
                  "                       [--deterministic-json]\n"
                  "                       [--explore] [--explore-topk N]\n"
-                 "\n"
-                 "--lockstep runs each benchmark's sweep cells over one\n"
-                 "trace decode, as one job per benchmark, with records\n"
-                 "byte-identical to the independent grid.\n"
                  "\n"
                  "--telemetry samples per-epoch policy state into the\n"
                  "BENCH json (optional =DIR overrides --json); --trace\n"
@@ -168,8 +160,6 @@ main(int argc, char **argv)
                 return 2;
             }
             options.workers = static_cast<unsigned>(*jobs);
-        } else if (arg == "--lockstep") {
-            options.lockstep = true;
         } else if (arg == "--tenants") {
             const auto tenants = pdp::parseUnsigned(needValue(i));
             if (!tenants || *tenants == 0 || *tenants > 32) {
@@ -321,12 +311,6 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "--filter \"%s\" matches no job of suite %s\n",
                          options.filter.c_str(), name.c_str());
-            if (options.lockstep)
-                std::fprintf(stderr,
-                             "(--lockstep groups each benchmark's sweep "
-                             "cells into one job keyed "
-                             ".../<benchmark>/lockstep; filter by "
-                             "benchmark or drop --lockstep)\n");
             return 2;
         }
         resolved.push_back(suite);
