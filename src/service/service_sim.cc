@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <map>
 #include <optional>
 
 #include "cache/cache_stats.h"
@@ -217,10 +216,6 @@ runService(const std::vector<TenantSpec> &tenants,
     std::array<TenantState *, CacheStats::kMaxThreads> liveState{};
     std::array<double, CacheStats::kMaxThreads> liveWhen{};
     unsigned nextPick = 0;
-    // Tenants of equal footprint and skew draw from one Zipf table.
-    std::map<std::pair<uint64_t, double>,
-             std::shared_ptr<const ZipfSampler>>
-        zipfTables;
     uint64_t measured = 0;
     bool measuring = false;
     std::vector<double> lastQuotas;
@@ -305,13 +300,9 @@ runService(const std::vector<TenantSpec> &tenants,
         const uint64_t addrBase = (static_cast<uint64_t>(spec) + 1) << 32;
         const uint64_t streamSeed =
             hashMix64(seed ^ (0x7e4a7c15u + 2u * spec));
-        std::shared_ptr<const ZipfSampler> &table =
-            zipfTables[{t.footprintLines, t.zipfAlpha}];
-        if (!table)
-            table = std::make_shared<const ZipfSampler>(t.footprintLines,
-                                                        t.zipfAlpha);
         ts.gen = std::make_unique<TenantStreamGenerator>(
-            t.name, streamSeed, table, addrBase, t.meanGap, t.writeFrac);
+            t.name, streamSeed, t.footprintLines, t.zipfAlpha, addrBase,
+            t.meanGap, t.writeFrac);
         ts.gen->setThreadId(static_cast<uint8_t>(slot));
         ts.clock.emplace(hashMix64(streamSeed ^ 0xc10cc10cu),
                          t.arrivalRate);
@@ -407,6 +398,18 @@ runService(const std::vector<TenantSpec> &tenants,
     auto step = [&]() {
         TenantState &ts = *liveState[nextPick];
         const Access access = ts.gen->next();
+        // The schedule reads only the clocks, never a cache outcome, so
+        // the request after this one is known before this one walks the
+        // hierarchy: pick it now and start fetching the sets it will
+        // probe, so the argmin and the fetch overlap the walk.
+        ts.clock->advance();
+        liveWhen[nextPick] = ts.clock->nextArrival();
+        pickNext();
+        const TenantState &next = *liveState[nextPick];
+        const uint64_t line = next.gen->peek().lineAddr;
+        Cache &l2 = hierarchy.l2(static_cast<unsigned>(next.slot));
+        l2.prefetchSet(l2.setIndex(line));
+        llc.prefetchSet(llc.setIndex(line));
         // Span open/close brackets the access so a fault inside it (an
         // injected one below, or a real PDP_CHECK in the hierarchy)
         // leaves the request's root span open for the flight recorder.
@@ -425,16 +428,6 @@ runService(const std::vector<TenantSpec> &tenants,
             tracer->endRequest(res.level, res.llcBypassed, measured,
                                ts.timer.cycles());
         ++ts.requests;
-        ts.clock->advance();
-        liveWhen[nextPick] = ts.clock->nextArrival();
-        // The schedule depends only on the clocks, so the next request
-        // is known now: start fetching the sets it will probe.
-        pickNext();
-        const TenantState &next = *liveState[nextPick];
-        const uint64_t line = next.gen->peek().lineAddr;
-        Cache &l2 = hierarchy.l2(static_cast<unsigned>(next.slot));
-        l2.prefetchSet(l2.setIndex(line));
-        llc.prefetchSet(llc.setIndex(line));
     };
 
     const uint64_t sloInterval = config.sloInterval > 0

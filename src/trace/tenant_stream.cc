@@ -11,21 +11,11 @@ TenantStreamGenerator::TenantStreamGenerator(std::string name, uint64_t seed,
                                              uint64_t addr_base,
                                              uint32_t mean_gap,
                                              double write_frac)
-    : TenantStreamGenerator(
-          std::move(name), seed,
-          std::make_shared<const ZipfSampler>(footprint_lines, zipf_alpha),
-          addr_base, mean_gap, write_frac)
-{
-}
-
-TenantStreamGenerator::TenantStreamGenerator(
-    std::string name, uint64_t seed, std::shared_ptr<const ZipfSampler> zipf,
-    uint64_t addr_base, uint32_t mean_gap, double write_frac)
-    : name_(std::move(name)), seed_(seed), zipf_(std::move(zipf)),
+    : name_(std::move(name)), seed_(seed),
+      zipf_(ZipfSampler::shared(footprint_lines, zipf_alpha)),
       addrBase_(addr_base), meanGap_(mean_gap), writeFrac_(write_frac),
       rng_(seed)
 {
-    PDP_CHECK(zipf_ != nullptr, "tenant \"", name_, "\" has no Zipf table");
     PDP_CHECK(meanGap_ >= 1, "tenant \"", name_, "\" mean gap ", meanGap_);
 }
 

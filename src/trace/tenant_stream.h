@@ -92,16 +92,12 @@ class TenantStreamGenerator : public AccessGenerator
      *        caller guarantees windows of live tenants are disjoint
      * @param mean_gap mean instructions between requests
      * @param write_frac fraction of requests that are writes
+     *
+     * The stream draws from ZipfSampler::shared(footprint_lines,
+     * zipf_alpha), the one table of its shape in the process.
      */
     TenantStreamGenerator(std::string name, uint64_t seed,
                           uint64_t footprint_lines, double zipf_alpha,
-                          uint64_t addr_base, uint32_t mean_gap,
-                          double write_frac);
-
-    /** The same stream over a Zipf table shared with other tenants of
-     *  equal footprint and skew. */
-    TenantStreamGenerator(std::string name, uint64_t seed,
-                          std::shared_ptr<const ZipfSampler> zipf,
                           uint64_t addr_base, uint32_t mean_gap,
                           double write_frac);
 

@@ -1,6 +1,10 @@
 #include "trace/zipf.h"
 
 #include <bit>
+#include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "check/check.h"
 
@@ -27,6 +31,8 @@ ZipfSampler::ZipfSampler(uint64_t n, double alpha) : alpha_(alpha)
     PDP_CHECK(n >= 1, "ZipfSampler: footprint must be >= 1, got ", n);
     PDP_CHECK(n <= kMaxFootprint, "ZipfSampler: footprint ", n,
               " exceeds 2^26 lines");
+    PDP_CHECK(std::isfinite(alpha) && alpha >= 0.0,
+              "ZipfSampler: Zipf alpha ", alpha, " is not finite and >= 0");
     cdf_.resize(n);
     double sum = 0.0;
     for (uint64_t r = 0; r < n; ++r) {
@@ -52,6 +58,26 @@ ZipfSampler::ZipfSampler(uint64_t n, double alpha) : alpha_(alpha)
             ++r;
         guide_[j] = r;
     }
+}
+
+std::shared_ptr<const ZipfSampler>
+ZipfSampler::shared(uint64_t n, double alpha)
+{
+    // Keyed on alpha's bits, the map's order is total for every double,
+    // NaN included, so a key the constructor rejects finds nothing and
+    // is never inserted.  Building under the lock means no two callers
+    // build one table.
+    static std::mutex mutex;
+    static std::map<std::pair<uint64_t, uint64_t>,
+                    std::shared_ptr<const ZipfSampler>>
+        tables;
+    const std::pair<uint64_t, uint64_t> key(n, std::bit_cast<uint64_t>(alpha));
+    const std::lock_guard<std::mutex> lock(mutex);
+    auto it = tables.find(key);
+    if (it == tables.end())
+        it = tables.emplace(key, std::make_shared<const ZipfSampler>(n, alpha))
+                 .first;
+    return it->second;
 }
 
 void

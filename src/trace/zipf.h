@@ -21,6 +21,11 @@
  * holds less than one rank: a draw touches one guide line and about
  * one CDF line instead of walking log2(N) lines of a table that does
  * not fit in the L2.
+ *
+ * A table depends only on (N, alpha) and never changes once built, so
+ * shared() keeps one per distinct pair for the whole process: a tenant
+ * stream built for a pair another stream, or an earlier run, already
+ * used pays no pow() call.
  */
 
 #ifndef PDP_TRACE_ZIPF_H
@@ -29,6 +34,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -50,9 +56,20 @@ class ZipfSampler
     /**
      * @param n footprint size (distinct ranks); must be in
      *        [1, kMaxFootprint]
-     * @param alpha skew exponent; 0 degenerates to uniform
+     * @param alpha skew exponent, finite and >= 0; 0 degenerates to
+     *        uniform
      */
     ZipfSampler(uint64_t n, double alpha);
+
+    /**
+     * The process-wide table for (n, alpha): built on the first call
+     * for the pair, returned as is by every later one.  Thread-safe.
+     * Tables live until the process exits, at most one per distinct
+     * (n, alpha) pair (alpha compared bit for bit).  Rejects the
+     * arguments the constructor rejects.
+     */
+    static std::shared_ptr<const ZipfSampler> shared(uint64_t n,
+                                                     double alpha);
 
     /** The rank of a uniform draw u in [0, 1) (Rng::uniform()): the
      *  first r with cdf[r] >= u. */

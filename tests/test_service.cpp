@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the multi-tenant cache-service mode (src/service/): scenario
- * scripting, open-loop determinism, pinned per-tenant outcomes, tenant
- * spec validation, invariant cleanliness through tenant churn at maximum
- * audit cadence, lifecycle/realloc event emission, and per-tenant SLO
- * metric plumbing.
+ * scripting, open-loop determinism, pinned per-tenant outcomes, a
+ * request stream and slot assignment that do not depend on the policy,
+ * tenant spec validation, invariant cleanliness through tenant churn at
+ * maximum audit cadence, lifecycle/realloc event emission, and
+ * per-tenant SLO metric plumbing.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "runner/results_sink.h"
 #include "service/scenario.h"
 #include "service/service_sim.h"
+#include "trace/zipf.h"
 
 using namespace pdp;
 
@@ -165,6 +167,66 @@ TEST(ServiceSim, ChurnOutcomesArePinned)
     }
 }
 
+TEST(ServiceSim, RequestStreamDoesNotDependOnThePolicy)
+{
+    // The scheduler reads only the tenants' clocks, and tenant-aware
+    // tenantJoin() and the unmanaged path both take the lowest free
+    // slot, so every policy serves each tenant the same requests on the
+    // same slot.  Six slots for at most five live tenants: every join
+    // finds two or more free slots, so any other slot rule would show.
+    const struct
+    {
+        const char *name;
+        uint64_t joinAt, leaveAt, footprint;
+        double rate, alpha;
+    } script[] = {
+        {"t0", 0, 6'000, 1 << 10, 2.0, 0.9},
+        {"t1", 0, 4'000, 1 << 12, 1.0, 0.6},
+        {"t2", 0, 0, 1 << 11, 4.0, 1.1},
+        {"t3", 0, 9'000, 1 << 10, 1.0, 0.9},
+        {"t4", 5'000, 0, 1 << 11, 2.0, 0.8},
+        {"t5", 7'000, 0, 1 << 10, 8.0, 1.0},
+        {"t6", 7'000, 11'000, 1 << 12, 1.0, 0.6},
+        {"t7", 10'000, 0, 1 << 11, 2.0, 0.9},
+    };
+    std::vector<TenantSpec> tenants;
+    for (const auto &row : script) {
+        TenantSpec t;
+        t.name = row.name;
+        t.joinAt = row.joinAt;
+        t.leaveAt = row.leaveAt;
+        t.footprintLines = row.footprint;
+        t.arrivalRate = row.rate;
+        t.zipfAlpha = row.alpha;
+        tenants.push_back(t);
+    }
+    ServiceConfig config = smallConfig();
+    config.slots = 6;
+    config.accesses = 14'000;
+    config.warmup = 2'000;
+    config.sloInterval = 2'000;
+
+    using Row = std::array<uint64_t, 4>; // slot, requests, joinedAt, leftAt
+    auto rows = [&](const char *policy) {
+        const ServiceResult result = runService(tenants, policy, config, 5);
+        std::vector<Row> out;
+        for (const TenantOutcome &t : result.tenants)
+            out.push_back({t.slot, t.requests, t.joinedAt, t.leftAt});
+        return out;
+    };
+    const std::vector<Row> lru = rows("LRU");
+    // Lowest free slot at each join: t4 takes t1's slot 1 over 4 and 5;
+    // t5 takes t0's slot 0, t6 the untouched slot 4; t7 takes t3's 3.
+    const unsigned wantSlots[] = {0, 1, 2, 3, 1, 0, 4, 3};
+    ASSERT_EQ(lru.size(), tenants.size());
+    for (size_t i = 0; i < lru.size(); ++i) {
+        EXPECT_EQ(lru[i][0], wantSlots[i]) << tenants[i].name;
+        EXPECT_GT(lru[i][1], 0u) << tenants[i].name;
+    }
+    for (const char *policy : {"TA-DRRIP", "UCP", "PDP-2", "PDP-3"})
+        EXPECT_EQ(rows(policy), lru) << policy;
+}
+
 namespace
 {
 
@@ -211,6 +273,19 @@ TEST(ServiceSim, RejectsZipfAlphaThatIsNotFiniteAndNonNegative)
     tenants[0].zipfAlpha = -1.0;
     EXPECT_THROW(runService(tenants, "LRU", smallConfig(), 7),
                  CheckFailure);
+    // The table itself refuses them, so no caller and no registry key
+    // sees one.
+    for (const double alpha : {-0.1, -kInf, kInf, kNan}) {
+        try {
+            const ZipfSampler zipf(1024, alpha);
+            ADD_FAILURE() << "ZipfSampler accepted alpha " << alpha;
+        } catch (const CheckFailure &e) {
+            EXPECT_NE(std::string(e.what()).find("Zipf alpha"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_THROW(ZipfSampler::shared(1024, alpha), CheckFailure);
+    }
 }
 
 TEST(ServiceSim, RejectsWriteFractionOutsideUnitInterval)

@@ -3,7 +3,8 @@
  * Tests for the synthetic trace layer: pattern primitives, mixtures,
  * generator determinism/rewind, the RDD fingerprints of the suite (the
  * calibration contract every experiment depends on), and the service
- * tenant streams (Zipf guide-table lookups, block generation).
+ * tenant streams (Zipf guide-table lookups, the process-wide table
+ * registry, block generation).
  */
 
 #include <gtest/gtest.h>
@@ -11,9 +12,13 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
+#include <latch>
 #include <memory>
 #include <set>
 #include <span>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.h"
@@ -306,6 +311,78 @@ TEST(ZipfSampler, GuideAndBlockLookupsMatchFullSearch)
     }
 }
 
+TEST(ZipfSampler, SharedTableIsOnePerKeyAndMatchesAPrivateTable)
+{
+    constexpr unsigned kBlock = ZipfSampler::kBlock;
+    const auto table = ZipfSampler::shared(16384, 0.9);
+    EXPECT_EQ(ZipfSampler::shared(16384, 0.9), table);
+
+    // Bit for bit the table a private build gives: the CDF, and the
+    // ranks rankBlock() resolves from it.
+    const ZipfSampler own(16384, 0.9);
+    ASSERT_EQ(table->footprint(), own.footprint());
+    EXPECT_EQ(std::memcmp(table->cdf().data(), own.cdf().data(),
+                          own.cdf().size_bytes()),
+              0);
+    const std::vector<double> us = edgeAndRandomDraws(16384);
+    uint64_t mismatches = 0;
+    for (size_t i = 0; i + kBlock <= us.size(); i += kBlock) {
+        std::array<double, kBlock> block{};
+        std::copy_n(us.begin() + i, kBlock, block.begin());
+        std::array<uint32_t, kBlock> shared{}, mine{};
+        table->rankBlock(block, shared);
+        own.rankBlock(block, mine);
+        mismatches += shared != mine;
+    }
+    EXPECT_EQ(mismatches, 0u);
+
+    // Any other footprint or alpha, down to one ulp, is another table.
+    EXPECT_NE(ZipfSampler::shared(16384, std::nextafter(0.9, 1.0)), table);
+    EXPECT_NE(ZipfSampler::shared(16384, std::nextafter(0.9, 0.0)), table);
+    EXPECT_NE(ZipfSampler::shared(16383, 0.9), table);
+}
+
+TEST(ZipfSampler, SharedBuildsOneTablePerKeyAcrossThreads)
+{
+    // Four threads ask for overlapping key sets at once, each in its own
+    // order; every key must come back as one object.
+    const std::vector<std::pair<uint64_t, double>> keys = {
+        {4096, 0.6}, {4096, 0.7}, {8192, 0.6}, {8192, 0.7},
+        {4096, 1.05}, {12288, 0.6}};
+    constexpr unsigned kThreads = 4;
+    std::vector<std::vector<const ZipfSampler *>> got(
+        kThreads, std::vector<const ZipfSampler *>(keys.size(), nullptr));
+    std::latch start(kThreads);
+    {
+        std::vector<std::jthread> threads;
+        for (unsigned t = 0; t < kThreads; ++t)
+            threads.emplace_back([&, t] {
+                start.arrive_and_wait();
+                // Thread t skips key t and walks the rest from key t on.
+                for (size_t i = 0; i < keys.size(); ++i) {
+                    const size_t k = (t + i) % keys.size();
+                    if (k == t)
+                        continue;
+                    got[t][k] =
+                        ZipfSampler::shared(keys[k].first, keys[k].second)
+                            .get();
+                }
+            });
+    }
+    std::set<const ZipfSampler *> distinct;
+    for (size_t k = 0; k < keys.size(); ++k) {
+        const ZipfSampler *table =
+            ZipfSampler::shared(keys[k].first, keys[k].second).get();
+        distinct.insert(table);
+        for (unsigned t = 0; t < kThreads; ++t) {
+            if (k != t) {
+                EXPECT_EQ(got[t][k], table) << "thread " << t << " key " << k;
+            }
+        }
+    }
+    EXPECT_EQ(distinct.size(), keys.size());
+}
+
 namespace
 {
 
@@ -340,15 +417,11 @@ referenceStream(const ZipfSampler &zipf, uint64_t seed)
 }
 
 std::unique_ptr<TenantStreamGenerator>
-makeStream(uint64_t seed, std::shared_ptr<const ZipfSampler> table)
+makeStream(uint64_t seed)
 {
-    auto gen = table
-        ? std::make_unique<TenantStreamGenerator>(
-              "t", seed, std::move(table), kStreamBase, kStreamGap,
-              kStreamWrites)
-        : std::make_unique<TenantStreamGenerator>(
-              "t", seed, kStreamFootprint, kStreamAlpha, kStreamBase,
-              kStreamGap, kStreamWrites);
+    auto gen = std::make_unique<TenantStreamGenerator>(
+        "t", seed, kStreamFootprint, kStreamAlpha, kStreamBase, kStreamGap,
+        kStreamWrites);
     gen->setThreadId(kStreamThread);
     return gen;
 }
@@ -376,7 +449,7 @@ TEST(TenantStream, BlockStreamMatchesOneAtATimeReference)
 {
     const ZipfSampler zipf(kStreamFootprint, kStreamAlpha);
     const auto want = referenceStream(zipf, kStreamSeed);
-    auto gen = makeStream(kStreamSeed, nullptr);
+    auto gen = makeStream(kStreamSeed);
     expectStream(*gen, want);
     // reset() rewinds mid-block to the first access.
     gen->reset();
@@ -387,7 +460,7 @@ TEST(TenantStream, PeekDoesNotAdvance)
 {
     const ZipfSampler zipf(kStreamFootprint, kStreamAlpha);
     const auto want = referenceStream(zipf, kStreamSeed);
-    auto gen = makeStream(kStreamSeed, nullptr);
+    auto gen = makeStream(kStreamSeed);
     for (size_t i = 0; i < want.size(); ++i) {
         const Access first = gen->peek();
         const Access again = gen->peek();
@@ -400,18 +473,18 @@ TEST(TenantStream, PeekDoesNotAdvance)
 
 TEST(TenantStream, SharedTableMatchesPrivateTable)
 {
-    auto shared =
-        std::make_shared<const ZipfSampler>(kStreamFootprint, kStreamAlpha);
-    const auto want = referenceStream(*shared, kStreamSeed);
-    const auto wantOther = referenceStream(*shared, kStreamSeed + 1);
-    auto own = makeStream(kStreamSeed, nullptr);
-    auto first = makeStream(kStreamSeed, shared);
-    auto second = makeStream(kStreamSeed + 1, shared);
-    // Interleaved: two streams drawing from one table stay independent.
+    // Streams of one shape draw from the registry's one table; each must
+    // still match the reference over a privately built table.
+    const ZipfSampler own(kStreamFootprint, kStreamAlpha);
+    const auto want = referenceStream(own, kStreamSeed);
+    const auto wantOther = referenceStream(own, kStreamSeed + 1);
+    auto first = makeStream(kStreamSeed);
+    auto again = makeStream(kStreamSeed);
+    auto second = makeStream(kStreamSeed + 1);
+    // Interleaved: streams drawing from one table stay independent.
     for (size_t i = 0; i < want.size(); ++i) {
-        const Access mine = own->next();
-        expectSameAccess(first->next(), mine, i);
-        expectSameAccess(mine, want[i], i);
+        expectSameAccess(first->next(), want[i], i);
+        expectSameAccess(again->next(), want[i], i);
         expectSameAccess(second->next(), wantOther[i], i);
     }
 }

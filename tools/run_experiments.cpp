@@ -64,6 +64,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "check/check.h"
 #include "runner/results_sink.h"
 #include "runner/suites.h"
 #include "util/parse.h"
@@ -298,7 +299,9 @@ main(int argc, char **argv)
     }
 
     // Resolve every suite and its filtered grid before any job runs: a
-    // filter that selects nothing is a usage error, not an empty run.
+    // grid the options cannot build (a --scale that leaves the service
+    // churn script no accesses) or a filter that selects nothing is a
+    // usage error, not an abort or an empty run.
     std::vector<const pdp::runner::Suite *> resolved;
     for (const std::string &name : suites) {
         const pdp::runner::Suite *suite = pdp::runner::findSuite(name);
@@ -307,7 +310,14 @@ main(int argc, char **argv)
                          name.c_str());
             return 2;
         }
-        if (pdp::runner::selectJobs(*suite, options).empty()) {
+        bool empty = false;
+        try {
+            empty = pdp::runner::selectJobs(*suite, options).empty();
+        } catch (const pdp::CheckFailure &e) {
+            std::fprintf(stderr, "suite %s: %s\n", name.c_str(), e.what());
+            return 2;
+        }
+        if (empty) {
             std::fprintf(stderr,
                          "--filter \"%s\" matches no job of suite %s\n",
                          options.filter.c_str(), name.c_str());
