@@ -1,7 +1,6 @@
 #include "runner/progress.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 namespace pdp
 {
@@ -12,12 +11,6 @@ ProgressReporter &
 ProgressReporter::global()
 {
     static ProgressReporter reporter;
-    static const bool initialized = [] {
-        const char *env = std::getenv("PDP_BENCH_VERBOSE");
-        reporter.setVerbose(env && env[0] == '1');
-        return true;
-    }();
-    (void)initialized;
     return reporter;
 }
 
@@ -26,13 +19,6 @@ ProgressReporter::setVerbose(bool verbose)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     verbose_ = verbose;
-}
-
-bool
-ProgressReporter::verbose() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return verbose_;
 }
 
 void
@@ -78,21 +64,6 @@ ProgressReporter::jobFinished(const JobRecord &record, unsigned busyWorkers)
                  batch_.c_str(), done_, total_, toString(record.status),
                  record.seconds, record.key.c_str(), busyWorkers, workers_,
                  eta);
-}
-
-size_t
-ProgressReporter::completed() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return done_;
-}
-
-void
-ProgressReporter::note(const std::string &line)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (verbose_)
-        std::fprintf(stderr, "[bench] %s\n", line.c_str());
 }
 
 } // namespace runner

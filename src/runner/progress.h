@@ -6,10 +6,6 @@
  * funnel through which anything they say reaches stderr, so partial
  * lines never interleave.  Every emission is one complete line written
  * with a single fprintf under a mutex.
- *
- * The benches' old ad-hoc `pdpbench::progress()` is now a thin wrapper
- * around ProgressReporter::global().note(), so serial harnesses and
- * parallel sweeps share one output path.
  */
 
 #ifndef PDP_RUNNER_PROGRESS_H
@@ -28,23 +24,21 @@ namespace runner
 {
 
 /**
- * Thread-safe batch progress + free-form notes on stderr.
+ * Thread-safe batch progress on stderr.
  *
- * Verbosity is off by default; global() initializes it from
- * PDP_BENCH_VERBOSE once.  When quiet, both notes and per-job progress
- * lines are suppressed (batch summaries are the caller's business).
+ * Verbosity is off by default (run_experiments --verbose turns it on).
+ * When quiet, per-job progress lines are suppressed (batch summaries are
+ * the caller's business).
  */
 class ProgressReporter
 {
   public:
     ProgressReporter() = default;
 
-    /** The process-wide reporter (verbosity seeded from
-     *  PDP_BENCH_VERBOSE on first use). */
+    /** The process-wide reporter. */
     static ProgressReporter &global();
 
     void setVerbose(bool verbose);
-    bool verbose() const;
 
     /** Start a batch of `total` jobs on `workers` workers. */
     void beginBatch(const std::string &name, size_t total, unsigned workers);
@@ -55,12 +49,6 @@ class ProgressReporter
      * `busyWorkers` is the executor's count of still-occupied workers.
      */
     void jobFinished(const JobRecord &record, unsigned busyWorkers);
-
-    /** Completed / total of the current batch. */
-    size_t completed() const;
-
-    /** Emit one free-form `[bench] ...` line (when verbose). */
-    void note(const std::string &line);
 
   private:
     mutable std::mutex mutex_;

@@ -1,7 +1,6 @@
 #include "runner/results_sink.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 
 // Injected by src/CMakeLists.txt from `git describe` at configure time;
@@ -440,22 +439,11 @@ ResultsSink::traceFileName() const
 }
 
 std::string
-ResultsSink::jsonDirectory()
-{
-    const char *env = std::getenv("PDP_BENCH_JSON");
-    if (!env)
-        return ".";
-    const std::string value(env);
-    if (value.empty() || value == "0" || value == "none")
-        return "";
-    return value;
-}
-
-std::string
 ResultsSink::outputDirectory(const std::string &directory)
 {
-    const std::string dir = directory.empty() ? jsonDirectory() : directory;
-    return dir == "none" || dir == "0" ? "" : dir;
+    if (directory.empty())
+        return ".";
+    return directory == "none" || directory == "0" ? "" : directory;
 }
 
 bool

@@ -3,7 +3,7 @@
  * ResultsSink: thread-safe collection of job records and their JSON
  * serialization.
  *
- * One sink per harness.  Worker threads add() records as jobs finish
+ * One sink per suite run.  Worker threads add() records as jobs finish
  * (wire it to ExecutorOptions::onComplete); the coordinating thread then
  * serializes everything as one BENCH_<experiment>.json document next to
  * the usual text tables.
@@ -16,7 +16,7 @@
  *     "schema": "pdp-bench-results/v2",
  *     "experiment": "fig10_single_core",
  *     "git": "<git describe at configure time>",
- *     "scale": 0.1,               // PDP_BENCH_SCALE in effect
+ *     "scale": 0.1,               // run_experiments --scale in effect
  *     "workers": 8,               // volatile: omitted in deterministic dumps
  *     "job_count": 442,
  *     "jobs": [                   // sorted by key
@@ -119,7 +119,7 @@ class ResultsSink
 
     const std::string &experiment() const { return experiment_; }
 
-    /** Record the harness's run-length scale factor (PDP_BENCH_SCALE). */
+    /** Record the suite's run-length scale factor (--scale). */
     void setScale(double scale);
 
     /** Record the executor's worker count (volatile metadata). */
@@ -153,7 +153,7 @@ class ResultsSink
     std::string traceFileName() const;
 
     /**
-     * Write the document into `directory` ("" uses jsonDirectory()).
+     * Write the document into `directory` (see outputDirectory()).
      * Returns false (without writing) when JSON output is disabled or
      * the file cannot be created; stores the path written to in
      * *pathOut on success.
@@ -162,15 +162,9 @@ class ResultsSink
                    std::string *pathOut = nullptr) const;
 
     /**
-     * Output directory from PDP_BENCH_JSON: unset -> "." (current
-     * directory); "none" or "0" -> disabled (returns ""); anything else
-     * is used as the directory.
-     */
-    static std::string jsonDirectory();
-
-    /**
      * The directory writeFile() and writeTraceFile() use for `directory`:
-     * "" -> jsonDirectory(); "none" or "0" -> disabled (returns "").
+     * "" -> "." (the current directory); "none" or "0" -> disabled
+     * (returns ""); anything else is used as the directory.
      */
     static std::string outputDirectory(const std::string &directory);
 

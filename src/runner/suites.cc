@@ -73,6 +73,18 @@ RecordLookup::service(const std::string &key) const
     return &*record->outcome.service;
 }
 
+std::optional<double>
+RecordLookup::metric(const std::string &key, const std::string &name) const
+{
+    const JobRecord *record = find(key);
+    if (!record || record->status == JobStatus::Failed)
+        return std::nullopt;
+    const auto it = record->outcome.metrics.find(name);
+    if (it == record->outcome.metrics.end())
+        return std::nullopt;
+    return it->second;
+}
+
 std::vector<std::string>
 RecordLookup::keys() const
 {
@@ -163,16 +175,37 @@ telemetryConfig(const SuiteOptions &options)
     return config;
 }
 
+/** The `cores`-core config at options.scale; like scaledConfig, it
+ *  refuses a scale that leaves a thread no measured access. */
+MultiCoreConfig
+scaledMultiCoreConfig(const SuiteOptions &options, unsigned cores)
+{
+    MultiCoreConfig config;
+    config.cores = cores;
+    config = config.scaled(options.scale);
+    config.telemetry = telemetryConfig(options);
+    PDP_CHECK(config.accessesPerThread > 0, "--scale ", options.scale,
+              " leaves the ", cores, "-core runs no measured access");
+    return config;
+}
+
+} // namespace
+
 SimConfig
-scaledConfig(const SuiteOptions &options, uint64_t accesses = 3'000'000,
-             uint64_t warmup = 1'000'000)
+scaledConfig(const SuiteOptions &options, uint64_t accesses, uint64_t warmup)
 {
     SimConfig config;
     config.accesses = accesses;
     config.warmup = warmup;
     config.telemetry = telemetryConfig(options);
-    return config.scaled(options.scale);
+    config = config.scaled(options.scale);
+    PDP_CHECK(config.accesses > 0, "--scale ", options.scale,
+              " leaves a ", accesses, "-access run no measured access");
+    return config;
 }
+
+namespace
+{
 
 /** Miss-minimizing point of an already-run static-PD grid, picked by
  *  pdp::fewestMisses as pdp::bestStaticPd picks its own. */
@@ -327,9 +360,15 @@ reportFig10(std::ostream &out, const RecordLookup &records)
 }
 
 // ---------------------------------------------------------------------------
-// fig4_static_pdp — Fig. 4: DRRIP(best eps) vs static PDP.
+// fig4_static_pdp — Fig. 4: DRRIP(best eps) vs static PDP.  Its report
+// also renders Fig. 2 (the epsilon sweep) and Table 2 (the best SPDP-B
+// PDs by range) from the same records.
 
 const std::vector<unsigned> kFig4EpsDenoms = {4, 8, 16, 32, 64, 128};
+
+/** Fig. 2's case-study benchmarks (their DRRIP-eps cells are fig4's). */
+const std::vector<std::string> kFig2Benches = {
+    "403.gcc", "436.cactusADM", "464.h264ref", "483.xalancbmk.3"};
 
 std::vector<Job>
 buildFig4(const SuiteOptions &options)
@@ -413,6 +452,55 @@ reportFig4(std::ostream &out, const RecordLookup &records)
 
     out << "\nPaper reference: SPDP-B >= SPDP-NB >= DRRIP(best eps) "
            ">= 0 on nearly every benchmark.\n";
+
+    // Fig. 2: the DRRIP-eps cells above, per case-study benchmark.
+    out << "\n==== Fig. 2: DRRIP MPKI vs epsilon (normalized to "
+           "eps=1/32) ====\n\n";
+    std::vector<std::string> header = {"benchmark"};
+    for (unsigned denom : kFig4EpsDenoms)
+        header.push_back("1/" + std::to_string(denom));
+    Table eps_table(header);
+    for (const std::string &bench : kFig2Benches) {
+        const std::string prefix = "fig4/" + bench + "/DRRIP-eps:";
+        const SimResult *base = records.single(prefix + "32");
+        std::vector<std::string> row = {bench};
+        for (unsigned denom : kFig4EpsDenoms) {
+            const SimResult *r =
+                records.single(prefix + std::to_string(denom));
+            row.push_back(r && base ? Table::num(r->mpki / base->mpki, 3)
+                                    : "n/a");
+        }
+        eps_table.addRow(row);
+    }
+    eps_table.print(out);
+    out << "\nPaper reference: lower-is-better; cactusADM/xalancbmk "
+           "degrade as epsilon shrinks, gcc/h264ref prefer larger "
+           "epsilon.\n";
+
+    // Table 2: where the "best PD (B)" column above falls.
+    out << "\n==== Table 2: distribution of optimal PDs (SPDP-B) "
+           "====\n\n";
+    const std::vector<std::pair<std::string, uint32_t>> ranges = {
+        {"16-64", 64}, {"65-128", 128}, {"129-192", 192}, {"193-256", 256}};
+    std::vector<unsigned> counts(ranges.size() + 1, 0);
+    for (const std::string &bench : SpecSuite::singleCoreNames()) {
+        const GridBest bp =
+            bestOverPdGrid(records, "fig4/" + bench + "/SPDP-B:");
+        if (!bp.result)
+            continue;
+        size_t r = 0;
+        while (r < ranges.size() && bp.pd > ranges[r].second)
+            ++r;
+        ++counts[r];
+    }
+    Table summary({"PD range", "# benchmarks"});
+    for (size_t r = 0; r < ranges.size(); ++r)
+        summary.addRow({ranges[r].first, std::to_string(counts[r])});
+    summary.addRow({">256", std::to_string(counts.back())});
+    summary.print(out);
+    out << "\nPaper reference: zero benchmarks above 256 (d_max = 256 "
+           "suffices; the grid stops there); a handful above 128 (d_max "
+           "= 128 would cost performance).\n";
 }
 
 // ---------------------------------------------------------------------------
@@ -427,10 +515,7 @@ buildFig12(const SuiteOptions &options)
 {
     std::vector<Job> jobs;
     for (unsigned cores : {4u, 16u}) {
-        MultiCoreConfig config;
-        config.cores = cores;
-        config = config.scaled(options.scale);
-        config.telemetry = telemetryConfig(options);
+        const MultiCoreConfig config = scaledMultiCoreConfig(options, cores);
         const auto workloads = randomWorkloads(kFig12Workloads, cores);
         for (unsigned w = 0; w < workloads.size(); ++w) {
             const std::string prefix = "fig12/" + std::to_string(cores) +
@@ -538,10 +623,7 @@ buildSmoke(const SuiteOptions &options)
             [pd] { return makeSpdpB(pd); }, config));
 
     // One 2-core shared-LLC job.
-    MultiCoreConfig mc;
-    mc.cores = 2;
-    mc = mc.scaled(options.scale);
-    mc.telemetry = telemetryConfig(options);
+    const MultiCoreConfig mc = scaledMultiCoreConfig(options, 2);
     const auto names = SpecSuite::multiCoreNames();
     WorkloadSpec workload;
     workload.benchmarks = {names.at(0), names.at(1)};
@@ -650,21 +732,6 @@ buildModelValidation(const SuiteOptions &options)
     return jobs;
 }
 
-/** Shared metric reader for reports over runMany/metrics records. */
-bool
-recordMetric(const RecordLookup &records, const std::string &key,
-             const char *name, double *value)
-{
-    const JobRecord *record = records.find(key);
-    if (!record || record->status == JobStatus::Failed)
-        return false;
-    const auto it = record->outcome.metrics.find(name);
-    if (it == record->outcome.metrics.end())
-        return false;
-    *value = it->second;
-    return true;
-}
-
 void
 reportModelValidation(std::ostream &out, const RecordLookup &records)
 {
@@ -684,10 +751,13 @@ reportModelValidation(std::ostream &out, const RecordLookup &records)
         std::string worst_cell = "-";
         int cells = 0;
         const auto account = [&](const std::string &cell) {
-            double err = 0.0, bar = 0.0;
-            if (!recordMetric(records, prefix + cell, "abs_err", &err))
+            const std::optional<double> abs_err =
+                records.metric(prefix + cell, "abs_err");
+            if (!abs_err)
                 return;
-            recordMetric(records, prefix + cell, "err_bar", &bar);
+            const double err = *abs_err;
+            const double bar =
+                records.metric(prefix + cell, "err_bar").value_or(0.0);
             ++cells;
             errs.add(err);
             all_err.add(err);
@@ -705,19 +775,18 @@ reportModelValidation(std::ostream &out, const RecordLookup &records)
             account("SPDP-NB:" + std::to_string(pd));
             account("SPDP-B:" + std::to_string(pd));
         }
-        double lru_err = 0.0;
-        const bool have_lru =
-            recordMetric(records, prefix + "LRU", "abs_err", &lru_err);
-        if (have_lru)
-            all_err.add(lru_err);
-        if (cells == 0 && !have_lru) {
+        const std::optional<double> lru_err =
+            records.metric(prefix + "LRU", "abs_err");
+        if (lru_err)
+            all_err.add(*lru_err);
+        if (cells == 0 && !lru_err) {
             out << "(skipping " << bench << ": no records)\n";
             continue;
         }
         table.addRow({bench, std::to_string(cells),
                       Table::num(errs.mean(), 3), Table::num(worst, 3),
                       worst_cell, Table::num(worst_bar, 3),
-                      have_lru ? Table::num(lru_err, 3) : "-"});
+                      lru_err ? Table::num(*lru_err, 3) : "-"});
     }
     table.print(out);
 
@@ -941,10 +1010,8 @@ reportExplore(std::ostream &out, const RecordLookup &records)
                               "n/a", std::to_string(simulated)});
                 continue;
             }
-            double pred_pd = 0.0;
-            const bool have_pred = recordMetric(
-                records, prefix + "model",
-                byp ? "pred_best_pd_b" : "pred_best_pd_nb", &pred_pd);
+            const std::optional<double> pred_pd = records.metric(
+                prefix + "model", byp ? "pred_best_pd_b" : "pred_best_pd_nb");
             const double hit = best.result->llcAccesses
                 ? static_cast<double>(best.result->llcHits) /
                     best.result->llcAccesses
@@ -952,9 +1019,8 @@ reportExplore(std::ostream &out, const RecordLookup &records)
             table.addRow(
                 {byp ? "" : bench, family_label, std::to_string(best.pd),
                  Table::num(hit, 3),
-                 have_pred
-                     ? std::to_string(static_cast<uint32_t>(pred_pd))
-                     : "-",
+                 pred_pd ? std::to_string(static_cast<uint32_t>(*pred_pd))
+                         : "-",
                  std::to_string(simulated)});
         }
     }
@@ -1537,16 +1603,8 @@ reportHotpath(std::ostream &out, const RecordLookup &records)
 {
     out << "==== hotpath: cache-substrate throughput ====\n\n";
 
-    const auto metric = [&](const std::string &key, const char *name,
-                            double *value) {
-        const JobRecord *record = records.find(key);
-        if (!record || record->status == JobStatus::Failed)
-            return false;
-        const auto it = record->outcome.metrics.find(name);
-        if (it == record->outcome.metrics.end())
-            return false;
-        *value = it->second;
-        return true;
+    const auto metric = [&](const std::string &key, const char *name) {
+        return records.metric(key, name).value_or(0.0);
     };
 
     Table table({"configuration", "Macc/s", "hit rate", "vs AoS"});
@@ -1559,57 +1617,56 @@ reportHotpath(std::ostream &out, const RecordLookup &records)
     keys.push_back("hotpath/sweep/SPDP-B-grid");
     keys.push_back("hotpath/explore/SPDP-grid");
     for (const std::string &key : keys) {
-        double aps = 0.0, hit_rate = 0.0, vs_aos = 0.0;
-        if (!metric(key, "accesses_per_sec", &aps)) {
+        const std::optional<double> aps =
+            records.metric(key, "accesses_per_sec");
+        if (!aps) {
             table.addRow({key, "n/a", "n/a", "n/a"});
             continue;
         }
-        metric(key, "hit_rate", &hit_rate);
         // vs_aos is the job's own paired-median ratio (rates measured
         // in different jobs are not comparable on a noisy machine); the
         // shared-LLC and AoS-anchor jobs have no paired twin.
-        const bool paired = metric(key, "vs_aos", &vs_aos) && vs_aos > 0;
-        table.addRow({key, Table::num(aps / 1e6, 2), Table::upct(hit_rate),
-                      paired ? Table::num(vs_aos, 2) + "x" : "-"});
+        const double vs_aos = metric(key, "vs_aos");
+        table.addRow({key, Table::num(*aps / 1e6, 2),
+                      Table::upct(metric(key, "hit_rate")),
+                      vs_aos > 0 ? Table::num(vs_aos, 2) + "x" : "-"});
     }
     table.print(out);
 
-    double idle = 0.0, compiled = 0.0;
-    if (metric("hotpath/llc/LRU-telemetry-idle", "telemetry_idle_ratio",
-               &idle)) {
-        metric("hotpath/llc/LRU-telemetry-idle", "telemetry_compiled",
-               &compiled);
+    const std::string idle_key = "hotpath/llc/LRU-telemetry-idle";
+    if (const auto idle = records.metric(idle_key, "telemetry_idle_ratio")) {
         out << "\ntelemetry idle overhead: plain/instrumented = "
-            << Table::num(idle, 3) << "x (1.00 = free; telemetry "
-            << (compiled > 0 ? "compiled in" : "compiled out") << ")\n";
+            << Table::num(*idle, 3) << "x (1.00 = free; telemetry "
+            << (metric(idle_key, "telemetry_compiled") > 0 ? "compiled in"
+                                                           : "compiled out")
+            << ")\n";
     }
 
-    double sweep = 0.0;
-    if (metric("hotpath/sweep/SPDP-B-grid", "sweep_speedup", &sweep)) {
-        double lanes = 0.0;
-        metric("hotpath/sweep/SPDP-B-grid", "sweep_threads", &lanes);
+    const std::string sweep_key = "hotpath/sweep/SPDP-B-grid";
+    if (const auto sweep = records.metric(sweep_key, "sweep_speedup")) {
         out << "lockstep 19-point SPDP-B sweep vs independent runs: "
-            << Table::num(sweep, 2) << "x on "
-            << static_cast<unsigned>(lanes) << " lane worker(s)\n";
+            << Table::num(*sweep, 2) << "x on "
+            << static_cast<unsigned>(metric(sweep_key, "sweep_threads"))
+            << " lane worker(s)\n";
     }
-    double explore = 0.0;
-    if (metric("hotpath/explore/SPDP-grid", "explore_speedup", &explore)) {
-        double cells = 0.0, simmed = 0.0, lanes = 0.0;
-        metric("hotpath/explore/SPDP-grid", "explore_cells", &cells);
-        metric("hotpath/explore/SPDP-grid", "explore_simulated", &simmed);
-        metric("hotpath/explore/SPDP-grid", "explore_threads", &lanes);
+    const std::string explore_key = "hotpath/explore/SPDP-grid";
+    if (const auto explore = records.metric(explore_key, "explore_speedup")) {
         out << "model-pruned explore vs exhaustive "
-            << static_cast<unsigned>(cells) << "-cell grid: "
-            << Table::num(explore, 2) << "x ("
-            << static_cast<unsigned>(simmed) << " cells simulated, "
-            << static_cast<unsigned>(lanes) << " lane worker(s))\n";
+            << static_cast<unsigned>(metric(explore_key, "explore_cells"))
+            << "-cell grid: " << Table::num(*explore, 2) << "x ("
+            << static_cast<unsigned>(
+                   metric(explore_key, "explore_simulated"))
+            << " cells simulated, "
+            << static_cast<unsigned>(metric(explore_key, "explore_threads"))
+            << " lane worker(s))\n";
     }
 
     out << "\nAoS = the frozen pre-SoA substrate (reference_cache.h); "
            "vs AoS = median of interleaved paired segments inside each "
            "job.\ntools/check_perf.py enforces LRU >= 2.00x, the "
-           "lockstep sweep >= 4.00x (when >= 4 lane workers ran) and "
-           "the committed-baseline regression bar in CI.\n";
+           "lockstep sweep >= 4.00x and the explore >= 10.00x (each "
+           "when >= 4 lane workers ran), telemetry idle >= 0.98 and the "
+           "committed-baseline regression bar in CI.\n";
 }
 
 // ---------------------------------------------------------------------------
@@ -1742,36 +1799,46 @@ reportService(std::ostream &out, const RecordLookup &lookup)
 const std::vector<Suite> &
 allSuites()
 {
-    static const std::vector<Suite> suites = {
-        {"fig10_single_core",
-         "Fig. 10: single-core replacement/bypass policies vs DIP",
-         buildFig10, reportFig10},
-        {"fig4_static_pdp",
-         "Fig. 4: best-eps DRRIP vs static PDP (64+-point PD grids)",
-         buildFig4, reportFig4},
-        {"fig12_partitioning",
-         "Fig. 12: 4-/16-core shared-cache partitioning vs TA-DRRIP",
-         buildFig12, reportFig12},
-        {"hotpath",
-         "cache-substrate throughput (SoA vs frozen AoS reference)",
-         buildHotpath, reportHotpath},
-        // No figure report: the generic per-job table from runSuite()
-        // is the whole story for a sanity grid.
-        {"smoke", "small single-/multi-core grid for CI smoke runs",
-         buildSmoke, nullptr},
-        {"service",
-         "multi-tenant cache-service mode: open-loop tenants, churn, "
-         "per-tenant SLOs",
-         buildService, reportService},
-        {"model_validation",
-         "analytic estimator vs simulator: per-point |pred - sim| over "
-         "the single-core workload set",
-         buildModelValidation, reportModelValidation},
-        {"explore",
-         "static-PD design space: exhaustive grid, or model-pruned "
-         "top-K contenders with --explore",
-         buildExplore, reportExplore},
-    };
+    static const std::vector<Suite> suites = [] {
+        std::vector<Suite> all = {
+            {"fig10_single_core",
+             "Fig. 10: single-core replacement/bypass policies vs DIP",
+             buildFig10, reportFig10},
+            {"fig4_static_pdp",
+             "Fig. 4 (+ Fig. 2, Table 2): best-eps DRRIP vs static PDP "
+             "(64+-point PD grids)",
+             buildFig4, reportFig4},
+            {"fig12_partitioning",
+             "Fig. 12: 4-/16-core shared-cache partitioning vs TA-DRRIP",
+             buildFig12, reportFig12},
+        };
+        for (Suite &suite : figureSuites())
+            all.push_back(std::move(suite));
+        all.insert(
+            all.end(),
+            {
+                {"hotpath",
+                 "cache-substrate throughput (SoA vs frozen AoS reference)",
+                 buildHotpath, reportHotpath},
+                // No figure report: the generic per-job table from
+                // runSuite() is the whole story for a sanity grid.
+                {"smoke", "small single-/multi-core grid for CI smoke runs",
+                 buildSmoke, nullptr},
+                {"service",
+                 "multi-tenant cache-service mode: open-loop tenants, "
+                 "churn, per-tenant SLOs",
+                 buildService, reportService},
+                {"model_validation",
+                 "analytic estimator vs simulator: per-point |pred - sim| "
+                 "over the single-core workload set",
+                 buildModelValidation, reportModelValidation},
+                {"explore",
+                 "static-PD design space: exhaustive grid, or model-pruned "
+                 "top-K contenders with --explore",
+                 buildExplore, reportExplore},
+            });
+        return all;
+    }();
     return suites;
 }
 

@@ -10,9 +10,10 @@
  * the figure's text tables — identical output no matter how many workers
  * ran the grid.
  *
- * The bench binaries (bench/bench_fig10_single_core.cpp, ...) are thin
- * mains over runSuite(); tools/run_experiments lists/filters/runs suites
- * by name.
+ * Every paper artifact is a suite: suites.cc holds Figs. 4 (with Fig. 2
+ * and Table 2), 10 and 12 and the non-figure suites, figure_suites.cc
+ * the rest.  tools/run_experiments lists/filters/runs suites by name,
+ * and its flags are their only configuration.
  */
 
 #ifndef PDP_RUNNER_SUITES_H
@@ -22,6 +23,7 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,16 +35,16 @@ namespace pdp
 namespace runner
 {
 
-/** Knobs of one suite run (usually parsed from env/CLI by the caller). */
+/** Knobs of one suite run (run_experiments parses them from its flags). */
 struct SuiteOptions
 {
-    /** Run-length multiplier (PDP_BENCH_SCALE). */
+    /** Run-length multiplier (--scale). */
     double scale = 1.0;
-    /** Worker threads; 0 = hardware concurrency (PDP_BENCH_JOBS). */
+    /** Worker threads; 0 = hardware concurrency (--jobs). */
     unsigned workers = 0;
-    /** Per-job progress lines on stderr (PDP_BENCH_VERBOSE). */
+    /** Per-job progress lines on stderr (--verbose). */
     bool verbose = false;
-    /** JSON output directory; "" = PDP_BENCH_JSON / cwd default,
+    /** JSON output directory (--json); "" = the current directory,
      *  "none" disables. */
     std::string jsonDir;
     /** Substring filter on job keys; non-empty runs a partial grid and
@@ -107,6 +109,11 @@ class RecordLookup
     /** The service-mode result for `key` under the same rules. */
     const ServiceResult *service(const std::string &key) const;
 
+    /** Scalar metric `name` of the record for `key`; empty when the
+     *  record is absent, failed or lacks the metric. */
+    std::optional<double> metric(const std::string &key,
+                                 const std::string &name) const;
+
     /** All record keys, sorted (reports that derive their grid from the
      *  executed keys, e.g. the option-parameterized service suite). */
     std::vector<std::string> keys() const;
@@ -124,10 +131,15 @@ struct Suite
     std::function<void(std::ostream &, const RecordLookup &)> report;
 };
 
-/** Registry of all suites (fig10_single_core, fig4_static_pdp,
- *  fig12_partitioning, hotpath, smoke, service, model_validation,
- *  explore). */
+/** Registry of all suites: the paper's figures first (fig10_single_core,
+ *  fig4_static_pdp, fig12_partitioning, then figureSuites()), then
+ *  hotpath, smoke, service, model_validation and explore. */
 const std::vector<Suite> &allSuites();
+
+/** The figure suites defined in figure_suites.cc (fig1_rdd,
+ *  fig5a_occupancy, fig6_model, fig9_params, fig11_phases, prefetch,
+ *  hardware), in registry order. */
+std::vector<Suite> figureSuites();
 
 /** Lookup by name; nullptr when unknown. */
 const Suite *findSuite(const std::string &name);
@@ -146,6 +158,16 @@ int runSuite(const Suite &suite, const SuiteOptions &options,
  *  share a decode folded into one lockstep sweep keyed
  *  "<first key>..<last key>" (DESIGN.md "Lockstep sweeps"). */
 std::vector<Job> selectJobs(const Suite &suite, const SuiteOptions &options);
+
+/**
+ * The single-core config of `accesses` measured + `warmup` accesses at
+ * options.scale, with the run's telemetry knobs.  Throws CheckFailure
+ * when the scale leaves no measured access, so a suite refuses to build
+ * a grid of empty runs.
+ */
+SimConfig scaledConfig(const SuiteOptions &options,
+                       uint64_t accesses = 3'000'000,
+                       uint64_t warmup = 1'000'000);
 
 /**
  * A single-core simulation job: constructs generator (seeded with

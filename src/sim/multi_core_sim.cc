@@ -4,6 +4,7 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "check/check.h"
 #include "check/invariant_auditor.h"
 #include "partition/pdp_partition.h"
 #include "partition/pipp.h"
@@ -75,6 +76,10 @@ MultiCoreResult
 runMultiCore(const WorkloadSpec &workload, const std::string &policy_spec,
              const MultiCoreConfig &config)
 {
+    // A thread retires when its measured count reaches the budget, so a
+    // zero budget would never end the measured phase.
+    PDP_CHECK(config.accessesPerThread > 0,
+              "runMultiCore needs at least one measured access per thread");
     const unsigned cores = static_cast<unsigned>(workload.benchmarks.size());
 
     HierarchyConfig hcfg;

@@ -41,10 +41,13 @@ size_t fewestMisses(const std::vector<const SimResult *> &results);
  * @param bypass true for SPDP-B, false for SPDP-NB
  * @param config run configuration
  * @param grid PD candidates (defaultPdGrid() if empty)
+ * @param seed generator seed (1 = SpecSuite::make's default)
+ * @param threads lane threads (0 = every hardware thread)
  */
 StaticPdResult bestStaticPd(const std::string &benchmark, bool bypass,
                             const SimConfig &config,
-                            std::vector<uint32_t> grid = {});
+                            std::vector<uint32_t> grid = {},
+                            uint64_t seed = 1, unsigned threads = 0);
 
 } // namespace pdp
 

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -21,6 +22,7 @@
 #include "runner/results_sink.h"
 #include "runner/suites.h"
 #include "runner/thread_pool.h"
+#include "trace/spec_suite.h"
 
 using namespace pdp;
 using namespace pdp::runner;
@@ -371,23 +373,30 @@ TEST(ResultsSink, WriteFileAndEnvKnob)
 
 TEST(Suites, RegistryHasThePortedFiguresAndUniqueJobKeys)
 {
-    for (const char *name :
-         {"fig10_single_core", "fig4_static_pdp", "fig12_partitioning",
-          "smoke"}) {
-        const Suite *suite = findSuite(name);
-        ASSERT_NE(suite, nullptr) << name;
+    std::set<std::string> names;
+    for (const Suite &suite : allSuites()) {
+        EXPECT_TRUE(names.insert(suite.name).second)
+            << "duplicate suite " << suite.name;
+        EXPECT_EQ(findSuite(suite.name), &suite);
         SuiteOptions options;
         options.scale = 0.01;
-        const auto jobs = suite->buildJobs(options);
-        EXPECT_FALSE(jobs.empty()) << name;
+        const auto jobs = suite.buildJobs(options);
+        EXPECT_FALSE(jobs.empty()) << suite.name;
         std::set<std::string> keys;
         for (const Job &job : jobs) {
             EXPECT_TRUE(keys.insert(job.key).second)
-                << name << ": duplicate key " << job.key;
+                << suite.name << ": duplicate key " << job.key;
             EXPECT_NE(job.seed, 0u) << job.key;
-            EXPECT_TRUE(job.run != nullptr) << job.key;
+            EXPECT_NE(job.run == nullptr, job.runMany == nullptr)
+                << job.key << ": exactly one of run/runMany";
         }
     }
+    // Every artifact of the paper's evaluation has a suite.
+    for (const char *name :
+         {"fig1_rdd", "fig4_static_pdp", "fig5a_occupancy", "fig6_model",
+          "fig9_params", "fig10_single_core", "fig11_phases",
+          "fig12_partitioning", "prefetch", "hardware"})
+        EXPECT_TRUE(names.count(name)) << name;
     EXPECT_EQ(findSuite("no_such_suite"), nullptr);
 }
 
@@ -629,4 +638,205 @@ TEST(Suites, FilteredRunExecutesSubsetWithGenericReport)
     EXPECT_EQ(runSuite(*suite, options, out), 0);
     EXPECT_NE(out.str().find("filtered"), std::string::npos);
     EXPECT_NE(out.str().find("fig10/450.soplex/DIP"), std::string::npos);
+}
+
+namespace
+{
+
+/** The whitespace-separated fields of the first line of `text` after
+ *  `heading` that starts with `first`; empty when there is none. */
+std::vector<std::string>
+rowAfter(const std::string &text, const std::string &heading,
+         const std::string &first)
+{
+    const size_t at = text.find(heading);
+    if (at == std::string::npos)
+        return {};
+    std::istringstream lines(text.substr(at));
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (line.rfind(first, 0) != 0)
+            continue;
+        std::istringstream fields(line);
+        std::vector<std::string> row;
+        for (std::string field; fields >> field;)
+            row.push_back(field);
+        return row;
+    }
+    return {};
+}
+
+} // namespace
+
+TEST(Suites, Fig4ReportRendersFig2AndTable2FromItsRecords)
+{
+    const Suite *suite = findSuite("fig4_static_pdp");
+    ASSERT_NE(suite, nullptr);
+    SuiteOptions options;
+    options.scale = 0.01;
+    // Synthetic records: DRRIP's MPKI is its epsilon's denominator, and
+    // both static-PD grids have their fewest misses at PD 72.
+    std::vector<JobRecord> records;
+    for (const Job &job : suite->buildJobs(options)) {
+        JobRecord record;
+        record.key = job.key;
+        record.seed = job.seed;
+        record.status = JobStatus::Ok;
+        const std::string cell = job.key.substr(job.key.rfind('/') + 1);
+        const unsigned value =
+            static_cast<unsigned>(std::stoul(cell.substr(cell.find(':') + 1)));
+        SimResult result;
+        if (cell.rfind("DRRIP-eps:", 0) == 0) {
+            result.mpki = value;
+            result.llcMisses = 1000;
+        } else {
+            result.llcMisses = 1000 + (value > 72 ? value - 72 : 72 - value);
+        }
+        record.outcome.single = result;
+        records.push_back(record);
+    }
+    std::ostringstream out;
+    suite->report(out, RecordLookup(records));
+    const std::string text = out.str();
+
+    // Fig. 2: fig4's epsilon sweep normalized to 1/32, nothing past 1/128.
+    EXPECT_EQ(rowAfter(text, "==== Fig. 2:", "benchmark"),
+              (std::vector<std::string>{"benchmark", "1/4", "1/8", "1/16",
+                                        "1/32", "1/64", "1/128"}))
+        << text;
+    for (const char *bench :
+         {"403.gcc", "436.cactusADM", "464.h264ref", "483.xalancbmk.3"})
+        EXPECT_EQ(rowAfter(text, "==== Fig. 2:", bench),
+                  (std::vector<std::string>{bench, "0.125", "0.250", "0.500",
+                                            "1.000", "2.000", "4.000"}))
+            << text;
+
+    // Table 2: every benchmark's best SPDP-B PD (72) lies in 65-128.
+    const std::string all =
+        std::to_string(SpecSuite::singleCoreNames().size());
+    EXPECT_EQ(rowAfter(text, "==== Table 2:", "65-128"),
+              (std::vector<std::string>{"65-128", all}))
+        << text;
+    for (const char *range : {"16-64", "129-192", "193-256", ">256"})
+        EXPECT_EQ(rowAfter(text, "==== Table 2:", range),
+                  (std::vector<std::string>{range, "0"}))
+            << text;
+}
+
+namespace
+{
+
+/** A figure suite and a heading its report prints. */
+struct FigureSuiteCase
+{
+    const char *name;
+    const char *heading;
+};
+
+/** Print a case as its suite name, so test names stay stable. */
+void
+PrintTo(const FigureSuiteCase &c, std::ostream *out)
+{
+    *out << c.name;
+}
+
+class FigureSuiteTest : public ::testing::TestWithParam<FigureSuiteCase>
+{
+};
+
+std::string
+fileText(const std::filesystem::path &path)
+{
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+} // namespace
+
+TEST_P(FigureSuiteTest, RunsOkAndIsByteIdenticalAcrossWorkerCounts)
+{
+    namespace fs = std::filesystem;
+    const FigureSuiteCase &c = GetParam();
+    const Suite *suite = findSuite(c.name);
+    ASSERT_NE(suite, nullptr);
+    const fs::path root =
+        fs::path(::testing::TempDir()) / ("figure_suite_" + suite->name);
+    std::vector<std::string> dumps;
+    for (unsigned workers : {1u, 4u}) {
+        const fs::path dir = root / ("j" + std::to_string(workers));
+        fs::create_directories(dir);
+        SuiteOptions options;
+        options.scale = 0.01;
+        options.workers = workers;
+        options.jsonDir = dir.string();
+        options.deterministicJson = true;
+        std::ostringstream out;
+        // 0 = every record Ok and the BENCH file written.
+        EXPECT_EQ(runSuite(*suite, options, out), 0) << out.str();
+        EXPECT_NE(out.str().find(c.heading), std::string::npos) << out.str();
+        dumps.push_back(fileText(dir / ("BENCH_" + suite->name + ".json")));
+    }
+    fs::remove_all(root);
+    EXPECT_FALSE(dumps[0].empty());
+    EXPECT_EQ(dumps[0], dumps[1]);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFigureSuites, FigureSuiteTest,
+    ::testing::Values(
+        FigureSuiteCase{"fig1_rdd", "==== Fig. 5b: RDDs"},
+        FigureSuiteCase{"fig5a_occupancy", "==== Fig. 5a: access"},
+        FigureSuiteCase{"fig6_model", "==== Fig. 6: E(d_p)"},
+        FigureSuiteCase{"fig9_params", "==== Fig. 9: PDP parameter"},
+        FigureSuiteCase{"fig11_phases", "==== Fig. 11c: PDP-8's PD"},
+        FigureSuiteCase{"prefetch", "==== Sec. 6.5: prefetch-aware"},
+        FigureSuiteCase{"hardware", "==== Sec. 6.2: storage overhead"}),
+    [](const ::testing::TestParamInfo<FigureSuiteCase> &info) {
+        return std::string(info.param.name);
+    });
+
+namespace
+{
+
+/** The report of `suite` at `scale` on 4 workers, with no JSON. */
+std::string
+suiteReport(const std::string &suite, double scale)
+{
+    SuiteOptions options;
+    options.scale = scale;
+    options.workers = 4;
+    options.jsonDir = "none";
+    std::ostringstream out;
+    EXPECT_EQ(runSuite(*findSuite(suite), options, out), 0) << out.str();
+    return out.str();
+}
+
+} // namespace
+
+TEST(Suites, Fig11SaysWhenTooFewPdRecomputesForFig11c)
+{
+    // At this scale no phased benchmark recomputes its PD three times,
+    // so Fig. 11c prints the count and a note, not a one-point series.
+    const std::string text = suiteReport("fig11_phases", 0.01);
+    for (const std::string &bench : SpecSuite::phasedNames()) {
+        const size_t at = text.find(bench + " (", text.find("Fig. 11c"));
+        ASSERT_NE(at, std::string::npos) << text;
+        EXPECT_NE(text.substr(at, text.find('\n', at) - at)
+                      .find("run too short for Fig. 11c"),
+                  std::string::npos)
+            << text;
+    }
+}
+
+TEST(Suites, PrefetchSaysWhenUnawarePdpFilledNoPrefetch)
+{
+    // At this scale unaware PDP-8 bypasses every prefetch on most
+    // benchmarks, so pf-bypass cannot differ from it there.
+    const std::string text = suiteReport("prefetch", 0.05);
+    EXPECT_NE(text.find("LLC prefetch fills"), std::string::npos) << text;
+    EXPECT_NE(text.find("note: unaware PDP-8 filled no LLC prefetch on"),
+              std::string::npos)
+        << text;
 }

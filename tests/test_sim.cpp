@@ -168,6 +168,19 @@ TEST(MultiCoreSim, WorkloadRunIsDeterministic)
     EXPECT_DOUBLE_EQ(a.throughput, b.throughput);
 }
 
+TEST(MultiCoreSim, RejectsAZeroLengthRun)
+{
+    // Threads retire only when their measured count reaches the budget,
+    // so a zero budget would spin forever instead of returning.
+    WorkloadSpec spec;
+    spec.benchmarks = {"403.gcc", "456.hmmer"};
+    MultiCoreConfig config;
+    config.cores = 2;
+    config.accessesPerThread = 0;
+    config.warmupPerThread = 100;
+    EXPECT_THROW(runMultiCore(spec, "LRU", config), CheckFailure);
+}
+
 TEST(StreamPrefetcher, DetectsAscendingStream)
 {
     StreamPrefetcher prefetcher;

@@ -1,7 +1,10 @@
 /**
  * @file
  * run_experiments — list, filter and run named experiment suites on the
- * parallel experiment runner (src/runner/).
+ * parallel experiment runner (src/runner/).  Every paper figure, table
+ * and section of the evaluation is a suite (--list names them), and the
+ * flags below are the only configuration: no environment variable is
+ * read.
  *
  * Usage:
  *   run_experiments --list
@@ -48,12 +51,16 @@
  * byte-compare across worker counts (CI's service-smoke identity
  * check).
  *
- * Defaults come from the same environment knobs the bench binaries use:
- * PDP_BENCH_SCALE, PDP_BENCH_JOBS, PDP_BENCH_VERBOSE, PDP_BENCH_JSON.
+ * --scale multiplies every run length (default 1; at most 1e9).  --jobs
+ * defaults to every hardware thread, and results are bit-identical for
+ * any value.  --json DIR writes BENCH_<suite>.json into DIR (default the
+ * current directory; `none` disables).
+ *
  * Exit code is the number of jobs that did not finish Ok plus the
  * number of result files that could not be written (2 for usage errors,
- * including an output directory that does not exist and a filter that
- * leaves a suite with no job), so CI can gate on it.
+ * including an output directory that does not exist, a filter that
+ * leaves a suite with no job and a --scale that leaves a suite's runs
+ * no measured access), so CI can gate on it.
  */
 
 #include <cstdio>
@@ -63,7 +70,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.h"
 #include "check/check.h"
 #include "runner/results_sink.h"
 #include "runner/suites.h"
@@ -109,8 +115,9 @@ printUsage(std::FILE *to)
                  "population; --deterministic-json writes the BENCH json\n"
                  "in the volatile-free (byte-comparable) form.\n"
                  "\n"
-                 "Environment defaults: PDP_BENCH_SCALE, PDP_BENCH_JOBS,\n"
-                 "PDP_BENCH_VERBOSE, PDP_BENCH_JSON.\n");
+                 "--scale X multiplies run lengths (default 1, at most\n"
+                 "1e9); --jobs N defaults to every hardware thread;\n"
+                 "--json DIR defaults to the current directory.\n");
 }
 
 void
@@ -128,9 +135,6 @@ int
 main(int argc, char **argv)
 {
     pdp::runner::SuiteOptions options;
-    options.scale = pdpbench::benchScale();
-    options.workers = pdpbench::benchJobs();
-    options.verbose = pdpbench::benchVerbose();
 
     std::vector<std::string> suites;
     bool list = false;
@@ -196,10 +200,13 @@ main(int argc, char **argv)
             }
             options.exploreTopK = static_cast<unsigned>(*topk);
         } else if (arg == "--scale") {
+            // !(scale > 0) also rejects NaN; past 1e9 the scaled run
+            // lengths overflow uint64_t.
             const auto scale = pdp::parseDouble(needValue(i));
-            if (!scale || !(*scale > 0)) {
+            if (!scale || !(*scale > 0) || *scale > 1e9) {
                 std::fprintf(stderr,
-                             "--scale wants a positive number, got \"%s\"\n",
+                             "--scale wants a positive number up to 1e9, "
+                             "got \"%s\"\n",
                              argv[i]);
                 return 2;
             }
@@ -291,17 +298,18 @@ main(int argc, char **argv)
     std::error_code ec;
     if (!outDir.empty() && !std::filesystem::is_directory(outDir, ec)) {
         std::fprintf(stderr,
-                     "output directory \"%s\" (--json, --telemetry=DIR or "
-                     "PDP_BENCH_JSON) is not an existing directory; create "
-                     "it or pass --json none\n",
+                     "output directory \"%s\" (--json or --telemetry=DIR) "
+                     "is not an existing directory; create it or pass "
+                     "--json none\n",
                      outDir.c_str());
         return 2;
     }
 
     // Resolve every suite and its filtered grid before any job runs: a
-    // grid the options cannot build (a --scale that leaves the service
-    // churn script no accesses) or a filter that selects nothing is a
-    // usage error, not an abort or an empty run.
+    // grid the options cannot build (a --scale that leaves a run no
+    // measured access, or the service churn script no accesses) or a
+    // filter that selects nothing is a usage error, not an abort, a hang
+    // or an empty run.
     std::vector<const pdp::runner::Suite *> resolved;
     for (const std::string &name : suites) {
         const pdp::runner::Suite *suite = pdp::runner::findSuite(name);
