@@ -25,6 +25,11 @@ main(int argc, char **argv)
         ? static_cast<unsigned>(std::atoi(argv[1])) : 4;
     const unsigned index = argc > 2
         ? static_cast<unsigned>(std::atoi(argv[2])) : 0;
+    if (cores < 1 || cores > CacheStats::kMaxThreads) {
+        std::cerr << "cores must be in [1, " << CacheStats::kMaxThreads
+                  << "]\n";
+        return EXIT_FAILURE;
+    }
 
     const auto workloads = randomWorkloads(index + 1, cores);
     const WorkloadSpec &workload = workloads[index];

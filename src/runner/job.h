@@ -24,6 +24,13 @@
  * access stream.  Because seeds are a pure function of the job and all
  * simulator state is job-local, results are bit-identical no matter how
  * many workers run the grid or in which order jobs complete.
+ *
+ * Multi-core cells: a multiCoreJob records its workload, shared-policy
+ * spec and MultiCoreConfig in Job::cell, as a singleCoreJob records its
+ * benchmark, policy factory and SimConfig, so runner::selectJobs folds a
+ * mix's adjacent policies into one lockstep sweep.  Its seed is
+ * seedFor(workload label), but instantiate(workload) seeds its
+ * generators (a fixed seed per core), not Job::seed.
  */
 
 #ifndef PDP_RUNNER_JOB_H
@@ -35,6 +42,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "hw/perf_counters.h"
@@ -126,6 +134,17 @@ struct SingleCoreCell
     SimConfig config;
 };
 
+/** One multi-core simulation cell (runner::multiCoreJob). */
+struct MultiCoreCell
+{
+    WorkloadSpec workload;
+    std::string policy;
+    MultiCoreConfig config;
+};
+
+/** What a simulation job's `run` simulates. */
+using SimCell = std::variant<SingleCoreCell, MultiCoreCell>;
+
 /** One schedulable unit of an experiment. */
 struct Job
 {
@@ -148,9 +167,9 @@ struct Job
      *  so downstream consumers (sinks, reports) can't tell a fanned-out
      *  job from the equivalent independent jobs. */
     std::function<std::vector<KeyedOutcome>(const JobContext &)> runMany;
-    /** What a single-core `run` simulates, for runner::selectJobs to
+    /** What a simulation `run` simulates, for runner::selectJobs to
      *  fold into a lockstep sweep; empty for every other job. */
-    std::optional<SingleCoreCell> cell;
+    std::optional<SimCell> cell;
 };
 
 /** Outcome + bookkeeping of one executed job. */

@@ -6,6 +6,8 @@
 #include <optional>
 #include <ostream>
 #include <thread>
+#include <type_traits>
+#include <variant>
 
 #include "cache/hierarchy.h"
 #include "check/flight_recorder.h"
@@ -102,15 +104,15 @@ singleCoreJob(std::string key, std::string benchmark, PolicyFactory makePol,
     Job job;
     job.key = std::move(key);
     job.seed = seedFor(benchmark);
-    job.cell = SingleCoreCell{std::move(benchmark), std::move(makePol),
-                              config};
-    job.run = [cell = *job.cell](const JobContext &ctx) {
+    SingleCoreCell cell{std::move(benchmark), std::move(makePol), config};
+    job.run = [cell](const JobContext &ctx) {
         auto gen = SpecSuite::make(cell.benchmark, ctx.seed);
         Hierarchy hierarchy = makeHierarchy(cell.config, cell.makePolicy());
         JobOutcome outcome;
         outcome.single = runSingleCore(*gen, hierarchy, cell.config);
         return outcome;
     };
+    job.cell = std::move(cell);
     return job;
 }
 
@@ -131,13 +133,13 @@ multiCoreJob(std::string key, WorkloadSpec workload, std::string policySpec,
     Job job;
     job.key = std::move(key);
     job.seed = seedFor(workload.label());
-    job.run = [workload = std::move(workload),
-               policySpec = std::move(policySpec),
-               config](const JobContext &) {
+    MultiCoreCell cell{std::move(workload), std::move(policySpec), config};
+    job.run = [cell](const JobContext &) {
         JobOutcome outcome;
-        outcome.multi = runMultiCore(workload, policySpec, config);
+        outcome.multi = runMultiCore(cell.workload, cell.policy, cell.config);
         return outcome;
     };
+    job.cell = std::move(cell);
     return job;
 }
 
@@ -1886,18 +1888,70 @@ genericReport(std::ostream &out, const std::vector<JobRecord> &records)
     table.print(out);
 }
 
+/** Whether two cells of one kind replay one decode: same stream, same
+ *  config, and nothing observing the global access order. */
+bool
+sameDecode(const SingleCoreCell &a, const SingleCoreCell &b)
+{
+    return a.benchmark == b.benchmark && a.config == b.config &&
+        !observesGlobalOrder(a.config);
+}
+
+bool
+sameDecode(const MultiCoreCell &a, const MultiCoreCell &b)
+{
+    return a.workload == b.workload && a.config == b.config &&
+        !a.config.telemetry.enabled && a.config.auditEvery == 0;
+}
+
 /** Whether `next` may join the lockstep sweep that `first` opens. */
 bool
 sharesDecode(const Job &first, const Job &next)
 {
-    return first.cell && next.cell && first.seed == next.seed &&
-        first.cell->benchmark == next.cell->benchmark &&
-        first.cell->config == next.cell->config &&
-        !observesGlobalOrder(first.cell->config);
+    if (!first.cell || !next.cell || first.seed != next.seed ||
+        first.cell->index() != next.cell->index())
+        return false;
+    return std::visit(
+        [&next](const auto &a) {
+            return sameDecode(a, std::get<std::decay_t<decltype(a)>>(
+                                     *next.cell));
+        },
+        *first.cell);
 }
 
-/** One lockstep sweep over the single-core cells jobs[begin, end), with
- *  one soft `timeout` budget per cell. */
+/** The results of `cells`, which share one decode, from one lockstep
+ *  sweep, under their `keys`, in cell order. */
+std::vector<KeyedOutcome>
+runSweep(const std::vector<std::string> &keys,
+         const std::vector<SimCell> &cells, const JobContext &ctx)
+{
+    std::vector<KeyedOutcome> outcomes(cells.size());
+    for (size_t c = 0; c < cells.size(); ++c)
+        outcomes[c].key = keys[c];
+    if (const auto *first = std::get_if<SingleCoreCell>(&cells[0])) {
+        std::vector<PolicyFactory> factories;
+        for (const SimCell &cell : cells)
+            factories.push_back(std::get<SingleCoreCell>(cell).makePolicy);
+        auto gen = SpecSuite::make(first->benchmark, ctx.seed);
+        std::vector<SimResult> results = runSingleCoreLockstep(
+            *gen, first->config, factories, ctx.laneThreads);
+        for (size_t c = 0; c < cells.size(); ++c)
+            outcomes[c].outcome.single = std::move(results[c]);
+    } else {
+        const MultiCoreCell &mix = std::get<MultiCoreCell>(cells[0]);
+        std::vector<std::string> policies;
+        for (const SimCell &cell : cells)
+            policies.push_back(std::get<MultiCoreCell>(cell).policy);
+        std::vector<MultiCoreResult> results = runMultiCoreLockstep(
+            mix.workload, policies, mix.config, ctx.laneThreads);
+        for (size_t c = 0; c < cells.size(); ++c)
+            outcomes[c].outcome.multi = std::move(results[c]);
+    }
+    return outcomes;
+}
+
+/** One lockstep sweep over the cells jobs[begin, end), with one soft
+ *  `timeout` budget per cell. */
 Job
 sweepJob(const std::vector<Job> &jobs, size_t begin, size_t end,
          double timeout)
@@ -1907,22 +1961,14 @@ sweepJob(const std::vector<Job> &jobs, size_t begin, size_t end,
     job.seed = jobs[begin].seed;
     job.timeoutSeconds = timeout * (end - begin);
     std::vector<std::string> keys;
-    std::vector<PolicyFactory> factories;
+    std::vector<SimCell> cells;
     for (size_t c = begin; c < end; ++c) {
         keys.push_back(jobs[c].key);
-        factories.push_back(jobs[c].cell->makePolicy);
+        cells.push_back(*jobs[c].cell);
     }
-    job.runMany = [cell = *jobs[begin].cell, keys = std::move(keys),
-                   factories = std::move(factories)](const JobContext &ctx) {
-        auto gen = SpecSuite::make(cell.benchmark, ctx.seed);
-        const std::vector<SimResult> results = runSingleCoreLockstep(
-            *gen, cell.config, factories, ctx.laneThreads);
-        std::vector<KeyedOutcome> outcomes(results.size());
-        for (size_t c = 0; c < results.size(); ++c) {
-            outcomes[c].key = keys[c];
-            outcomes[c].outcome.single = results[c];
-        }
-        return outcomes;
+    job.runMany = [keys = std::move(keys),
+                   cells = std::move(cells)](const JobContext &ctx) {
+        return runSweep(keys, cells, ctx);
     };
     return job;
 }

@@ -154,9 +154,10 @@ int runSuite(const Suite &suite, const SuiteOptions &options,
              std::ostream &out);
 
 /** The jobs runSuite() executes: the suite's grid narrowed to the keys
- *  that contain options.filter, each run of adjacent cells that may
- *  share a decode folded into one lockstep sweep keyed
- *  "<first key>..<last key>" (DESIGN.md "Lockstep sweeps"). */
+ *  that contain options.filter, each run of adjacent single- or
+ *  multi-core cells that may share a decode folded into one lockstep
+ *  sweep keyed "<first key>..<last key>" (DESIGN.md "Lockstep
+ *  sweeps"). */
 std::vector<Job> selectJobs(const Suite &suite, const SuiteOptions &options);
 
 /**
@@ -183,7 +184,8 @@ Job singleCoreJob(std::string key, std::string benchmark,
 Job singleCoreJob(std::string key, std::string benchmark,
                   PolicyFactory makePol, const SimConfig &config);
 
-/** A multi-core workload × policy job. */
+/** A multi-core workload × policy job.  It records its cell, so
+ *  selectJobs folds adjacent policies of one mix into one sweep. */
 Job multiCoreJob(std::string key, WorkloadSpec workload,
                  std::string policySpec, const MultiCoreConfig &config);
 

@@ -8,10 +8,10 @@
 #include "cache/cache_stats.h"
 #include "check/check.h"
 #include "check/flight_recorder.h"
-#include "check/invariant_auditor.h"
 #include "partition/tenant_aware.h"
 #include "service/slo_monitor.h"
 #include "sim/multi_core_sim.h"
+#include "sim/single_core_sim.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span_tracer.h"
 #include "trace/tenant_stream.h"
@@ -140,21 +140,11 @@ runService(const std::vector<TenantSpec> &tenants,
     const uint64_t totalLines =
         static_cast<uint64_t>(llc.numSets()) * llc.numWays();
 
-    std::unique_ptr<InvariantAuditor> auditor;
-    if (config.auditEvery > 0) {
-        InvariantAuditor::Options opts;
-        opts.cadence = config.auditEvery;
-        opts.failFast = config.auditFailFast;
-        auditor = std::make_unique<InvariantAuditor>(opts);
-        auditor->watchCache(llc);
-    }
-
-    std::unique_ptr<telemetry::EpochSampler> sampler;
-    if (config.telemetry.enabled)
-        sampler = std::make_unique<telemetry::EpochSampler>(
-            config.telemetry, llc, config.accesses, config.slots);
-    telemetry::EventTrace *trace =
-        sampler ? sampler->trace() : nullptr;
+    RunObservers observers(llc, config.auditEvery, config.auditFailFast,
+                           config.telemetry, config.accesses,
+                           config.slots);
+    telemetry::EpochSampler *sampler = observers.sampler();
+    telemetry::EventTrace *trace = observers.trace();
 
     // Request-lifecycle span tracing (observability plane): spans ride
     // the event ring, so the tracer needs --trace AND a nonzero sample
@@ -510,10 +500,7 @@ runService(const std::vector<TenantSpec> &tenants,
         ts.requests = 0;
         snapshotBase(ts);
     }
-    if (auditor)
-        llc.setAuditor(auditor.get());
-    if (sampler)
-        sampler->beginMeasurement();
+    observers.beginMeasurement();
     measuring = true;
     lastQuotas = currentQuotas();
 
@@ -546,19 +533,9 @@ runService(const std::vector<TenantSpec> &tenants,
 
     const CacheStats &stats = llc.stats();
     result.aggregateHitRate = stats.hitRate();
-    if (auditor) {
-        llc.setAuditor(nullptr);
-        auditor->auditNow();
-        result.auditsRun = auditor->auditsRun();
-        result.auditViolations = auditor->totalViolations();
-    }
     if (tracer)
         result.spansSampled = tracer->sampled();
-    if (sampler) {
-        sampler->finish();
-        result.telemetry = std::make_shared<telemetry::RunTelemetry>(
-            sampler->take());
-    }
+    observers.finish(result);
     return result;
 }
 

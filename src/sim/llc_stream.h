@@ -5,19 +5,20 @@
  *
  * The load-bearing observation (DESIGN.md "Lockstep sweeps"): with no
  * prefetcher attached, the LLC's input stream is fully determined by
- * the generator and the L2 walk — the L2 is always plain LRU, so
- * nothing the LLC decides ever feeds back into which ops reach it.
- * That lets one sequential front-end decode the trace and fill the L2
+ * the generators and the L2 walk — the L2s are always plain LRU, and
+ * round-robin brings every generator to its budget in the same round,
+ * so nothing the LLC decides ever feeds back into which ops reach it.
+ * That lets one sequential front-end decode the traces and fill the L2s
  * once, emit the LLC ops (demand accesses plus dirty-L2-victim
  * writebacks, in hierarchy order) into a bounded chunk buffer, and hand
  * the chunk to the lockstep sweep, which replays it against N
  * per-config LLCs (lockstep_sweep.cc).
  *
  * Timing replays from the same buffers: each lane's LLC walk stamps
- * hit/miss into its own level slots for demand ops, and the runs of L2
- * hits between demand ops come folded into TimingSegments, so every
- * lane feeds TimingModel the exact per-access sequence the sequential
- * driver would have.
+ * hit/miss into its own level slots for demand ops, and each thread's
+ * runs of L2 hits between its demand ops come folded into
+ * TimingSegments, so every lane feeds each thread's TimingModel the
+ * exact per-access sequence the sequential driver would have.
  */
 
 #ifndef PDP_SIM_LLC_STREAM_H
@@ -26,6 +27,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cache/hierarchy.h"
@@ -71,19 +73,22 @@ struct LlcOp
  *  stay resident in the host's caches. */
 constexpr size_t kStreamChunk = size_t{1} << 15;
 
-/** One run of consecutive L2 hits preceding a demand op: summed
- *  instruction gaps plus the hit count.  L2 hits are lane-invariant
- *  (every sweep config sees the same L2), so per-lane timing replay
- *  folds each run into one TimingModel::onL2Hits call instead of
- *  walking every access — O(LLC ops) per lane, not O(accesses). */
+/** One thread's run of consecutive L2 hits preceding its next demand
+ *  op: summed instruction gaps plus the hit count.  L2 hits are
+ *  lane-invariant (every sweep config sees the same L2s), so per-lane
+ *  timing replay folds each run into one TimingModel::onL2Hits call
+ *  instead of walking every access — O(LLC ops) per lane, not
+ *  O(accesses). */
 struct TimingSegment
 {
     uint64_t gapSum = 0;
     uint32_t count = 0;
+    /** Round-robin position of the thread's generator. */
+    uint32_t thread = 0;
 };
 
 /**
- * The sequential front-end: generator + per-thread L2s, emitting chunk
+ * The sequential front-end: generators + per-thread L2s, emitting chunk
  * buffers of LLC ops.  Owns all mutable front-end state; the consumer
  * owns the LLC(s).
  */
@@ -106,23 +111,39 @@ class LlcStreamFrontEnd
         // Worst case two ops per access (demand + dirty L2 victim).
         ops_.reserve(2 * kStreamChunk);
         segments_.reserve(kStreamChunk);
+        tails_.resize(config.numThreads);
     }
 
-    /**
-     * Decode and L2-filter the next min(budget, kStreamChunk) accesses
-     * into the chunk buffers; returns how many were consumed.
-     */
+    /** fill's one-generator case. */
     size_t
     fill(AccessGenerator &gen, uint64_t budget)
     {
+        AccessGenerator *gens[] = {&gen};
+        return fill(gens, budget);
+    }
+
+    /**
+     * Decode and L2-filter the next min(rounds, kStreamChunk /
+     * gens.size()) rounds, a round being one access of every generator
+     * in order, into the chunk buffers; returns how many were consumed.
+     */
+    size_t
+    fill(std::span<AccessGenerator *const> gens, uint64_t rounds)
+    {
+        const uint32_t threads = static_cast<uint32_t>(gens.size());
         const size_t n = static_cast<size_t>(
-            std::min<uint64_t>(budget, kStreamChunk));
+            std::min<uint64_t>(rounds, kStreamChunk / threads));
         ops_.clear();
         segments_.clear();
-        TimingSegment run;
+        // tails_[t] is thread t's open run of L2 hits.
+        tails_.resize(threads);
+        for (uint32_t t = 0; t < threads; ++t)
+            tails_[t] = TimingSegment{0, 0, t};
         AccessContext ctx;
-        for (size_t i = 0; i < n; ++i) {
-            const Access access = gen.next();
+        uint32_t t = 0;
+        for (size_t i = 0; i < n * threads;
+             ++i, t = t + 1 == threads ? 0 : t + 1) {
+            const Access access = gens[t]->next();
             gaps_[i] = access.instrGap;
 
             Cache &l2 = *l2s_[access.threadId < l2s_.size()
@@ -135,6 +156,7 @@ class LlcStreamFrontEnd
             ctx.isWriteback = false;
             ctx.set = l2.setIndex(ctx.lineAddr);
             const AccessOutcome l2_out = l2.access(ctx);
+            TimingSegment &run = tails_[t];
             if (l2_out.hit) {
                 run.gapSum += gaps_[i];
                 ++run.count;
@@ -149,10 +171,10 @@ class LlcStreamFrontEnd
             op.threadId = access.threadId;
             op.isWrite = access.isWrite;
             ops_.push_back(op);
-            // The op's own gap is replayed through onAccess; the run
-            // of L2 hits before it is this op's timing segment.
+            // The op's own gap is replayed through onAccess; its
+            // thread's run of L2 hits before it is its timing segment.
             segments_.push_back(run);
-            run = TimingSegment{};
+            run = TimingSegment{0, 0, t};
 
             // Dirty L2 victim writes back into the LLC, in order.
             if (l2_out.evictedValid && l2_out.evictedDirty) {
@@ -166,7 +188,6 @@ class LlcStreamFrontEnd
                 ops_.push_back(wb);
             }
         }
-        tail_ = run;
         return n;
     }
 
@@ -175,8 +196,10 @@ class LlcStreamFrontEnd
 
     /** One TimingSegment per demand op, in op order. */
     const std::vector<TimingSegment> &segments() const { return segments_; }
-    /** L2 hits after the chunk's last demand op. */
-    const TimingSegment &tailSegment() const { return tail_; }
+    /** Generator 0's L2 hits after its last demand op in the chunk. */
+    const TimingSegment &tailSegment() const { return tails_[0]; }
+    /** Every generator's tail, by round-robin position. */
+    const std::vector<TimingSegment> &tailSegments() const { return tails_; }
 
     void
     resetL2Stats()
@@ -191,7 +214,7 @@ class LlcStreamFrontEnd
     std::vector<uint32_t> gaps_;
     std::vector<LlcOp> ops_;
     std::vector<TimingSegment> segments_;
-    TimingSegment tail_;
+    std::vector<TimingSegment> tails_;
 };
 
 } // namespace detail

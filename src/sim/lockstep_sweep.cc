@@ -13,27 +13,17 @@ namespace pdp
 namespace
 {
 
-/** One sweep config's private simulation state: LLC + policy, its own
- *  per-access level buffer and (in the measured phase) timing model.
- *  A lane is only ever touched by one worker at a time; the per-chunk
- *  join barrier orders chunk N's walk before chunk N+1's. */
-struct Lane
-{
-    std::unique_ptr<Cache> llc;
-    std::unique_ptr<TimingModel> timing;
-    std::vector<uint8_t> levels;
-};
-
 /** Walk one chunk through one lane: replay the LLC ops (stamping each
  *  demand op's level into the lane's slots), then (measured phase)
- *  replay timing.  Lanes only diverge at demand-op slots — the L2-hit
- *  runs between them are lane-invariant, so each run is folded into
- *  one O(1) onL2Hits call via the front-end's precomputed segments
- *  instead of walking every access per lane. */
+ *  replay timing.  Lanes only diverge at demand-op slots — each
+ *  thread's L2-hit runs between them are lane-invariant, so each run is
+ *  folded into one O(1) onL2Hits call via the front-end's precomputed
+ *  segments instead of walking every access per lane. */
 void
-walkLane(Lane &lane, const std::vector<detail::LlcOp> &ops,
+walkLane(LockstepLane &lane, const std::vector<detail::LlcOp> &ops,
          const std::vector<detail::TimingSegment> &segments,
-         const detail::TimingSegment &tail, const uint32_t *gaps)
+         const std::vector<detail::TimingSegment> &tails,
+         const uint32_t *gaps)
 {
     AccessContext ctx;
     for (const detail::LlcOp &op : ops) {
@@ -48,39 +38,42 @@ walkLane(Lane &lane, const std::vector<detail::LlcOp> &ops,
             lane.levels[op.accessIdx] =
                 out.hit ? detail::kLevelLlc : detail::kLevelMemory;
     }
-    if (!lane.timing)
+    if (lane.timers.empty())
         return;
     size_t seg = 0;
     for (const detail::LlcOp &op : ops) {
         if (op.accessIdx < 0)
             continue;
         const detail::TimingSegment &run = segments[seg++];
-        lane.timing->onL2Hits(run.gapSum, run.count);
-        lane.timing->onAccess(
-            gaps[op.accessIdx],
-            detail::toHitLevel(lane.levels[op.accessIdx]));
+        TimingModel &timing = lane.timers[run.thread];
+        timing.onL2Hits(run.gapSum, run.count);
+        timing.onAccess(gaps[op.accessIdx],
+                        detail::toHitLevel(lane.levels[op.accessIdx]));
     }
-    lane.timing->onL2Hits(tail.gapSum, tail.count);
+    for (const detail::TimingSegment &tail : tails)
+        lane.timers[tail.thread].onL2Hits(tail.gapSum, tail.count);
 }
 
 void
-runPhase(AccessGenerator &gen, detail::LlcStreamFrontEnd &frontEnd,
-         std::vector<Lane> &lanes, uint64_t total, unsigned threads)
+runPhase(std::span<AccessGenerator *const> gens,
+         detail::LlcStreamFrontEnd &frontEnd,
+         std::vector<LockstepLane> &lanes, uint64_t rounds,
+         unsigned threads)
 {
     const unsigned fanOut = std::min<unsigned>(
         std::max(1u, threads), static_cast<unsigned>(lanes.size()));
     // Per-lane slots, read after the join: nothing escapes a worker.
     std::vector<std::exception_ptr> errors(lanes.size());
-    uint64_t remaining = total;
+    uint64_t remaining = rounds;
     while (remaining > 0) {
-        const size_t n = frontEnd.fill(gen, remaining);
+        const size_t n = frontEnd.fill(gens, remaining);
         if (n == 0)
             break;
         remaining -= n;
 
         const auto &ops = frontEnd.ops();
         const auto &segments = frontEnd.segments();
-        const detail::TimingSegment tail = frontEnd.tailSegment();
+        const auto &tails = frontEnd.tailSegments();
         const uint32_t *gaps = frontEnd.gaps().data();
 
         // Worker w owns lanes w, w+fanOut, w+2*fanOut, ... — a static
@@ -89,7 +82,7 @@ runPhase(AccessGenerator &gen, detail::LlcStreamFrontEnd &frontEnd,
         auto walkSlice = [&](unsigned w) {
             for (size_t c = w; c < lanes.size(); c += fanOut) {
                 try {
-                    walkLane(lanes[c], ops, segments, tail, gaps);
+                    walkLane(lanes[c], ops, segments, tails, gaps);
                 } catch (...) {
                     errors[c] = std::current_exception();
                     return;
@@ -109,20 +102,22 @@ runPhase(AccessGenerator &gen, detail::LlcStreamFrontEnd &frontEnd,
 
 } // namespace
 
-std::vector<SimResult>
-runSingleCoreLockstep(AccessGenerator &gen, const SimConfig &config,
-                      const std::vector<PolicyFactory> &makePolicies,
-                      unsigned threads)
+std::vector<LockstepLane>
+runLockstepLanes(std::span<AccessGenerator *const> gens,
+                 const SimConfig &config,
+                 const std::vector<PolicyFactory> &makePolicies,
+                 unsigned threads)
 {
     PDP_CHECK(!observesGlobalOrder(config),
               "lockstep sweeps observe no global order: run telemetry/"
               "audit/prefetcher configs on the sequential driver");
+    PDP_CHECK(!gens.empty(), "lockstep run with no generator");
     if (makePolicies.empty())
         return {};
 
     detail::LlcStreamFrontEnd frontEnd(config.hierarchy);
 
-    std::vector<Lane> lanes(makePolicies.size());
+    std::vector<LockstepLane> lanes(makePolicies.size());
     for (size_t c = 0; c < lanes.size(); ++c) {
         auto policy = makePolicies[c]();
         PDP_CHECK(policy != nullptr, "policy factory returned null");
@@ -131,21 +126,29 @@ runSingleCoreLockstep(AccessGenerator &gen, const SimConfig &config,
         lanes[c].levels.resize(detail::kStreamChunk);
     }
 
-    runPhase(gen, frontEnd, lanes, config.warmup, threads);
+    runPhase(gens, frontEnd, lanes, config.warmup, threads);
     frontEnd.resetL2Stats();
-    for (Lane &lane : lanes) {
+    for (LockstepLane &lane : lanes) {
         lane.llc->resetStats();
-        lane.timing = std::make_unique<TimingModel>(config.timing);
+        lane.timers.assign(gens.size(), TimingModel(config.timing));
     }
 
-    runPhase(gen, frontEnd, lanes, config.accesses, threads);
+    runPhase(gens, frontEnd, lanes, config.accesses, threads);
+    return lanes;
+}
 
+std::vector<SimResult>
+runSingleCoreLockstep(AccessGenerator &gen, const SimConfig &config,
+                      const std::vector<PolicyFactory> &makePolicies,
+                      unsigned threads)
+{
+    AccessGenerator *gens[] = {&gen};
     std::vector<SimResult> results;
-    results.reserve(lanes.size());
-    for (const Lane &lane : lanes)
+    for (const LockstepLane &lane :
+         runLockstepLanes(gens, config, makePolicies, threads))
         results.push_back(makeSimResult(gen.name(),
                                         lane.llc->policy().name(),
-                                        lane.llc->stats(), *lane.timing));
+                                        lane.llc->stats(), lane.timers[0]));
     return results;
 }
 

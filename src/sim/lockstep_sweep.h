@@ -2,20 +2,21 @@
  * @file
  * Multi-config lockstep sweeps: N policy configs over ONE trace decode.
  *
- * The figure suites are sweep-shaped — the same benchmark simulated
- * under dozens of policy configs (the Fig. 4/Fig. 10 static-PD grids),
- * every config re-decoding the identical trace and re-walking the
- * identical L2.  Since the L2 is policy-independent (llc_stream.h), the
+ * The figure suites are sweep-shaped — the same benchmark (or the same
+ * multi-core mix) simulated under several policy configs (the Fig. 4/
+ * Fig. 10 static-PD grids, Fig. 12's five shared-cache policies), every
+ * config re-decoding the identical traces and re-walking the identical
+ * L2s.  Since the L2s are policy-independent (llc_stream.h), the
  * lockstep driver decodes and L2-filters once per chunk and replays the
  * captured LLC op stream against N per-config LLC caches side by side,
  * amortizing the front-end across the whole sweep.  Each config's LLC
  * sees the full op stream in order, so this is *exact for every policy*:
- * the returned SimResults are byte-identical to N independent
- * sequential runs, which the byte-identity tests pin down.
+ * the returned results are byte-identical to N independent sequential
+ * runs, which the byte-identity tests pin down.
  *
  * On top of the amortization, the per-chunk config walks are
  * independent (each config's Cache, policy, level buffer and timing
- * model are private), so they fan out across `threads` workers with a
+ * models are private), so they fan out across `threads` workers with a
  * join barrier per chunk.
  */
 
@@ -24,6 +25,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "policies/replacement_policy.h"
@@ -37,7 +39,7 @@ namespace pdp
 using PolicyFactory = std::function<std::unique_ptr<ReplacementPolicy>()>;
 
 /** Whether `config` observes the global access order (telemetry, audit
- *  or a prefetcher), which keeps it on the sequential runSingleCore. */
+ *  or a prefetcher), which keeps it on the sequential runRoundRobin. */
 inline bool
 observesGlobalOrder(const SimConfig &config)
 {
@@ -45,14 +47,32 @@ observesGlobalOrder(const SimConfig &config)
         config.withPrefetcher;
 }
 
+/** One sweep config's private state: LLC + policy, the chunk's level
+ *  slots and (measured phase) one timing model per generator.  Only one
+ *  worker at a time touches a lane; a join barrier ends each chunk. */
+struct LockstepLane
+{
+    std::unique_ptr<Cache> llc;
+    std::vector<TimingModel> timers;
+    std::vector<uint8_t> levels;
+};
+
 /**
- * Simulate every policy in `makePolicies` over one decode of `gen`,
- * returning one SimResult per factory, in input order.  `threads` caps
- * the per-chunk worker fan-out over configs (0 or 1 = inline).
- * Configs that observesGlobalOrder() throw CheckFailure.  A lane's
- * exception is rethrown after every worker joins — the lowest-numbered
- * failing lane's, so the error is the same at any thread count.
+ * The lane engine, runRoundRobin's lockstep form: one front-end serves
+ * `gens` round-robin and each chunk replays against one lane per
+ * factory, in input order.  `threads` caps the per-chunk worker fan-out
+ * over lanes (0 or 1 = inline).  Configs that observesGlobalOrder()
+ * throw CheckFailure.  A lane's exception is rethrown after every
+ * worker joins — the lowest-numbered failing lane's, so the error is
+ * the same at any thread count.
  */
+std::vector<LockstepLane>
+runLockstepLanes(std::span<AccessGenerator *const> gens,
+                 const SimConfig &config,
+                 const std::vector<PolicyFactory> &makePolicies,
+                 unsigned threads);
+
+/** runLockstepLanes' one-generator case: one SimResult per factory. */
 std::vector<SimResult>
 runSingleCoreLockstep(AccessGenerator &gen, const SimConfig &config,
                       const std::vector<PolicyFactory> &makePolicies,

@@ -2,18 +2,18 @@
 
 #include <map>
 #include <mutex>
+#include <span>
 #include <stdexcept>
+#include <tuple>
 
 #include "check/check.h"
-#include "check/invariant_auditor.h"
 #include "partition/pdp_partition.h"
 #include "partition/pipp.h"
 #include "partition/ta_drrip.h"
 #include "partition/ucp.h"
 #include "policies/basic.h"
 #include "policies/dip.h"
-#include "sim/single_core_sim.h"
-#include "trace/spec_suite.h"
+#include "sim/lockstep_sweep.h"
 
 namespace pdp
 {
@@ -41,17 +41,19 @@ makeSharedPolicy(const std::string &spec, unsigned threads)
 double
 standaloneIpc(const std::string &benchmark, const MultiCoreConfig &config)
 {
-    // Memoize per (benchmark, core count, run length).  This is the one
-    // piece of cross-job shared state the experiment runner's workers
-    // may reach concurrently, so the map is mutex-guarded.  The baseline
-    // run itself happens outside the lock: two workers racing on the
-    // same key at worst duplicate a deterministic computation and insert
-    // the identical value, which keeps results independent of worker
-    // count.
-    using Key = std::tuple<std::string, unsigned, uint64_t>;
+    // Memoize per (benchmark, core count, run length, warmup, timing):
+    // every field the baseline run reads.  This is the one piece of
+    // cross-job shared state the experiment runner's workers may reach
+    // concurrently, so the map is mutex-guarded.  The baseline run
+    // itself happens outside the lock: two workers racing on the same
+    // key at worst duplicate a deterministic computation and insert the
+    // identical value, which keeps results independent of worker count.
+    using Key =
+        std::tuple<std::string, unsigned, uint64_t, uint64_t, TimingParams>;
     static std::mutex mutex;
     static std::map<Key, double> cache;
-    const Key key{benchmark, config.cores, config.accessesPerThread};
+    const Key key{benchmark, config.cores, config.accessesPerThread,
+                  config.warmupPerThread, config.timing};
     {
         std::lock_guard<std::mutex> lock(mutex);
         if (auto it = cache.find(key); it != cache.end())
@@ -63,101 +65,62 @@ standaloneIpc(const std::string &benchmark, const MultiCoreConfig &config)
     single.warmup = config.warmupPerThread;
     single.timing = config.timing;
     single.hierarchy.llc = CacheConfig::paperLlc(config.cores);
-    auto gen = SpecSuite::make(benchmark);
-    Hierarchy hierarchy(single.hierarchy, std::make_unique<LruPolicy>());
-    const SimResult r = runSingleCore(*gen, hierarchy, single);
+    const double ipc = runSingleCore(benchmark, "LRU", single).ipc;
 
     std::lock_guard<std::mutex> lock(mutex);
-    cache.emplace(key, r.ipc);
-    return r.ipc;
+    cache.emplace(key, ipc);
+    return ipc;
 }
 
-MultiCoreResult
-runMultiCore(const WorkloadSpec &workload, const std::string &policy_spec,
-             const MultiCoreConfig &config)
+namespace
 {
-    // A thread retires when its measured count reaches the budget, so a
-    // zero budget would never end the measured phase.
+
+/** The round-robin run `config` describes for `workload`. */
+SimConfig
+roundRobinConfig(const WorkloadSpec &workload, const MultiCoreConfig &config)
+{
+    // With no measured access, W, T and H would read 0 as a result.
     PDP_CHECK(config.accessesPerThread > 0,
-              "runMultiCore needs at least one measured access per thread");
-    const unsigned cores = static_cast<unsigned>(workload.benchmarks.size());
+              "a multi-core run needs at least one measured access per "
+              "thread");
+    PDP_CHECK(workload.benchmarks.size() == config.cores, "workload ",
+              workload.label(), " has ", workload.benchmarks.size(),
+              " benchmarks but the config has ", config.cores,
+              " cores (the stand-alone baselines are sized from it)");
+    PDP_CHECK(config.cores >= 1 && config.cores <= CacheStats::kMaxThreads,
+              "multi-core run of ", config.cores, " cores outside [1, ",
+              CacheStats::kMaxThreads, "]");
+    SimConfig run;
+    run.accesses = config.accessesPerThread;
+    run.warmup = config.warmupPerThread;
+    run.timing = config.timing;
+    run.hierarchy.numThreads = config.cores;
+    run.hierarchy.llc = CacheConfig::paperLlc(config.cores);
+    run.auditEvery = config.auditEvery;
+    run.auditFailFast = config.auditFailFast;
+    run.telemetry = config.telemetry;
+    return run;
+}
 
-    HierarchyConfig hcfg;
-    hcfg.numThreads = cores;
-    hcfg.llc = CacheConfig::paperLlc(cores);
-    Hierarchy hierarchy(hcfg, makeSharedPolicy(policy_spec, cores));
-
-    auto generators = instantiate(workload);
-    std::vector<TimingModel> timers(cores, TimingModel(config.timing));
-
-    std::unique_ptr<InvariantAuditor> auditor;
-    if (config.auditEvery > 0) {
-        InvariantAuditor::Options opts;
-        opts.cadence = config.auditEvery;
-        opts.failFast = config.auditFailFast;
-        auditor = std::make_unique<InvariantAuditor>(opts);
-        auditor->watchCache(hierarchy.llc());
-    }
-
-    std::unique_ptr<telemetry::EpochSampler> sampler;
-    if (config.telemetry.enabled)
-        sampler = std::make_unique<telemetry::EpochSampler>(
-            config.telemetry, hierarchy.llc(),
-            config.accessesPerThread * cores, cores);
-
-    // Warmup: round-robin, stats discarded afterwards.
-    {
-        telemetry::ScopedPhaseTimer phase(
-            sampler ? sampler->trace() : nullptr, "warmup");
-        for (uint64_t i = 0; i < config.warmupPerThread; ++i)
-            for (unsigned t = 0; t < cores; ++t)
-                hierarchy.access(generators[t]->next());
-    }
-    hierarchy.resetStats();
-    if (auditor)
-        hierarchy.llc().setAuditor(auditor.get());
-    if (sampler)
-        sampler->beginMeasurement();
-
-    // Measured phase: per-thread stats freeze at the access budget; all
-    // threads keep running (generators are infinite) so contention stays
-    // realistic until everyone has finished, as in the paper.
-    std::vector<ThreadOutcome> outcomes(cores);
-    std::vector<uint64_t> measured(cores, 0);
-    unsigned remaining = cores;
-    {
-        telemetry::ScopedPhaseTimer phase(
-            sampler ? sampler->trace() : nullptr, "measure");
-        while (remaining > 0) {
-            for (unsigned t = 0; t < cores; ++t) {
-                const Access access = generators[t]->next();
-                const HierarchyResult res = hierarchy.access(access);
-                if (sampler)
-                    sampler->onAccess();
-                if (measured[t] >= config.accessesPerThread)
-                    continue;
-                timers[t].onAccess(access.instrGap, res.level);
-                if (++measured[t] == config.accessesPerThread) {
-                    ThreadOutcome &out = outcomes[t];
-                    out.benchmark = workload.benchmarks[t];
-                    out.ipc = timers[t].ipc();
-                    out.llcMisses = hierarchy.llc().stats().threadMisses[t];
-                    out.mpki = timers[t].instructions()
-                        ? 1000.0 * static_cast<double>(out.llcMisses) /
-                              static_cast<double>(timers[t].instructions())
-                        : 0.0;
-                    --remaining;
-                }
-            }
-        }
-    }
-
+/** Per-thread outcomes and W/T/H from measured-phase stats. */
+MultiCoreResult
+makeMultiCoreResult(const WorkloadSpec &workload,
+                    const std::string &policy_spec, const CacheStats &llc,
+                    std::span<const TimingModel> timers,
+                    const MultiCoreConfig &config)
+{
     MultiCoreResult result;
     result.policy = policy_spec;
-    result.threads = std::move(outcomes);
-
     double weighted = 0.0, throughput = 0.0, inv = 0.0;
-    for (const ThreadOutcome &out : result.threads) {
+    for (size_t t = 0; t < timers.size(); ++t) {
+        ThreadOutcome &out = result.threads.emplace_back();
+        out.benchmark = workload.benchmarks[t];
+        out.ipc = timers[t].ipc();
+        out.llcMisses = llc.threadMisses[t];
+        out.mpki = timers[t].instructions()
+            ? 1000.0 * static_cast<double>(out.llcMisses) /
+                  static_cast<double>(timers[t].instructions())
+            : 0.0;
         const double single = standaloneIpc(out.benchmark, config);
         weighted += single > 0 ? out.ipc / single : 0.0;
         throughput += out.ipc;
@@ -167,18 +130,56 @@ runMultiCore(const WorkloadSpec &workload, const std::string &policy_spec,
     result.throughput = throughput;
     result.harmonicFairness =
         inv > 0 ? static_cast<double>(result.threads.size()) / inv : 0.0;
-    if (auditor) {
-        hierarchy.llc().setAuditor(nullptr);
-        auditor->auditNow();
-        result.auditsRun = auditor->auditsRun();
-        result.auditViolations = auditor->totalViolations();
-    }
-    if (sampler) {
-        sampler->finish();
-        result.telemetry = std::make_shared<telemetry::RunTelemetry>(
-            sampler->take());
-    }
     return result;
+}
+
+} // namespace
+
+MultiCoreResult
+runMultiCore(const WorkloadSpec &workload, const std::string &policy_spec,
+             const MultiCoreConfig &config)
+{
+    const SimConfig run = roundRobinConfig(workload, config);
+    Hierarchy hierarchy(run.hierarchy,
+                        makeSharedPolicy(policy_spec, config.cores));
+    const std::vector<GeneratorPtr> generators = instantiate(workload);
+    std::vector<AccessGenerator *> gens;
+    for (const GeneratorPtr &gen : generators)
+        gens.push_back(gen.get());
+    std::vector<TimingModel> timers(config.cores,
+                                    TimingModel(config.timing));
+    RunObservers observers = runRoundRobin(gens, hierarchy, run, timers);
+    MultiCoreResult result =
+        makeMultiCoreResult(workload, policy_spec, hierarchy.llc().stats(),
+                            timers, config);
+    observers.finish(result);
+    return result;
+}
+
+std::vector<MultiCoreResult>
+runMultiCoreLockstep(const WorkloadSpec &workload,
+                     const std::vector<std::string> &policies,
+                     const MultiCoreConfig &config, unsigned threads)
+{
+    const SimConfig run = roundRobinConfig(workload, config);
+    std::vector<PolicyFactory> factories;
+    for (const std::string &policy : policies)
+        factories.push_back([&policy, cores = config.cores] {
+            return makeSharedPolicy(policy, cores);
+        });
+    const std::vector<GeneratorPtr> generators = instantiate(workload);
+    std::vector<AccessGenerator *> gens;
+    for (const GeneratorPtr &gen : generators)
+        gens.push_back(gen.get());
+
+    const std::vector<LockstepLane> lanes =
+        runLockstepLanes(gens, run, factories, threads);
+    std::vector<MultiCoreResult> results;
+    for (size_t c = 0; c < lanes.size(); ++c)
+        results.push_back(makeMultiCoreResult(workload, policies[c],
+                                              lanes[c].llc->stats(),
+                                              lanes[c].timers, config));
+    return results;
 }
 
 } // namespace pdp

@@ -3,9 +3,9 @@
  * The multi-core shared-LLC simulator and its metrics (Sec. 5).
  *
  * p cores, each with a private L2, share an LLC of p x 2 MB.  Threads
- * interleave round-robin by access; per-thread statistics freeze when the
- * thread reaches its access budget (the paper's "rewind and continue"
- * applies naturally because generators are infinite).
+ * interleave round-robin by access (runRoundRobin), so every thread
+ * reaches its access budget in the same round and no thread runs on
+ * alone after another has finished.
  *
  * Metrics (normalized to each thread's stand-alone LRU run on the same
  * shared-size LLC, as in the paper):
@@ -45,6 +45,7 @@ struct MultiCoreConfig
     bool auditFailFast = false;
     /** Epoch telemetry knobs (off by default; see src/telemetry/). */
     telemetry::TelemetryConfig telemetry{};
+    bool operator==(const MultiCoreConfig &) const = default;
 
     MultiCoreConfig
     scaled(double factor) const
@@ -88,13 +89,22 @@ std::unique_ptr<ReplacementPolicy> makeSharedPolicy(const std::string &spec,
                                                     unsigned threads);
 
 /**
- * Run one workload under one policy.  Stand-alone LRU baselines for the
- * metric normalization are computed (and memoized per process) with the
- * same shared-LLC geometry.
+ * Run one workload under one policy on runRoundRobin.  Stand-alone LRU
+ * baselines for the metric normalization are computed (and memoized
+ * per process) with the same shared-LLC geometry.  Throws CheckFailure
+ * for no measured access, a workload that is not config.cores
+ * benchmarks, or more than CacheStats::kMaxThreads cores.
  */
 MultiCoreResult runMultiCore(const WorkloadSpec &workload,
                              const std::string &policy_spec,
                              const MultiCoreConfig &config);
+
+/** runMultiCore for every spec in `policies` over one decode of the
+ *  mix (runLockstepLanes); telemetry and audit configs throw. */
+std::vector<MultiCoreResult>
+runMultiCoreLockstep(const WorkloadSpec &workload,
+                     const std::vector<std::string> &policies,
+                     const MultiCoreConfig &config, unsigned threads = 1);
 
 /** The stand-alone LRU IPC of a benchmark on a `cores`-sized LLC. */
 double standaloneIpc(const std::string &benchmark,

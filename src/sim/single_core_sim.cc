@@ -1,6 +1,5 @@
 #include "sim/single_core_sim.h"
 
-#include "check/invariant_auditor.h"
 #include "sim/policy_factory.h"
 #include "trace/spec_suite.h"
 
@@ -42,76 +41,83 @@ makeSimResult(const std::string &benchmark, const std::string &policy,
     return result;
 }
 
+RunObservers::RunObservers(Cache &llc, uint64_t auditEvery,
+                           bool auditFailFast,
+                           const telemetry::TelemetryConfig &telemetry,
+                           uint64_t measuredAccesses, unsigned threads)
+    : llc_(llc)
+{
+    if (auditEvery > 0) {
+        InvariantAuditor::Options opts;
+        opts.cadence = auditEvery;
+        opts.failFast = auditFailFast;
+        auditor_ = std::make_unique<InvariantAuditor>(opts);
+        auditor_->watchCache(llc);
+    }
+    if (telemetry.enabled)
+        sampler_ = std::make_unique<telemetry::EpochSampler>(
+            telemetry, llc, measuredAccesses, threads);
+}
+
+void
+RunObservers::beginMeasurement()
+{
+    // The auditor only watches the measured phase, so the warmup runs
+    // at full speed.
+    if (auditor_)
+        llc_.setAuditor(auditor_.get());
+    if (sampler_)
+        sampler_->beginMeasurement();
+}
+
+RunObservers
+runRoundRobin(std::span<AccessGenerator *const> gens, Hierarchy &hierarchy,
+              const SimConfig &config, std::span<TimingModel> timers)
+{
+    RunObservers observers(hierarchy.llc(), config.auditEvery,
+                           config.auditFailFast, config.telemetry,
+                           config.accesses * gens.size(),
+                           config.hierarchy.numThreads);
+    {
+        telemetry::ScopedPhaseTimer phase(observers.trace(), "warmup");
+        for (uint64_t round = 0; round < config.warmup; ++round)
+            for (AccessGenerator *gen : gens)
+                hierarchy.access(gen->next());
+    }
+    hierarchy.resetStats();
+    observers.beginMeasurement();
+
+    // The telemetry tick is a template argument, so the common
+    // (telemetry-off) loop carries no extra per-access branch.
+    auto measure = [&](auto tick) {
+        telemetry::ScopedPhaseTimer phase(observers.trace(), "measure");
+        for (uint64_t round = 0; round < config.accesses; ++round)
+            for (size_t t = 0; t < gens.size(); ++t) {
+                const Access access = gens[t]->next();
+                timers[t].onAccess(access.instrGap,
+                                   hierarchy.access(access).level);
+                tick();
+            }
+    };
+    if (telemetry::EpochSampler *sampler = observers.sampler())
+        measure([sampler] { sampler->onAccess(); });
+    else
+        measure([] {});
+    return observers;
+}
+
 SimResult
 runSingleCore(AccessGenerator &gen, Hierarchy &hierarchy,
               const SimConfig &config)
 {
+    AccessGenerator *gens[] = {&gen};
     TimingModel timing(config.timing);
-
-    // The auditor (when enabled) only watches the measured phase, so the
-    // warmup runs at full speed.
-    std::unique_ptr<InvariantAuditor> auditor;
-    if (config.auditEvery > 0) {
-        InvariantAuditor::Options opts;
-        opts.cadence = config.auditEvery;
-        opts.failFast = config.auditFailFast;
-        auditor = std::make_unique<InvariantAuditor>(opts);
-        auditor->watchCache(hierarchy.llc());
-    }
-
-    std::unique_ptr<telemetry::EpochSampler> sampler;
-    if (config.telemetry.enabled)
-        sampler = std::make_unique<telemetry::EpochSampler>(
-            config.telemetry, hierarchy.llc(), config.accesses,
-            config.hierarchy.numThreads);
-
-    {
-        telemetry::ScopedPhaseTimer phase(
-            sampler ? sampler->trace() : nullptr, "warmup");
-        for (uint64_t i = 0; i < config.warmup; ++i)
-            hierarchy.access(gen.next());
-    }
-    hierarchy.resetStats();
-    if (auditor)
-        hierarchy.llc().setAuditor(auditor.get());
-    if (sampler)
-        sampler->beginMeasurement();
-
-    {
-        telemetry::ScopedPhaseTimer phase(
-            sampler ? sampler->trace() : nullptr, "measure");
-        // The telemetry tick lives in its own loop so the common
-        // (telemetry-off) path carries no extra per-access branch.
-        if (sampler) {
-            for (uint64_t i = 0; i < config.accesses; ++i) {
-                const Access access = gen.next();
-                const HierarchyResult res = hierarchy.access(access);
-                timing.onAccess(access.instrGap, res.level);
-                sampler->onAccess();
-            }
-        } else {
-            for (uint64_t i = 0; i < config.accesses; ++i) {
-                const Access access = gen.next();
-                const HierarchyResult res = hierarchy.access(access);
-                timing.onAccess(access.instrGap, res.level);
-            }
-        }
-    }
-
+    RunObservers observers =
+        runRoundRobin(gens, hierarchy, config, {&timing, 1});
     SimResult result =
         makeSimResult(gen.name(), hierarchy.llc().policy().name(),
                       hierarchy.llc().stats(), timing);
-    if (auditor) {
-        hierarchy.llc().setAuditor(nullptr);
-        auditor->auditNow();
-        result.auditsRun = auditor->auditsRun();
-        result.auditViolations = auditor->totalViolations();
-    }
-    if (sampler) {
-        sampler->finish();
-        result.telemetry = std::make_shared<telemetry::RunTelemetry>(
-            sampler->take());
-    }
+    observers.finish(result);
     return result;
 }
 

@@ -1,7 +1,9 @@
 /**
  * @file
- * The single-core trace-driven simulator: generator -> L2 -> LLC with a
+ * The sequential trace-driven simulator: generators -> L2s -> LLC with a
  * timing model, producing the MPKI / IPC / bypass metrics of Sec. 5.
+ * Its one loop, runRoundRobin, serves N generators round-robin; a
+ * single-core run is its one-generator case (runMultiCore the rest).
  */
 
 #ifndef PDP_SIM_SINGLE_CORE_SIM_H
@@ -9,9 +11,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "cache/hierarchy.h"
+#include "check/invariant_auditor.h"
 #include "sim/timing_model.h"
 #include "telemetry/epoch_sampler.h"
 #include "trace/generator.h"
@@ -84,9 +88,61 @@ SimResult makeSimResult(const std::string &benchmark,
                         const std::string &policy, const CacheStats &llc,
                         const TimingModel &timing);
 
+/** The invariant auditor and epoch sampler of one sequential run:
+ *  built before warmup, attached by beginMeasurement() after the
+ *  warmup's stats reset, read into the run's result by finish(). */
+class RunObservers
+{
+  public:
+    RunObservers(Cache &llc, uint64_t auditEvery, bool auditFailFast,
+                 const telemetry::TelemetryConfig &telemetry,
+                 uint64_t measuredAccesses, unsigned threads);
+
+    telemetry::EpochSampler *sampler() const { return sampler_.get(); }
+    telemetry::EventTrace *
+    trace() const
+    {
+        return sampler_ ? sampler_->trace() : nullptr;
+    }
+
+    void beginMeasurement();
+
+    /** Into a SimResult, MultiCoreResult or ServiceResult. */
+    template <typename Result>
+    void
+    finish(Result &result)
+    {
+        if (auditor_) {
+            llc_.setAuditor(nullptr);
+            auditor_->auditNow();
+            result.auditsRun = auditor_->auditsRun();
+            result.auditViolations = auditor_->totalViolations();
+        }
+        if (sampler_) {
+            sampler_->finish();
+            result.telemetry = std::make_shared<telemetry::RunTelemetry>(
+                sampler_->take());
+        }
+    }
+
+  private:
+    Cache &llc_;
+    std::unique_ptr<InvariantAuditor> auditor_;
+    std::unique_ptr<telemetry::EpochSampler> sampler_;
+};
+
+/** The sequential loop: config.warmup rounds, a stats reset, then
+ *  config.accesses measured rounds, a round being one access of every
+ *  generator in order; timers[t] times generator t.  Returns the run's
+ *  observers for the caller to finish() into its result. */
+RunObservers runRoundRobin(std::span<AccessGenerator *const> gens,
+                           Hierarchy &hierarchy, const SimConfig &config,
+                           std::span<TimingModel> timers);
+
 /**
- * Drive `gen` through an existing hierarchy.  The caller keeps access to
- * the hierarchy for instrumentation (PD history, occupancy observers).
+ * Drive `gen` through an existing hierarchy: runRoundRobin's
+ * one-generator case.  The caller keeps access to the hierarchy for
+ * instrumentation (PD history, occupancy observers).
  */
 SimResult runSingleCore(AccessGenerator &gen, Hierarchy &hierarchy,
                         const SimConfig &config);

@@ -20,6 +20,7 @@ namespace pdp
 struct WorkloadSpec
 {
     std::vector<std::string> benchmarks;
+    bool operator==(const WorkloadSpec &) const = default;
 
     /** Short label like "gcc+mcf+milc+lbm". */
     std::string label() const;

@@ -12,6 +12,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "cache/hierarchy.h"
@@ -23,8 +24,10 @@
 #include "runner/suites.h"
 #include "runner/thread_pool.h"
 #include "sim/lockstep_sweep.h"
+#include "sim/multi_core_sim.h"
 #include "sim/policy_factory.h"
 #include "trace/spec_suite.h"
+#include "trace/workload.h"
 
 using namespace pdp;
 using namespace pdp::runner;
@@ -69,6 +72,40 @@ sequentialRun(const std::string &bench, const PolicyFactory &makePol,
     Hierarchy hierarchy(config.hierarchy, makePol());
     return runSingleCore(*gen, hierarchy, config);
 }
+
+/** Every MultiCoreResult field the deterministic dump carries, compared
+ *  exactly like expectSameResult. */
+void
+expectSameMultiResult(const MultiCoreResult &a, const MultiCoreResult &b)
+{
+    EXPECT_EQ(a.policy, b.policy);
+    ASSERT_EQ(a.threads.size(), b.threads.size());
+    for (size_t t = 0; t < a.threads.size(); ++t) {
+        SCOPED_TRACE("thread " + std::to_string(t));
+        EXPECT_EQ(a.threads[t].benchmark, b.threads[t].benchmark);
+        EXPECT_EQ(a.threads[t].ipc, b.threads[t].ipc);
+        EXPECT_EQ(a.threads[t].mpki, b.threads[t].mpki);
+        EXPECT_EQ(a.threads[t].llcMisses, b.threads[t].llcMisses);
+    }
+    EXPECT_EQ(a.weightedIpc, b.weightedIpc);
+    EXPECT_EQ(a.throughput, b.throughput);
+    EXPECT_EQ(a.harmonicFairness, b.harmonicFairness);
+    EXPECT_EQ(a.auditsRun, b.auditsRun);
+    EXPECT_EQ(a.auditViolations, b.auditViolations);
+}
+
+MultiCoreConfig
+quickMultiConfig(unsigned cores)
+{
+    MultiCoreConfig config;
+    config.cores = cores;
+    config.accessesPerThread = 50'000;
+    config.warmupPerThread = 15'000;
+    return config;
+}
+
+const std::vector<std::string> kSharedPolicies = {"TA-DRRIP", "UCP", "PIPP",
+                                                  "PDP-2", "PDP-3"};
 
 } // namespace
 
@@ -139,6 +176,60 @@ TEST(LockstepSweepTest, RejectsGlobalOrderObservers)
     auto gen = SpecSuite::make("429.mcf", seedFor("429.mcf"));
     EXPECT_THROW(runSingleCoreLockstep(*gen, config, factories),
                  std::exception);
+}
+
+// ---------------------------------------------------------------------------
+// Multi-core lockstep: fig12's shared-cache policies over one decode of a
+// mix.
+
+TEST(MultiCoreLockstepTest, MatchesIndependentRuns)
+{
+    for (unsigned cores : {2u, 4u}) {
+        const WorkloadSpec workload = randomWorkloads(1, cores, 7)[0];
+        const MultiCoreConfig config = quickMultiConfig(cores);
+        std::vector<MultiCoreResult> plain;
+        for (const std::string &policy : kSharedPolicies)
+            plain.push_back(runMultiCore(workload, policy, config));
+        for (unsigned threads : {1u, 4u}) {
+            const std::vector<MultiCoreResult> lockstep =
+                runMultiCoreLockstep(workload, kSharedPolicies, config,
+                                     threads);
+            ASSERT_EQ(lockstep.size(), kSharedPolicies.size());
+            for (size_t c = 0; c < lockstep.size(); ++c) {
+                SCOPED_TRACE(workload.label() + "/" + kSharedPolicies[c] +
+                             " at " + std::to_string(threads) +
+                             " lane threads");
+                expectSameMultiResult(lockstep[c], plain[c]);
+                EXPECT_GT(plain[c].threads[0].llcMisses, 0u);
+            }
+        }
+    }
+}
+
+TEST(MultiCoreLockstepTest, RejectsWhatRunMultiCoreRejects)
+{
+    const WorkloadSpec pair = randomWorkloads(1, 2, 7)[0];
+    // A 2-benchmark mix under the default 4-core config.
+    MultiCoreConfig config = quickMultiConfig(2);
+    config.cores = 4;
+    EXPECT_THROW(runMultiCoreLockstep(pair, {"LRU"}, config), CheckFailure);
+    // No measured access.
+    config = quickMultiConfig(2);
+    config.accessesPerThread = 0;
+    EXPECT_THROW(runMultiCoreLockstep(pair, {"LRU"}, config), CheckFailure);
+    // More threads than CacheStats keeps per-thread counters for.
+    config = quickMultiConfig(64);
+    EXPECT_THROW(runMultiCoreLockstep(randomWorkloads(1, 64, 7)[0],
+                                      {"LRU"}, config),
+                 CheckFailure);
+    // Observed configs stay on the sequential driver.
+    config = quickMultiConfig(2);
+    config.auditEvery = 64;
+    EXPECT_THROW(runMultiCoreLockstep(pair, {"LRU"}, config), CheckFailure);
+    // The engine itself needs a generator to serve.
+    EXPECT_THROW(runLockstepLanes({}, quickConfig(),
+                                  {[] { return makePolicy("LRU"); }}, 1),
+                 CheckFailure);
 }
 
 // ---------------------------------------------------------------------------
@@ -350,6 +441,34 @@ TEST(SuiteLockstepTest, Fig4GroupedDumpMatchesUngrouped)
     EXPECT_EQ(grouped.size(), 1u);
 }
 
+TEST(SuiteLockstepTest, Fig12GroupedDumpMatchesUngrouped)
+{
+    SuiteOptions options = quickSuite();
+    options.scale = 0.003;
+    const std::vector<Job> grouped =
+        expectGroupingInvisible("fig12_partitioning", options);
+    // 2 core counts x 8 mixes, each mix's five policies one sweep.
+    ASSERT_EQ(grouped.size(), 16u);
+    EXPECT_EQ(grouped[0].key,
+              "fig12/4c/w0/TA-DRRIP..fig12/4c/w0/PDP-3");
+    EXPECT_EQ(grouped[15].key,
+              "fig12/16c/w7/TA-DRRIP..fig12/16c/w7/PDP-3");
+    for (const Job &job : grouped)
+        EXPECT_TRUE(job.runMany != nullptr) << job.key;
+}
+
+TEST(SuiteLockstepTest, Fig12OneCellFilterIsOnePlainJob)
+{
+    const Suite *suite = findSuite("fig12_partitioning");
+    ASSERT_NE(suite, nullptr);
+    const std::vector<Job> jobs =
+        selectJobs(*suite, quickSuite("fig12/4c/w0/UCP"));
+    ASSERT_EQ(jobs.size(), 1u);
+    EXPECT_EQ(jobs[0].key, "fig12/4c/w0/UCP");
+    EXPECT_TRUE(jobs[0].run != nullptr);
+    EXPECT_TRUE(jobs[0].runMany == nullptr);
+}
+
 TEST(SuiteLockstepTest, SmokeGroupedDumpMatchesUngrouped)
 {
     SuiteOptions options = quickSuite();
@@ -358,7 +477,8 @@ TEST(SuiteLockstepTest, SmokeGroupedDumpMatchesUngrouped)
         expectGroupingInvisible("smoke", options);
     // soplex {DIP, PDP-3}, cactusADM {DRRIP, PDP-3, SPDP-B:64}, soplex
     // {SPDP-B:32, :64, :128}: the two soplex stretches are not adjacent,
-    // so they stay two sweeps.  The 2-core job is no cell.
+    // so they stay two sweeps.  The 2-core cell is alone, so it stays a
+    // plain job.
     std::vector<std::string> keys;
     for (const Job &job : grouped)
         keys.push_back(job.key);
@@ -405,6 +525,22 @@ TEST(SuiteLockstepTest, TelemetryConfigIsNeverGrouped)
     }
 }
 
+TEST(SuiteLockstepTest, MultiCoreTelemetryConfigIsNeverGrouped)
+{
+    const Suite *suite = findSuite("fig12_partitioning");
+    ASSERT_NE(suite, nullptr);
+    SuiteOptions options = quickSuite("fig12/4c/w0/");
+    options.telemetry = true;
+    const std::vector<Job> jobs = selectJobs(*suite, options);
+    EXPECT_EQ(jobs.size(), 5u);
+    for (const Job &job : jobs) {
+        ASSERT_TRUE(job.cell.has_value()) << job.key;
+        EXPECT_TRUE(std::holds_alternative<MultiCoreCell>(*job.cell))
+            << job.key;
+        EXPECT_TRUE(job.run != nullptr) << job.key;
+    }
+}
+
 TEST(SuiteLockstepTest, LaneExceptionIsTheSameAtAnyThreadCount)
 {
     const std::vector<Job> cells = throwingCells();
@@ -434,4 +570,35 @@ TEST(SuiteLockstepTest, LaneExceptionIsTheSameAtAnyThreadCount)
     EXPECT_EQ(records[0].key, "probe/429.mcf/0..probe/429.mcf/3");
     EXPECT_EQ(records[0].status, JobStatus::Failed);
     EXPECT_EQ(records[0].error, errors[0]);
+
+    // The multi-core case: four lanes over a 4-core mix on the same
+    // engine, lanes 1 and 3 throwing at the same op.
+    const WorkloadSpec workload = randomWorkloads(1, 4, 7)[0];
+    SimConfig run = quickConfig();
+    run.hierarchy.numThreads = 4;
+    run.hierarchy.llc = CacheConfig::paperLlc(4);
+    std::vector<PolicyFactory> factories;
+    for (int lane = 0; lane < 4; ++lane) {
+        const std::string name = std::to_string(lane);
+        factories.push_back(
+            [lane, name]() -> std::unique_ptr<ReplacementPolicy> {
+                if (lane % 2 == 1)
+                    return std::make_unique<ThrowingLru>(1000, name);
+                return std::make_unique<LruPolicy>();
+            });
+    }
+    for (unsigned threads : {1u, 4u}) {
+        const std::vector<GeneratorPtr> generators = instantiate(workload);
+        std::vector<AccessGenerator *> gens;
+        for (const GeneratorPtr &gen : generators)
+            gens.push_back(gen.get());
+        try {
+            runLockstepLanes(gens, run, factories, threads);
+            ADD_FAILURE() << "no multi-core lane threw at " << threads
+                          << " threads";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "lane 1 gave up after 1000 victim picks")
+                << threads << " threads";
+        }
+    }
 }

@@ -15,6 +15,7 @@
 #include "sim/static_pd_search.h"
 #include "sim/timing_model.h"
 #include "trace/spec_suite.h"
+#include "trace/workload.h"
 #include "util/rng.h"
 
 using namespace pdp;
@@ -170,8 +171,8 @@ TEST(MultiCoreSim, WorkloadRunIsDeterministic)
 
 TEST(MultiCoreSim, RejectsAZeroLengthRun)
 {
-    // Threads retire only when their measured count reaches the budget,
-    // so a zero budget would spin forever instead of returning.
+    // A run with no measured access has no IPC, so W, T and H would all
+    // read 0 and pass for a result.
     WorkloadSpec spec;
     spec.benchmarks = {"403.gcc", "456.hmmer"};
     MultiCoreConfig config;
@@ -179,6 +180,58 @@ TEST(MultiCoreSim, RejectsAZeroLengthRun)
     config.accessesPerThread = 0;
     config.warmupPerThread = 100;
     EXPECT_THROW(runMultiCore(spec, "LRU", config), CheckFailure);
+}
+
+TEST(MultiCoreSim, RejectsAWorkloadThatIsNotTheConfiguredCoreCount)
+{
+    // The default config has 4 cores, so its baselines would run on an
+    // 8 MB LLC while the 2-benchmark mix shares a 4 MB one.
+    WorkloadSpec spec;
+    spec.benchmarks = {"403.gcc", "456.hmmer"};
+    MultiCoreConfig config;
+    config.accessesPerThread = 1000;
+    config.warmupPerThread = 100;
+    ASSERT_EQ(config.cores, 4u);
+    EXPECT_THROW(runMultiCore(spec, "LRU", config), CheckFailure);
+}
+
+TEST(MultiCoreSim, RejectsMoreThreadsThanThePerThreadStats)
+{
+    // 64 threads would read threadMisses past its kMaxThreads entries.
+    const std::vector<WorkloadSpec> workloads = randomWorkloads(1, 64);
+    MultiCoreConfig config;
+    config.cores = 64;
+    config.accessesPerThread = 1000;
+    config.warmupPerThread = 100;
+    EXPECT_THROW(runMultiCore(workloads[0], "LRU", config), CheckFailure);
+}
+
+TEST(MultiCoreSim, StandaloneIpcIsKeyedOnEveryFieldItsRunReads)
+{
+    // Same benchmark, cores and length; the warmup and the timing
+    // differ, and each baseline must be its own run's IPC.
+    MultiCoreConfig base;
+    base.cores = 2;
+    base.accessesPerThread = 40'000;
+    base.warmupPerThread = 5'000;
+    MultiCoreConfig longerWarmup = base;
+    longerWarmup.warmupPerThread = 60'000;
+    MultiCoreConfig slowerMemory = base;
+    slowerMemory.timing.memLatency = 400;
+    std::vector<double> ipcs;
+    for (const MultiCoreConfig &config : {base, longerWarmup, slowerMemory}) {
+        SimConfig single;
+        single.accesses = config.accessesPerThread;
+        single.warmup = config.warmupPerThread;
+        single.timing = config.timing;
+        single.hierarchy.llc = CacheConfig::paperLlc(config.cores);
+        const SimResult fresh = runSingleCore("429.mcf", "LRU", single);
+        EXPECT_EQ(standaloneIpc("429.mcf", config), fresh.ipc);
+        ipcs.push_back(fresh.ipc);
+    }
+    // The three runs really differ, so a shared memo entry would show.
+    EXPECT_NE(ipcs[0], ipcs[1]);
+    EXPECT_NE(ipcs[0], ipcs[2]);
 }
 
 TEST(StreamPrefetcher, DetectsAscendingStream)
