@@ -1440,8 +1440,8 @@ hotpathSweepJob(double scale)
             ratios.empty() ? 0.0 : ratios[ratios.size() / 2];
         outcome.metrics["sweep_configs"] =
             static_cast<double>(grid.size());
-        // Lane fan-out actually used: check_perf only enforces the
-        // absolute >= 4x floor when at least 4 lane workers ran (19
+        // Lane fan-out actually used: `pdpreport.py perf` only enforces
+        // the absolute sweep floor when at least 4 lane workers ran (19
         // exact policy replays are irreducible work, so a 1-core host
         // tops out near 2x no matter how the front-end is amortized).
         outcome.metrics["sweep_threads"] = static_cast<double>(threads);
@@ -1574,8 +1574,8 @@ hotpathExploreJob(double scale)
             static_cast<double>(2 * grid.size());
         outcome.metrics["explore_simulated"] =
             static_cast<double>(plan.chosen.size());
-        // Lane fan-out of the pruned side's lockstep leg: check_perf
-        // only enforces the absolute >= 10x floor when >= 4 lane
+        // Lane fan-out of the pruned side's lockstep leg: `pdpreport.py
+        // perf` only enforces the absolute explore floor when >= 4 lane
         // workers ran (the pruned side still replays 7 exact policies).
         outcome.metrics["explore_threads"] = static_cast<double>(threads);
         return outcome;
@@ -1665,10 +1665,8 @@ reportHotpath(std::ostream &out, const RecordLookup &records)
 
     out << "\nAoS = the frozen pre-SoA substrate (reference_cache.h); "
            "vs AoS = median of interleaved paired segments inside each "
-           "job.\ntools/check_perf.py enforces LRU >= 2.00x, the "
-           "lockstep sweep >= 4.00x and the explore >= 10.00x (each "
-           "when >= 4 lane workers ran), telemetry idle >= 0.98 and the "
-           "committed-baseline regression bar in CI.\n";
+           "job.\n`tools/pdpreport.py perf` gates these rows against "
+           "the committed baseline in CI.\n";
 }
 
 // ---------------------------------------------------------------------------

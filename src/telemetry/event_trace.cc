@@ -22,7 +22,7 @@ EventTrace::record(TraceEvent event)
         ++dropped_;
         // Overflow must be loud: a ring that silently sheds its oldest
         // records poisons span reconstruction downstream, so losses are
-        // also surfaced process-wide (telemetry_report.py warns on it).
+        // also surfaced process-wide (tools/pdpreport.py warns on it).
         static Counter &droppedEvents = MetricsRegistry::global().counter(
             "telemetry.trace_dropped_events");
         droppedEvents.add();

@@ -5,7 +5,7 @@
  *
  * A Snapshot is an ordered bag of named scalars plus named series
  * (vectors), deliberately schema-free: each policy exports whatever its
- * paper plots.  Established names (consumed by tools/telemetry_report.py):
+ * paper plots.  Established names (consumed by tools/pdpreport.py):
  *
  *   scalars  "pd"            current protecting distance (PdpPolicy)
  *            "recomputes"    PD recomputations so far

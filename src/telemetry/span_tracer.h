@@ -8,7 +8,7 @@
  * (L2 hit, or L2 miss → LLC probe → hit / victim / bypass → memory
  * fill) — emitted into the run's EventTrace ring with shared trace/span
  * IDs, so a tenant's p99 outlier can be decomposed into its cache-event
- * path after the fact (tools/obs_report.py renders the waterfall).
+ * path after the fact (tools/pdpreport.py renders the waterfall).
  *
  * Determinism rules (the plane's hard contract):
  *  - The sample decision is a pure hash of (seed, tenant, request

@@ -220,7 +220,7 @@ TEST(EventTrace, DropOldestCountsAndSurfacesProcessWide)
     EXPECT_EQ(events.front().accessCount, 6u); // oldest survivor
     EXPECT_EQ(events.back().accessCount, 9u);
     // Losses are also surfaced on the process-wide registry counter
-    // (telemetry_report.py warns on it).
+    // (tools/pdpreport.py warns on it).
     EXPECT_EQ(counter.value() - before, 6u);
 }
 

@@ -11,7 +11,7 @@
  *   run_experiments --suite <name> [--suite <name> ...]
  *                   [--filter <substring>] [--jobs N] [--scale X]
  *                   [--json DIR|none] [--timeout SECONDS] [--verbose]
- *                   [--telemetry[=DIR]] [--trace]
+ *                   [--telemetry] [--trace]
  *                   [--obs-sample-rate X] [--perf-counters]
  *                   [--fault-at N]
  *                   [--tenants N] [--churn N] [--deterministic-json]
@@ -21,11 +21,11 @@
  * runner::selectJobs folds adjacent cells into lockstep sweeps.
  *
  * --telemetry records per-epoch policy snapshots (PD, RDD, PSEL,
- * partition allocations, interval hit rates) into each job's results;
- * the optional =DIR overrides the --json output directory.  --trace
- * additionally derives structured events (PD changes, PSEL flips,
- * partition reallocations) and writes TRACE_<suite>.jsonl; it implies
- * --telemetry.  Render either with tools/telemetry_report.py.
+ * partition allocations, interval hit rates) into each job's results.
+ * --trace additionally derives structured events (PD changes, PSEL
+ * flips, partition reallocations) and writes TRACE_<suite>.jsonl; it
+ * implies --telemetry.  Check or render either with
+ * tools/pdpreport.py.
  *
  * The observability plane (DESIGN.md "Observability plane"):
  * --obs-sample-rate X head-samples service-mode request lifecycles into
@@ -36,7 +36,7 @@
  * degrading to an absent section where perf_event_open is unavailable.
  * --fault-at N trips an injected PDP_CHECK at measured access N in
  * every service job, exercising the fault flight recorder
- * (FLIGHT_<job>.json).  Render with tools/obs_report.py.
+ * (FLIGHT_<job>.json).  Check or render it with tools/pdpreport.py.
  *
  * --explore switches the `explore` suite from the exhaustive static-PD
  * grid to the model-pruned path: the analytic estimator (src/model/)
@@ -87,7 +87,7 @@ printUsage(std::FILE *to)
                  "                       [--filter <substring>] [--jobs N]\n"
                  "                       [--scale X] [--json DIR|none]\n"
                  "                       [--timeout SECONDS] [--verbose]\n"
-                 "                       [--telemetry[=DIR]] [--trace]\n"
+                 "                       [--telemetry] [--trace]\n"
                  "                       [--obs-sample-rate X]\n"
                  "                       [--perf-counters] [--fault-at N]\n"
                  "                       [--tenants N] [--churn N]\n"
@@ -95,8 +95,8 @@ printUsage(std::FILE *to)
                  "                       [--explore] [--explore-topk N]\n"
                  "\n"
                  "--telemetry samples per-epoch policy state into the\n"
-                 "BENCH json (optional =DIR overrides --json); --trace\n"
-                 "also writes TRACE_<suite>.jsonl structured events.\n"
+                 "BENCH json; --trace also writes TRACE_<suite>.jsonl\n"
+                 "structured events.\n"
                  "\n"
                  "--obs-sample-rate X head-samples service request\n"
                  "lifecycles into span events at rate X in [0, 1]\n"
@@ -225,17 +225,6 @@ main(int argc, char **argv)
             options.timeoutSeconds = *timeout;
         } else if (arg == "--telemetry") {
             options.telemetry = true;
-        } else if (arg.rfind("--telemetry=", 0) == 0) {
-            const std::string dir =
-                arg.substr(std::string("--telemetry=").size());
-            if (dir.empty()) {
-                std::fprintf(stderr,
-                             "--telemetry= wants a directory (or use plain "
-                             "--telemetry for the --json default)\n");
-                return 2;
-            }
-            options.telemetry = true;
-            options.jsonDir = dir;
         } else if (arg == "--trace") {
             options.trace = true;
         } else if (arg == "--obs-sample-rate") {
@@ -298,9 +287,8 @@ main(int argc, char **argv)
     std::error_code ec;
     if (!outDir.empty() && !std::filesystem::is_directory(outDir, ec)) {
         std::fprintf(stderr,
-                     "output directory \"%s\" (--json or --telemetry=DIR) "
-                     "is not an existing directory; create it or pass "
-                     "--json none\n",
+                     "output directory \"%s\" (--json) is not an "
+                     "existing directory; create it or pass --json none\n",
                      outDir.c_str());
         return 2;
     }
