@@ -10,10 +10,19 @@
  * the figure's text tables — identical output no matter how many workers
  * ran the grid.
  *
- * Every paper artifact is a suite: suites.cc holds Figs. 4 (with Fig. 2
- * and Table 2), 10 and 12 and the non-figure suites, figure_suites.cc
- * the rest.  tools/run_experiments lists/filters/runs suites by name,
- * and its flags are their only configuration.
+ * Every paper artifact is a suite, and each suite family has its own
+ * file behind the one registry (allSuites):
+ *   - suites.cc: the runner core (RecordLookup, the job builders,
+ *     selectJobs, runSuite) and the smoke suite;
+ *   - policy_suites.cc: fig10_single_core, fig4_static_pdp (with Fig. 2
+ *     and Table 2) and fig12_partitioning;
+ *   - figure_suites.cc: the other paper figures and sections;
+ *   - hotpath_suite.cc: hotpath;
+ *   - service_suite.cc: service;
+ *   - model_suites.cc: model_validation and explore.
+ * Helpers that more than one family uses are declared in
+ * suite_helpers.h.  tools/run_experiments lists/filters/runs suites by
+ * name, and its flags are their only configuration.
  */
 
 #ifndef PDP_RUNNER_SUITES_H
@@ -136,10 +145,16 @@ struct Suite
  *  hotpath, smoke, service, model_validation and explore. */
 const std::vector<Suite> &allSuites();
 
-/** The figure suites defined in figure_suites.cc (fig1_rdd,
- *  fig5a_occupancy, fig6_model, fig9_params, fig11_phases, prefetch,
- *  hardware), in registry order. */
+/** The suites of one family each, in registry order: policy_suites.cc
+ *  (fig10_single_core, fig4_static_pdp, fig12_partitioning),
+ *  figure_suites.cc (fig1_rdd, fig5a_occupancy, fig6_model, fig9_params,
+ *  fig11_phases, prefetch, hardware), hotpath_suite.cc, service_suite.cc
+ *  and model_suites.cc (model_validation, explore). */
+std::vector<Suite> policySuites();
 std::vector<Suite> figureSuites();
+Suite hotpathSuite();
+Suite serviceSuite();
+std::vector<Suite> modelSuites();
 
 /** Lookup by name; nullptr when unknown. */
 const Suite *findSuite(const std::string &name);
