@@ -206,8 +206,8 @@ occupancyJob(const std::string &bench, const std::string &policy,
         JobOutcome outcome;
         std::string spec = policy;
         if (policy != "DRRIP") {
-            // The search is not a recorded run, and lockstep lanes
-            // refuse an observed config.
+            // The search is not a recorded run: unobserved, it records
+            // no telemetry and keeps its one lockstep decode.
             SimConfig search = config;
             search.telemetry = {};
             const uint32_t pd =

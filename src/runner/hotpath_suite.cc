@@ -1,14 +1,28 @@
 /**
  * @file
- * The hotpath suite: self-profiling throughput of the cache substrate,
- * the lockstep sweep and the model-pruned explorer, each as a paired
- * in-job ratio.
+ * hotpath — self-profiling throughput of the cache substrate itself,
+ * plus the paired speed ratios of the lockstep sweep and the
+ * model-pruned explorer.
+ *
+ * Unlike the figure suites, the substrate jobs drive Cache::access
+ * directly (no hierarchy, no timing model) so the metric is the
+ * substrate's raw accesses/sec.  One job runs the frozen pre-SoA
+ * ReferenceCache on the identical trace, so every BENCH_hotpath.json
+ * carries the SoA-vs-AoS speedup as a machine-independent ratio next to
+ * the absolute rates.
+ *
+ * All timed jobs share one trace seed (seedFor("hotpath/trace")), so the
+ * hit rates in the dump are comparable across policies and substrates.
+ * The accesses/accesses_per_sec/hit_rate scalars land in JobOutcome::
+ * metrics; accesses_per_sec is inherently wall-clock-volatile, which is
+ * why determinism tests key on the smoke suite, not this one.
  */
 
 #include "runner/suites.h"
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <ostream>
 #include <thread>
 
@@ -30,21 +44,6 @@ namespace runner
 
 namespace
 {
-
-// ---------------------------------------------------------------------------
-// hotpath — self-profiling throughput of the cache substrate itself.
-//
-// Unlike the figure suites, these jobs drive Cache::access directly (no
-// hierarchy, no timing model) so the metric is the substrate's raw
-// accesses/sec.  One job runs the frozen pre-SoA ReferenceCache on the
-// identical trace, so every BENCH_hotpath.json carries the SoA-vs-AoS
-// speedup as a machine-independent ratio next to the absolute rates.
-//
-// All timed jobs share one trace seed (seedFor("hotpath/trace")), so the
-// hit rates in the dump are comparable across policies and substrates.
-// The accesses/accesses_per_sec/hit_rate scalars land in JobOutcome::
-// metrics; accesses_per_sec is inherently wall-clock-volatile, which is
-// why determinism tests key on the smoke suite, not this one.
 
 /** Trace length of one measured pass (addresses, not bytes). */
 constexpr size_t kHotpathTraceLen = 1u << 20;
@@ -70,6 +69,29 @@ hotpathTarget(double scale)
     return std::max<uint64_t>(2'000'000, static_cast<uint64_t>(scaled));
 }
 
+/** Wall-clock seconds since construction: the suite's one clock. */
+class Stopwatch
+{
+  public:
+    Stopwatch()
+        // pdplint: allow(wall-clock) hotpath suite measures throughput;
+        // the rate lands only in the volatile metrics section.
+        : start_(std::chrono::steady_clock::now())
+    {}
+
+    double
+    seconds() const
+    {
+        // pdplint: allow(wall-clock) end of the same timed region.
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start_)
+            .count();
+    }
+
+  private:
+    std::chrono::steady_clock::time_point start_;
+};
+
 /**
  * Walk `count` accesses of `trace` starting at *cursor (wrapping), and
  * return the wall-clock seconds the walk took.  *cursor advances so
@@ -89,24 +111,94 @@ timedSegment(const std::vector<uint64_t> &trace, size_t *cursor,
 {
     const size_t n = trace.size();
     size_t i = *cursor;
-    // pdplint: allow(wall-clock) hotpath suite measures throughput; the
-    // rate lands only in the volatile metrics section.
-    const auto t0 = std::chrono::steady_clock::now();
+    const Stopwatch watch;
     for (uint64_t k = 0; k < count; ++k) {
         const uint64_t addr = trace[i];
         i = i + 1 == n ? 0 : i + 1;
         access(addr, trace[i]);
     }
     *cursor = i;
-    // pdplint: allow(wall-clock) end of the same timed segment.
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
+    return watch.seconds();
 }
 
 /** Pairs of interleaved A/B segments in one paired measurement (odd, so
  *  the median ratio is a real pair's ratio). */
 constexpr int kHotpathPairs = 5;
+
+/** Interleaved pairs in the lockstep-sweep and explore measurements
+ *  (odd; fewer than kHotpathPairs because each side is a whole grid). */
+constexpr int kSweepPairs = 3;
+
+/** The seconds each side of every pair of a paired measurement took. */
+struct PairedSeconds
+{
+    std::vector<double> first, second;
+};
+
+/**
+ * `pairs` interleaved pairs: `first()` then `second()` back to back,
+ * each returning the seconds its side took.  Wall-clock rates on a
+ * shared machine drift by integer factors between phases, so only a
+ * ratio of two sides measured side by side means anything: both sides
+ * of a pair see the same machine weather.
+ */
+template <typename First, typename Second>
+PairedSeconds
+runPairs(int pairs, First &&first, Second &&second)
+{
+    PairedSeconds seconds;
+    for (int pair = 0; pair < pairs; ++pair) {
+        seconds.first.push_back(first());
+        seconds.second.push_back(second());
+    }
+    return seconds;
+}
+
+/** The median over the pairs of num/den, skipping a pair where either
+ *  side read 0 (the median sheds the odd descheduled segment); 0 when
+ *  no pair counts. */
+double
+medianRatio(const std::vector<double> &num, const std::vector<double> &den)
+{
+    std::vector<double> ratios;
+    for (size_t pair = 0; pair < num.size(); ++pair)
+        if (num[pair] > 0 && den[pair] > 0)
+            ratios.push_back(num[pair] / den[pair]);
+    std::sort(ratios.begin(), ratios.end());
+    return ratios.empty() ? 0.0 : ratios[ratios.size() / 2];
+}
+
+/** One side's seconds over all pairs. */
+double
+totalSeconds(const std::vector<double> &side)
+{
+    return std::accumulate(side.begin(), side.end(), 0.0);
+}
+
+/**
+ * The paired segment walk of two trace walkers: warm both over one full
+ * pass, reset `measured`'s stats, then time kHotpathPairs interleaved
+ * segments of each.  *walked gets the accesses each side walked.
+ */
+template <typename First, typename Second>
+PairedSeconds
+pairedSegments(const std::vector<uint64_t> &trace, double scale,
+               Cache &measured, uint64_t *walked, First &&first,
+               Second &&second)
+{
+    size_t first_cursor = 0, second_cursor = 0;
+    timedSegment(trace, &first_cursor, trace.size(), first);
+    timedSegment(trace, &second_cursor, trace.size(), second);
+    measured.resetStats();
+
+    const uint64_t seg =
+        std::max<uint64_t>(hotpathTarget(scale) / kHotpathPairs, 1);
+    *walked = seg * kHotpathPairs;
+    return runPairs(
+        kHotpathPairs,
+        [&] { return timedSegment(trace, &first_cursor, seg, first); },
+        [&] { return timedSegment(trace, &second_cursor, seg, second); });
+}
 
 void
 hotpathMetrics(JobOutcome &outcome, uint64_t done, double seconds,
@@ -122,13 +214,11 @@ hotpathMetrics(JobOutcome &outcome, uint64_t done, double seconds,
  * Throughput of the live (SoA) Cache under a single-core policy,
  * measured against an in-job AoS twin.
  *
- * Wall-clock rates on a shared machine drift by integer factors between
- * phases, so a ratio of two rates measured in different jobs (possibly
- * minutes apart) is meaningless.  Each job therefore drives the live
+ * A ratio of two rates measured in different jobs (possibly minutes
+ * apart) is meaningless on a shared machine, so each job drives the live
  * cache and a private ReferenceCache through the same stream in
- * interleaved timed segments and reports the median of the per-pair
- * ratios as `vs_aos` — both sides of every pair see the same machine
- * weather, and the median sheds the odd descheduled segment.
+ * interleaved timed segments (runPairs) and reports the median of the
+ * per-pair AoS/SoA time ratios as `vs_aos`.
  */
 Job
 hotpathCacheJob(std::string key, std::string policySpec, double scale)
@@ -159,34 +249,17 @@ hotpathCacheJob(std::string key, std::string policySpec, double scale)
             ref.access(ref_access);
         };
 
-        // Warmup both substrates over one full pass.
-        size_t soa_cursor = 0, aos_cursor = 0;
-        timedSegment(trace, &soa_cursor, trace.size(), soa);
-        timedSegment(trace, &aos_cursor, trace.size(), aos);
-        cache.resetStats();
-
-        const uint64_t seg =
-            std::max<uint64_t>(hotpathTarget(scale) / kHotpathPairs, 1);
-        double soa_seconds = 0.0, aos_seconds = 0.0;
-        std::vector<double> ratios;
         uint64_t done = 0;
-        for (int pair = 0; pair < kHotpathPairs; ++pair) {
-            const double s = timedSegment(trace, &soa_cursor, seg, soa);
-            const double a = timedSegment(trace, &aos_cursor, seg, aos);
-            soa_seconds += s;
-            aos_seconds += a;
-            done += seg;
-            if (s > 0 && a > 0)
-                ratios.push_back(a / s);
-        }
-        std::sort(ratios.begin(), ratios.end());
+        const PairedSeconds t =
+            pairedSegments(trace, scale, cache, &done, soa, aos);
+        const double aos_seconds = totalSeconds(t.second);
 
         JobOutcome outcome;
-        hotpathMetrics(outcome, done, soa_seconds, cache.stats().hitRate());
+        hotpathMetrics(outcome, done, totalSeconds(t.first),
+                       cache.stats().hitRate());
         outcome.metrics["aos_accesses_per_sec"] =
             aos_seconds > 0 ? static_cast<double>(done) / aos_seconds : 0.0;
-        outcome.metrics["vs_aos"] =
-            ratios.empty() ? 0.0 : ratios[ratios.size() / 2];
+        outcome.metrics["vs_aos"] = medianRatio(t.second, t.first);
         return outcome;
     };
     return job;
@@ -305,43 +378,21 @@ hotpathTelemetryIdleJob(double scale)
             counter.add(1);
         };
 
-        size_t plain_cursor = 0, instr_cursor = 0;
-        timedSegment(trace, &plain_cursor, trace.size(), plain_walk);
-        timedSegment(trace, &instr_cursor, trace.size(), instr_walk);
-        plain.resetStats();
-
-        const uint64_t seg =
-            std::max<uint64_t>(hotpathTarget(scale) / kHotpathPairs, 1);
-        double plain_seconds = 0.0;
-        std::vector<double> ratios;
         uint64_t done = 0;
-        for (int pair = 0; pair < kHotpathPairs; ++pair) {
-            const double p = timedSegment(trace, &plain_cursor, seg,
-                                          plain_walk);
-            const double t = timedSegment(trace, &instr_cursor, seg,
-                                          instr_walk);
-            plain_seconds += p;
-            done += seg;
-            if (p > 0 && t > 0)
-                ratios.push_back(p / t);
-        }
-        std::sort(ratios.begin(), ratios.end());
+        const PairedSeconds t = pairedSegments(trace, scale, plain, &done,
+                                               plain_walk, instr_walk);
 
         JobOutcome outcome;
-        hotpathMetrics(outcome, done, plain_seconds,
+        hotpathMetrics(outcome, done, totalSeconds(t.first),
                        plain.stats().hitRate());
         outcome.metrics["telemetry_idle_ratio"] =
-            ratios.empty() ? 0.0 : ratios[ratios.size() / 2];
+            medianRatio(t.first, t.second);
         outcome.metrics["telemetry_compiled"] =
             telemetry::kCompiled ? 1.0 : 0.0;
         return outcome;
     };
     return job;
 }
-
-/** Interleaved pairs in the lockstep-sweep measurement (odd; fewer than
- *  kHotpathPairs because each side is a full 19-config sweep). */
-constexpr int kSweepPairs = 3;
 
 /**
  * The tentpole ratio the CI gate keys on: one benchmark's full 19-point
@@ -372,48 +423,35 @@ hotpathSweepJob(double scale)
         const unsigned threads =
             std::min(4u, std::max(1u, std::thread::hardware_concurrency()));
 
-        double lockSeconds = 0.0;
-        std::vector<double> ratios;
         std::vector<SimResult> lockstep, independent;
-        for (int pair = 0; pair < kSweepPairs; ++pair) {
-            // pdplint: allow(wall-clock) paired throughput measurement;
-            // only the volatile metrics dump sees the result.
-            auto t0 = std::chrono::steady_clock::now();
-            independent.clear();
-            for (uint32_t pd : grid) {
+        const PairedSeconds t = runPairs(
+            kSweepPairs,
+            [&] {
+                const Stopwatch watch;
+                independent.clear();
+                for (uint32_t pd : grid) {
+                    auto gen = SpecSuite::make(bench, ctx.seed);
+                    Hierarchy hierarchy(config.hierarchy, makeSpdpB(pd));
+                    independent.push_back(
+                        runSingleCore(*gen, hierarchy, config));
+                }
+                return watch.seconds();
+            },
+            [&] {
+                const Stopwatch watch;
                 auto gen = SpecSuite::make(bench, ctx.seed);
-                Hierarchy hierarchy(config.hierarchy, makeSpdpB(pd));
-                independent.push_back(
-                    runSingleCore(*gen, hierarchy, config));
-            }
-            const double ind =
-                // pdplint: allow(wall-clock) see above.
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-
-            // pdplint: allow(wall-clock) see above.
-            t0 = std::chrono::steady_clock::now();
-            auto gen = SpecSuite::make(bench, ctx.seed);
-            lockstep = runSingleCoreLockstep(*gen, config, factories,
-                                             threads);
-            const double lock =
-                // pdplint: allow(wall-clock) see above.
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-
-            lockSeconds += lock;
-            if (ind > 0 && lock > 0)
-                ratios.push_back(ind / lock);
-            for (size_t c = 0; c < grid.size(); ++c)
-                PDP_CHECK(lockstep[c].llcMisses ==
-                                  independent[c].llcMisses &&
-                              lockstep[c].cycles == independent[c].cycles,
-                          "lockstep sweep diverged from independent runs "
-                          "at PD=", grid[c]);
-        }
-        std::sort(ratios.begin(), ratios.end());
+                lockstep =
+                    runSingleCoreLockstep(*gen, config, factories, threads);
+                const double seconds = watch.seconds();
+                for (size_t c = 0; c < grid.size(); ++c)
+                    PDP_CHECK(lockstep[c].llcMisses ==
+                                      independent[c].llcMisses &&
+                                  lockstep[c].cycles ==
+                                      independent[c].cycles,
+                              "lockstep sweep diverged from independent "
+                              "runs at PD=", grid[c]);
+                return seconds;
+            });
 
         uint64_t hits = 0, accesses = 0;
         for (const SimResult &r : lockstep) {
@@ -425,10 +463,9 @@ hotpathSweepJob(double scale)
             outcome,
             static_cast<uint64_t>(kSweepPairs) * grid.size() *
                 config.accesses,
-            lockSeconds,
+            totalSeconds(t.second),
             accesses ? static_cast<double>(hits) / accesses : 0.0);
-        outcome.metrics["sweep_speedup"] =
-            ratios.empty() ? 0.0 : ratios[ratios.size() / 2];
+        outcome.metrics["sweep_speedup"] = medianRatio(t.first, t.second);
         outcome.metrics["sweep_configs"] =
             static_cast<double>(grid.size());
         // Lane fan-out actually used: `pdpreport.py perf` only enforces
@@ -469,67 +506,49 @@ hotpathExploreJob(double scale)
             std::min(4u, std::max(1u, std::thread::hardware_concurrency()));
         const std::vector<uint32_t> grid = defaultPdGrid();
 
-        double exploreSeconds = 0.0;
-        std::vector<double> ratios;
         std::vector<SimResult> exhaustive, contenders;
         ExplorePlan plan;
-        uint64_t done = 0;
-        for (int pair = 0; pair < kSweepPairs; ++pair) {
+        const PairedSeconds t = runPairs(
+            kSweepPairs,
             // Exhaustive side: every (family, PD) cell, sequentially —
             // the simulate-everything baseline a sweep pays without the
             // model.
-            // pdplint: allow(wall-clock) paired throughput measurement;
-            // only the volatile metrics dump sees the result.
-            auto t0 = std::chrono::steady_clock::now();
-            exhaustive.clear();
-            for (bool byp : {false, true})
-                for (uint32_t pd : grid) {
-                    auto gen = SpecSuite::make(bench, ctx.seed);
-                    Hierarchy hierarchy(config.hierarchy,
-                                        byp ? makeSpdpB(pd)
-                                            : makeSpdpNb(pd));
-                    exhaustive.push_back(
-                        runSingleCore(*gen, hierarchy, config));
-                }
-            const double exh =
-                // pdplint: allow(wall-clock) see above.
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-
+            [&] {
+                const Stopwatch watch;
+                exhaustive.clear();
+                for (bool byp : {false, true})
+                    for (uint32_t pd : grid) {
+                        auto gen = SpecSuite::make(bench, ctx.seed);
+                        Hierarchy hierarchy(config.hierarchy,
+                                            byp ? makeSpdpB(pd)
+                                                : makeSpdpNb(pd));
+                        exhaustive.push_back(
+                            runSingleCore(*gen, hierarchy, config));
+                    }
+                return watch.seconds();
+            },
             // Pruned side: fingerprint the stream once, rank the whole
             // grid analytically, simulate only the contenders (plus the
             // audit cell) over one lockstep decode.
-            // pdplint: allow(wall-clock) see above.
-            t0 = std::chrono::steady_clock::now();
-            auto fgen = SpecSuite::make(bench, ctx.seed);
-            FingerprintOptions fopt;
-            fopt.accesses = config.accesses;
-            fopt.warmup = config.warmup;
-            const RddFingerprint fp = fingerprintStream(*fgen, fopt);
-            plan = planExplore(fp, 3, seedFor(bench + "/explore-audit"));
-            std::vector<PolicyFactory> factories;
-            for (const ExploreCell &cell : plan.chosen)
-                factories.push_back(
-                    [cell]() -> std::unique_ptr<ReplacementPolicy> {
-                        return cell.bypass ? makeSpdpB(cell.pd)
-                                           : makeSpdpNb(cell.pd);
-                    });
-            auto gen = SpecSuite::make(bench, ctx.seed);
-            contenders =
-                runSingleCoreLockstep(*gen, config, factories, threads);
-            const double prn =
-                // pdplint: allow(wall-clock) see above.
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-
-            exploreSeconds += prn;
-            done += plan.chosen.size() * config.accesses;
-            if (exh > 0 && prn > 0)
-                ratios.push_back(exh / prn);
-        }
-        std::sort(ratios.begin(), ratios.end());
+            [&] {
+                const Stopwatch watch;
+                auto fgen = SpecSuite::make(bench, ctx.seed);
+                FingerprintOptions fopt;
+                fopt.accesses = config.accesses;
+                fopt.warmup = config.warmup;
+                const RddFingerprint fp = fingerprintStream(*fgen, fopt);
+                plan = planExplore(fp, kExploreTopK,
+                                   seedFor(bench + "/explore-audit"));
+                std::vector<PolicyFactory> factories;
+                for (const ExploreCell &cell : plan.chosen)
+                    factories.push_back(spdpPolicy(cell.bypass, cell.pd));
+                auto gen = SpecSuite::make(bench, ctx.seed);
+                contenders =
+                    runSingleCoreLockstep(*gen, config, factories, threads);
+                return watch.seconds();
+            });
+        const uint64_t done =
+            kSweepPairs * plan.chosen.size() * config.accesses;
 
         // Winner reproduction per family: the pruned set must contain a
         // cell within 2% of the exhaustive miss minimum.
@@ -556,11 +575,10 @@ hotpathExploreJob(double scale)
             accesses += r.llcAccesses;
         }
         JobOutcome outcome;
-        hotpathMetrics(outcome, done, exploreSeconds,
+        hotpathMetrics(outcome, done, totalSeconds(t.second),
                        accesses ? static_cast<double>(hits) / accesses
                                 : 0.0);
-        outcome.metrics["explore_speedup"] =
-            ratios.empty() ? 0.0 : ratios[ratios.size() / 2];
+        outcome.metrics["explore_speedup"] = medianRatio(t.first, t.second);
         outcome.metrics["explore_cells"] =
             static_cast<double>(2 * grid.size());
         outcome.metrics["explore_simulated"] =
@@ -601,15 +619,8 @@ reportHotpath(std::ostream &out, const RecordLookup &records)
     };
 
     Table table({"configuration", "Macc/s", "hit rate", "vs AoS"});
-    std::vector<std::string> keys;
-    for (const std::string &policy : kHotpathPolicies)
-        keys.push_back("hotpath/llc/" + policy);
-    keys.push_back("hotpath/llc/AoS-reference");
-    keys.push_back("hotpath/shared/PDP-3-part-4c");
-    keys.push_back("hotpath/llc/LRU-telemetry-idle");
-    keys.push_back("hotpath/sweep/SPDP-B-grid");
-    keys.push_back("hotpath/explore/SPDP-grid");
-    for (const std::string &key : keys) {
+    for (const Job &job : buildHotpath(SuiteOptions{})) {
+        const std::string &key = job.key;
         const std::optional<double> aps =
             records.metric(key, "accesses_per_sec");
         if (!aps) {

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <map>
 #include <optional>
 #include <ostream>
 
@@ -35,7 +37,7 @@ namespace
 // model_validation — the analytic estimator (src/model/) cross-validated
 // against the simulator on the single-core workload set: fingerprint
 // each benchmark once, predict a PD spread for both SPDP families plus
-// LRU, simulate the same cells over one lockstep decode, and attach the
+// LRU, simulate the same cells in one multi-policy call, and attach the
 // per-point |predicted - simulated| error to every record's metrics.
 // Metrics survive the deterministic JSON form, so BENCH_model_validation
 // .json doubles as the model's machine-readable accuracy ledger.
@@ -45,78 +47,108 @@ namespace
  *  for no extra information about model quality). */
 const std::vector<uint32_t> kValidationPds = {16, 32, 64, 128, 256};
 
-/** Fingerprint whose measured window matches one simulation config. */
-RddFingerprint
-suiteFingerprint(const std::string &bench, uint64_t seed,
-                 const SimConfig &config)
+/** What a model job takes from one benchmark's fingerprint: the cells'
+ *  policies, and the job's records — first one per cell (its key and
+ *  the metrics the model gave it), then any that are no cell's own. */
+struct ModelPlan
 {
-    FingerprintOptions fopt;
-    fopt.accesses = config.accesses;
-    fopt.warmup = config.warmup;
-    return fingerprintBenchmark(bench, seed, fopt);
+    std::vector<PolicyFactory> policies;
+    std::vector<KeyedOutcome> records;
+};
+
+/** Adds the metrics of a cell that need its simulated result. */
+using CellCheck = void (*)(const SimResult &,
+                           std::map<std::string, double> &);
+
+double
+hitRate(const SimResult &r)
+{
+    return r.llcAccesses ? static_cast<double>(r.llcHits) / r.llcAccesses
+                         : 0.0;
 }
 
-/** One benchmark's validation: fingerprint once, predict every cell in
- *  microseconds, then simulate the identical cells over one lockstep
- *  decode and attach the error metrics. */
+/**
+ * One benchmark's model job: fingerprint the config's measured window
+ * once, let `plan` pick and predict the cells in microseconds, simulate
+ * them all in one runSingleCoreLockstep call (src/sim picks the driver)
+ * and add each cell's result to its record, with `check`'s metrics if
+ * any.  The job has one soft `timeout` budget per cell, as a folded
+ * sweep of `cells` cells would.
+ */
 Job
-modelValidationJob(const std::string &bench, const SimConfig &config)
+modelJob(std::string key, const std::string &bench, const SimConfig &config,
+         size_t cells, double timeout,
+         std::function<ModelPlan(const RddFingerprint &)> plan,
+         CellCheck check = nullptr)
 {
     Job job;
-    job.key = "model_validation/" + bench + "/lockstep";
+    job.key = std::move(key);
     job.seed = seedFor(bench);
-    job.runMany = [bench, config](const JobContext &ctx) {
-        const std::string prefix = "model_validation/" + bench + "/";
-        const RddFingerprint fp = suiteFingerprint(bench, ctx.seed, config);
-        const model::AnalyticModel estimator{model::ModelConfig{}};
-
-        struct Cell
-        {
-            std::string key;
-            model::Prediction pred;
-            bool bypass;
-        };
-        std::vector<Cell> cells;
-        std::vector<PolicyFactory> factories;
-        for (bool byp : {false, true}) {
-            for (uint32_t pd : kValidationPds) {
-                cells.push_back({prefix + (byp ? "SPDP-B:" : "SPDP-NB:") +
-                                     std::to_string(pd),
-                                 estimator.predictPdpAt(fp, pd, byp), byp});
-                factories.push_back(
-                    [pd, byp]() -> std::unique_ptr<ReplacementPolicy> {
-                        return byp ? makeSpdpB(pd) : makeSpdpNb(pd);
-                    });
-            }
-        }
-        cells.push_back({prefix + "LRU", estimator.predictLru(fp), false});
-        factories.push_back([] { return makePolicy("LRU"); });
-
+    job.timeoutSeconds = timeout * static_cast<double>(cells);
+    job.runMany = [bench, config, plan = std::move(plan),
+                   check](const JobContext &ctx) {
+        FingerprintOptions fopt;
+        fopt.accesses = config.accesses;
+        fopt.warmup = config.warmup;
+        ModelPlan chosen = plan(fingerprintBenchmark(bench, ctx.seed, fopt));
         auto gen = SpecSuite::make(bench, ctx.seed);
-        const std::vector<SimResult> results =
-            runSingleCoreLockstep(*gen, config, factories, ctx.laneThreads);
-
-        std::vector<KeyedOutcome> outcomes(results.size());
+        std::vector<SimResult> results = runSingleCoreLockstep(
+            *gen, config, chosen.policies, ctx.laneThreads);
         for (size_t c = 0; c < results.size(); ++c) {
-            const SimResult &r = results[c];
-            outcomes[c].key = cells[c].key;
-            outcomes[c].outcome.single = r;
-            auto &m = outcomes[c].outcome.metrics;
-            const double sim = r.llcAccesses
-                ? static_cast<double>(r.llcHits) / r.llcAccesses
-                : 0.0;
-            m["pred_hit_rate"] = cells[c].pred.hitRate;
-            m["sim_hit_rate"] = sim;
-            m["abs_err"] = std::fabs(cells[c].pred.hitRate - sim);
-            m["err_bar"] = cells[c].pred.errorBar;
-            if (cells[c].bypass) {
-                m["pred_bypass"] = cells[c].pred.bypassFraction;
-                m["sim_bypass"] = r.bypassFraction;
-            }
+            JobOutcome &outcome = chosen.records[c].outcome;
+            if (check)
+                check(results[c], outcome.metrics);
+            outcome.single = std::move(results[c]);
         }
-        return outcomes;
+        return std::move(chosen.records);
     };
     return job;
+}
+
+/** "SPDP-B:" or "SPDP-NB:", the record-key stem of one static-PD cell. */
+const char *
+spdpFamily(bool bypass)
+{
+    return bypass ? "SPDP-B:" : "SPDP-NB:";
+}
+
+/** model_validation's cells: kValidationPds under SPDP-NB, then SPDP-B,
+ *  then LRU, each with the model's prediction and error bar. */
+ModelPlan
+validationPlan(const RddFingerprint &fp, const std::string &prefix)
+{
+    const model::AnalyticModel estimator{model::ModelConfig{}};
+    ModelPlan plan;
+    const auto add = [&](const std::string &cell, PolicyFactory makePol,
+                         const model::Prediction &pred, bool bypass) {
+        plan.policies.push_back(std::move(makePol));
+        KeyedOutcome &record = plan.records.emplace_back();
+        record.key = prefix + cell;
+        auto &m = record.outcome.metrics;
+        m["pred_hit_rate"] = pred.hitRate;
+        m["err_bar"] = pred.errorBar;
+        if (bypass)
+            m["pred_bypass"] = pred.bypassFraction;
+    };
+    for (bool byp : {false, true})
+        for (uint32_t pd : kValidationPds)
+            add(spdpFamily(byp) + std::to_string(pd), spdpPolicy(byp, pd),
+                estimator.predictPdpAt(fp, pd, byp), byp);
+    add("LRU", [] { return makePolicy("LRU"); }, estimator.predictLru(fp),
+        false);
+    return plan;
+}
+
+/** model_validation's per-cell error: the simulated hit rate (and, where
+ *  the model predicted one, bypass fraction) beside the prediction. */
+void
+recordError(const SimResult &r, std::map<std::string, double> &m)
+{
+    const double sim = hitRate(r);
+    m["sim_hit_rate"] = sim;
+    m["abs_err"] = std::fabs(m.at("pred_hit_rate") - sim);
+    if (m.contains("pred_bypass"))
+        m["sim_bypass"] = r.bypassFraction;
 }
 
 std::vector<Job>
@@ -126,8 +158,16 @@ buildModelValidation(const SuiteOptions &options)
     // pins the committed error bounds to it).
     const SimConfig config = scaledConfig(options, 2'000'000, 600'000);
     std::vector<Job> jobs;
-    for (const std::string &bench : SpecSuite::singleCoreNames())
-        jobs.push_back(modelValidationJob(bench, config));
+    for (const std::string &bench : SpecSuite::singleCoreNames()) {
+        const std::string prefix = "model_validation/" + bench + "/";
+        jobs.push_back(modelJob(
+            prefix + "lockstep", bench, config,
+            2 * kValidationPds.size() + 1, options.timeoutSeconds,
+            [prefix](const RddFingerprint &fp) {
+                return validationPlan(fp, prefix);
+            },
+            recordError));
+    }
     return jobs;
 }
 
@@ -209,13 +249,15 @@ const std::vector<std::string> kExploreBenches = {
     "456.hmmer",  "464.h264ref", "482.sphinx3",
 };
 
-const char *
-exploreFamily(bool bypass)
-{
-    return bypass ? "SPDP-B:" : "SPDP-NB:";
-}
-
 } // namespace
+
+PolicyFactory
+spdpPolicy(bool bypass, uint32_t pd)
+{
+    return [bypass, pd]() -> std::unique_ptr<ReplacementPolicy> {
+        return bypass ? makeSpdpB(pd) : makeSpdpNb(pd);
+    };
+}
 
 ExplorePlan
 planExplore(const RddFingerprint &fp, unsigned top_k, uint64_t audit_seed)
@@ -275,62 +317,37 @@ planExplore(const RddFingerprint &fp, unsigned top_k, uint64_t audit_seed)
 namespace
 {
 
-/** The pruned path for one benchmark: fingerprint, rank, simulate only
- *  the plan's cells over one lockstep decode.  Emits the same per-cell
- *  record keys as the exhaustive grid plus one "model" summary record
+/** The pruned explore cells of `bench`: planExplore's contenders with
+ *  the exhaustive grid's record keys, then one "model" summary record
  *  (pure deterministic metrics, no wall-clock). */
-Job
-exploreJob(const std::string &bench, const SimConfig &config, unsigned top_k)
+ModelPlan
+explorePlan(const RddFingerprint &fp, const std::string &bench)
 {
-    Job job;
-    job.key = "explore/" + bench + "/pruned";
-    job.seed = seedFor(bench);
-    job.runMany = [bench, config, top_k](const JobContext &ctx) {
-        const std::string prefix = "explore/" + bench + "/";
-        const RddFingerprint fp = suiteFingerprint(bench, ctx.seed, config);
-        const ExplorePlan plan =
-            planExplore(fp, top_k, seedFor(bench + "/explore-audit"));
+    const std::string prefix = "explore/" + bench + "/";
+    const ExplorePlan plan =
+        planExplore(fp, kExploreTopK, seedFor(bench + "/explore-audit"));
+    ModelPlan cells;
+    for (const ExploreCell &cell : plan.chosen) {
+        cells.policies.push_back(spdpPolicy(cell.bypass, cell.pd));
+        KeyedOutcome &record = cells.records.emplace_back();
+        record.key =
+            prefix + spdpFamily(cell.bypass) + std::to_string(cell.pd);
+        record.outcome.metrics = {{"pred_hit_rate", cell.predicted},
+                                  {"audit_cell", cell.audit ? 1.0 : 0.0}};
+    }
 
-        std::vector<PolicyFactory> factories;
-        for (const ExploreCell &cell : plan.chosen)
-            factories.push_back(
-                [cell]() -> std::unique_ptr<ReplacementPolicy> {
-                    return cell.bypass ? makeSpdpB(cell.pd)
-                                       : makeSpdpNb(cell.pd);
-                });
-
-        auto gen = SpecSuite::make(bench, ctx.seed);
-        const std::vector<SimResult> results =
-            runSingleCoreLockstep(*gen, config, factories, ctx.laneThreads);
-
-        std::vector<KeyedOutcome> outcomes;
-        outcomes.reserve(results.size() + 1);
-        for (size_t c = 0; c < results.size(); ++c) {
-            const ExploreCell &cell = plan.chosen[c];
-            KeyedOutcome keyed;
-            keyed.key = prefix + exploreFamily(cell.bypass) +
-                std::to_string(cell.pd);
-            keyed.outcome.single = results[c];
-            keyed.outcome.metrics["pred_hit_rate"] = cell.predicted;
-            keyed.outcome.metrics["audit_cell"] = cell.audit ? 1.0 : 0.0;
-            outcomes.push_back(std::move(keyed));
-        }
-
-        KeyedOutcome summary;
-        summary.key = prefix + "model";
-        auto &m = summary.outcome.metrics;
-        m["grid_cells"] = static_cast<double>(plan.gridCells);
-        m["simulated_cells"] = static_cast<double>(plan.chosen.size());
-        m["top_k"] = static_cast<double>(top_k);
-        m["pred_best_pd_nb"] = static_cast<double>(plan.predBestPd[0]);
-        m["pred_best_pd_b"] = static_cast<double>(plan.predBestPd[1]);
-        m["pred_best_hit_nb"] = plan.predBestHit[0];
-        m["pred_best_hit_b"] = plan.predBestHit[1];
-        m["err_bar"] = plan.errorBar;
-        outcomes.push_back(std::move(summary));
-        return outcomes;
-    };
-    return job;
+    KeyedOutcome &summary = cells.records.emplace_back();
+    summary.key = prefix + "model";
+    auto &m = summary.outcome.metrics;
+    m["grid_cells"] = static_cast<double>(plan.gridCells);
+    m["simulated_cells"] = static_cast<double>(plan.chosen.size());
+    m["top_k"] = static_cast<double>(kExploreTopK);
+    m["pred_best_pd_nb"] = static_cast<double>(plan.predBestPd[0]);
+    m["pred_best_pd_b"] = static_cast<double>(plan.predBestPd[1]);
+    m["pred_best_hit_nb"] = plan.predBestHit[0];
+    m["pred_best_hit_b"] = plan.predBestHit[1];
+    m["err_bar"] = plan.errorBar;
+    return cells;
 }
 
 std::vector<Job>
@@ -341,16 +358,19 @@ buildExplore(const SuiteOptions &options)
     for (const std::string &bench : kExploreBenches) {
         const std::string prefix = "explore/" + bench + "/";
         if (options.explore) {
-            jobs.push_back(exploreJob(bench, config,
-                                      std::max(1u, options.exploreTopK)));
+            // The top-K contenders per family plus the audit cell.
+            jobs.push_back(modelJob(
+                prefix + "pruned", bench, config, 2 * kExploreTopK + 1,
+                options.timeoutSeconds, [bench](const RddFingerprint &fp) {
+                    return explorePlan(fp, bench);
+                }));
             continue;
         }
         for (bool byp : {false, true})
             for (uint32_t pd : defaultPdGrid())
                 jobs.push_back(singleCoreJob(
-                    prefix + exploreFamily(byp) + std::to_string(pd), bench,
-                    [pd, byp] { return byp ? makeSpdpB(pd) : makeSpdpNb(pd); },
-                    config));
+                    prefix + spdpFamily(byp) + std::to_string(pd), bench,
+                    spdpPolicy(byp, pd), config));
     }
     return jobs;
 }
@@ -368,7 +388,7 @@ reportExplore(std::ostream &out, const RecordLookup &records)
     for (const std::string &bench : kExploreBenches) {
         const std::string prefix = "explore/" + bench + "/";
         for (bool byp : {false, true}) {
-            const std::string fam = exploreFamily(byp);
+            const std::string fam = spdpFamily(byp);
             const GridBest best = bestOverPdGrid(records, prefix + fam);
             size_t simulated = 0;
             for (uint32_t pd : defaultPdGrid())
@@ -383,10 +403,7 @@ reportExplore(std::ostream &out, const RecordLookup &records)
             }
             const std::optional<double> pred_pd = records.metric(
                 prefix + "model", byp ? "pred_best_pd_b" : "pred_best_pd_nb");
-            const double hit = best.result->llcAccesses
-                ? static_cast<double>(best.result->llcHits) /
-                    best.result->llcAccesses
-                : 0.0;
+            const double hit = hitRate(*best.result);
             table.addRow(
                 {byp ? "" : bench, family_label, std::to_string(best.pd),
                  Table::num(hit, 3),

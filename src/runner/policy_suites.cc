@@ -14,6 +14,7 @@
 #include "core/pdp_policy.h"
 #include "policies/rrip.h"
 #include "runner/suite_helpers.h"
+#include "sim/policy_factory.h"
 #include "sim/static_pd_search.h"
 #include "trace/spec_suite.h"
 #include "trace/workload.h"
@@ -31,10 +32,6 @@ namespace
 // ---------------------------------------------------------------------------
 // fig10_single_core — Fig. 10: single-core policies vs DIP.
 
-const std::vector<std::string> kFig10Policies = {
-    "DRRIP", "EELRU", "SDP", "PDP-2", "PDP-3", "PDP-8",
-};
-
 std::vector<Job>
 buildFig10(const SuiteOptions &options)
 {
@@ -42,8 +39,7 @@ buildFig10(const SuiteOptions &options)
     std::vector<Job> jobs;
     for (const std::string &bench : SpecSuite::singleCoreNames()) {
         const std::string prefix = "fig10/" + bench + "/";
-        jobs.push_back(singleCoreJob(prefix + "DIP", bench, "DIP", config));
-        for (const std::string &policy : kFig10Policies)
+        for (const std::string &policy : fig10PolicyNames())
             jobs.push_back(
                 singleCoreJob(prefix + policy, bench, policy, config));
         for (uint32_t pd : defaultPdGrid())
@@ -60,9 +56,14 @@ reportFig10(std::ostream &out, const RecordLookup &records)
     out << "==== Fig. 10: single-core policies (normalized to DIP) "
            "====\n\n";
 
-    Table miss_table([] {
+    // The roster after its DIP baseline.
+    const std::vector<std::string> roster = fig10PolicyNames();
+    const std::vector<std::string> policies(roster.begin() + 1,
+                                            roster.end());
+
+    Table miss_table([&policies] {
         std::vector<std::string> h = {"benchmark"};
-        for (const auto &p : kFig10Policies)
+        for (const auto &p : policies)
             h.push_back(p);
         h.push_back("SPDP-B");
         return h;
@@ -114,7 +115,7 @@ reportFig10(std::ostream &out, const RecordLookup &records)
             }
         };
 
-        for (const std::string &policy : kFig10Policies)
+        for (const std::string &policy : policies)
             account(policy, records.single(prefix + policy),
                     policy == "SDP" || policy.rfind("PDP", 0) == 0);
 
@@ -138,7 +139,7 @@ reportFig10(std::ostream &out, const RecordLookup &records)
         table.addRow(row);
     };
 
-    std::vector<std::string> all_cols = kFig10Policies;
+    std::vector<std::string> all_cols = policies;
     all_cols.push_back("SPDP-B");
 
     out << "--- (a) miss reduction vs DIP ---\n";

@@ -1,7 +1,8 @@
 /**
  * @file
- * The service suite: the multi-tenant cache-service mode's scripted
- * tenant population under each shared policy.
+ * service — the multi-tenant cache-service mode (service/service_sim.h):
+ * one scripted open-loop tenant population, replayed identically under
+ * each shared policy, with per-tenant SLO attainment as the figure.
  */
 
 #include "runner/suites.h"
@@ -20,11 +21,6 @@ namespace runner
 
 namespace
 {
-
-// ---------------------------------------------------------------------------
-// service — the multi-tenant cache-service mode (service/service_sim.h):
-// one scripted open-loop tenant population, replayed identically under
-// each shared policy, with per-tenant SLO attainment as the figure.
 
 /** Policies the service scenario is replayed under.  LRU and TA-DRRIP
  *  run as unmanaged baselines; UCP and PDP-x implement

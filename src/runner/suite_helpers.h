@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "runner/suites.h"
+#include "sim/lockstep_sweep.h"
 #include "telemetry/epoch_sampler.h"
 #include "trace/rdd_fingerprint.h"
 
@@ -40,6 +41,13 @@ struct GridBest
 
 GridBest bestOverPdGrid(const RecordLookup &records,
                         const std::string &prefix);
+
+/** SPDP-B (`bypass`) or SPDP-NB at static PD `pd`. */
+PolicyFactory spdpPolicy(bool bypass, uint32_t pd);
+
+/** Contenders per SPDP family that the pruned explorer simulates, in
+ *  `explore --explore` and in the hotpath suite's explore job. */
+constexpr unsigned kExploreTopK = 3;
 
 /** One grid cell of an explore plan. */
 struct ExploreCell

@@ -307,23 +307,23 @@ genericReport(std::ostream &out, const std::vector<JobRecord> &records)
     table.print(out);
 }
 
-/** Whether two cells of one kind replay one decode: same stream, same
- *  config, and nothing observing the global access order. */
 bool
-sameDecode(const SingleCoreCell &a, const SingleCoreCell &b)
+sameStream(const SingleCoreCell &a, const SingleCoreCell &b)
 {
-    return a.benchmark == b.benchmark && a.config == b.config &&
-        !observesGlobalOrder(a.config);
+    return a.benchmark == b.benchmark;
 }
 
 bool
-sameDecode(const MultiCoreCell &a, const MultiCoreCell &b)
+sameStream(const MultiCoreCell &a, const MultiCoreCell &b)
 {
-    return a.workload == b.workload && a.config == b.config &&
-        !a.config.telemetry.enabled && a.config.auditEvery == 0;
+    return a.workload == b.workload;
 }
 
-/** Whether `next` may join the lockstep sweep that `first` opens. */
+/** Whether `next` may join the sweep that `first` opens: cells of one
+ *  kind over the same stream and config, and nothing observing the
+ *  global access order.  src/sim would run an observed sweep one cell
+ *  at a time anyway, so observed cells stay apart only to spread over
+ *  workers and fail alone. */
 bool
 sharesDecode(const Job &first, const Job &next)
 {
@@ -332,8 +332,10 @@ sharesDecode(const Job &first, const Job &next)
         return false;
     return std::visit(
         [&next](const auto &a) {
-            return sameDecode(a, std::get<std::decay_t<decltype(a)>>(
-                                     *next.cell));
+            const auto &b =
+                std::get<std::decay_t<decltype(a)>>(*next.cell);
+            return sameStream(a, b) && a.config == b.config &&
+                !observesGlobalOrder(a.config);
         },
         *first.cell);
 }

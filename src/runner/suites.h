@@ -90,13 +90,10 @@ struct SuiteOptions
      *  (--deterministic-json). */
     bool deterministicJson = false;
     /** Explore suite: prune the design-space grid with the analytic
-     *  model (src/model/) and simulate only the top-K contenders per
+     *  model (src/model/) and simulate only the top contenders per
      *  policy family plus one audit cell (--explore).  Off = simulate
      *  the exhaustive grid. */
     bool explore = false;
-    /** Contenders simulated per policy family in --explore mode
-     *  (--explore-topk). */
-    unsigned exploreTopK = 3;
 };
 
 /** Key-indexed view over executed records for the reduce step. */

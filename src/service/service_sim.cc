@@ -157,8 +157,7 @@ runService(const std::vector<TenantSpec> &tenants,
             config.telemetry.spanSampleRate);
     telemetry::SpanTracer *tracer = tracerPtr.get();
 
-    SloMonitor monitor({config.sloWindow, config.sloBudget}, config.slots,
-                       trace);
+    SloMonitor monitor(SloMonitorConfig{}, config.slots, trace);
 
     // Crash forensics: declared after the sampler/tracer so stack
     // unwinding destroys this scope FIRST, while the event ring and any

@@ -94,11 +94,6 @@ struct ServiceConfig
     /** Accesses between SLO occupancy samples; 0 = auto
      *  (max(16384, accesses / 64)). */
     uint64_t sloInterval = 0;
-    /** Burn-rate sliding window, in SLO sampling intervals
-     *  (service/slo_monitor.h). */
-    unsigned sloWindow = 8;
-    /** Error budget: tolerated violating fraction of the window. */
-    double sloBudget = 0.25;
     /** Fault injection: trip a PDP_CHECK at this measured-access index
      *  (0 disables).  Exercises the flight recorder end to end — the
      *  failure unwinds through the FlightScope with the event ring and

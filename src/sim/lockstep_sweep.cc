@@ -142,8 +142,18 @@ runSingleCoreLockstep(AccessGenerator &gen, const SimConfig &config,
                       const std::vector<PolicyFactory> &makePolicies,
                       unsigned threads)
 {
-    AccessGenerator *gens[] = {&gen};
     std::vector<SimResult> results;
+    if (observesGlobalOrder(config)) {
+        // An observer records one run's access order, so each policy
+        // runs alone.
+        for (const PolicyFactory &makePolicy : makePolicies) {
+            gen.reset();
+            Hierarchy hierarchy = makeHierarchy(config, makePolicy());
+            results.push_back(runSingleCore(gen, hierarchy, config));
+        }
+        return results;
+    }
+    AccessGenerator *gens[] = {&gen};
     for (const LockstepLane &lane :
          runLockstepLanes(gens, config, makePolicies, threads))
         results.push_back(makeSimResult(gen.name(),

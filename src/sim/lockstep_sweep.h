@@ -39,7 +39,8 @@ namespace pdp
 using PolicyFactory = std::function<std::unique_ptr<ReplacementPolicy>()>;
 
 /** Whether `config` observes the global access order (telemetry, audit
- *  or a prefetcher), which keeps it on the sequential runRoundRobin. */
+ *  or a prefetcher), which keeps it on the sequential runRoundRobin: the
+ *  one statement of the lane engine's precondition. */
 inline bool
 observesGlobalOrder(const SimConfig &config)
 {
@@ -72,7 +73,10 @@ runLockstepLanes(std::span<AccessGenerator *const> gens,
                  const std::vector<PolicyFactory> &makePolicies,
                  unsigned threads);
 
-/** runLockstepLanes' one-generator case: one SimResult per factory. */
+/** One SimResult per factory, each as runSingleCore would give it over
+ *  gen's stream from its start (gen must stand there): one
+ *  runLockstepLanes decode, or, for a config that observesGlobalOrder(),
+ *  one sequential run per factory with gen reset before each. */
 std::vector<SimResult>
 runSingleCoreLockstep(AccessGenerator &gen, const SimConfig &config,
                       const std::vector<PolicyFactory> &makePolicies,

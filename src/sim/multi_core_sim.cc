@@ -75,6 +75,22 @@ standaloneIpc(const std::string &benchmark, const MultiCoreConfig &config)
 namespace
 {
 
+/** The round-robin run `config` describes for any mix. */
+SimConfig
+roundRobinConfig(const MultiCoreConfig &config)
+{
+    SimConfig run;
+    run.accesses = config.accessesPerThread;
+    run.warmup = config.warmupPerThread;
+    run.timing = config.timing;
+    run.hierarchy.numThreads = config.cores;
+    run.hierarchy.llc = CacheConfig::paperLlc(config.cores);
+    run.auditEvery = config.auditEvery;
+    run.auditFailFast = config.auditFailFast;
+    run.telemetry = config.telemetry;
+    return run;
+}
+
 /** The round-robin run `config` describes for `workload`. */
 SimConfig
 roundRobinConfig(const WorkloadSpec &workload, const MultiCoreConfig &config)
@@ -90,16 +106,7 @@ roundRobinConfig(const WorkloadSpec &workload, const MultiCoreConfig &config)
     PDP_CHECK(config.cores >= 1 && config.cores <= CacheStats::kMaxThreads,
               "multi-core run of ", config.cores, " cores outside [1, ",
               CacheStats::kMaxThreads, "]");
-    SimConfig run;
-    run.accesses = config.accessesPerThread;
-    run.warmup = config.warmupPerThread;
-    run.timing = config.timing;
-    run.hierarchy.numThreads = config.cores;
-    run.hierarchy.llc = CacheConfig::paperLlc(config.cores);
-    run.auditEvery = config.auditEvery;
-    run.auditFailFast = config.auditFailFast;
-    run.telemetry = config.telemetry;
-    return run;
+    return roundRobinConfig(config);
 }
 
 /** Per-thread outcomes and W/T/H from measured-phase stats. */
@@ -135,6 +142,12 @@ makeMultiCoreResult(const WorkloadSpec &workload,
 
 } // namespace
 
+bool
+observesGlobalOrder(const MultiCoreConfig &config)
+{
+    return observesGlobalOrder(roundRobinConfig(config));
+}
+
 MultiCoreResult
 runMultiCore(const WorkloadSpec &workload, const std::string &policy_spec,
              const MultiCoreConfig &config)
@@ -162,6 +175,12 @@ runMultiCoreLockstep(const WorkloadSpec &workload,
                      const MultiCoreConfig &config, unsigned threads)
 {
     const SimConfig run = roundRobinConfig(workload, config);
+    if (observesGlobalOrder(run)) {
+        std::vector<MultiCoreResult> results;
+        for (const std::string &policy : policies)
+            results.push_back(runMultiCore(workload, policy, config));
+        return results;
+    }
     std::vector<PolicyFactory> factories;
     for (const std::string &policy : policies)
         factories.push_back([&policy, cores = config.cores] {

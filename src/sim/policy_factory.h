@@ -27,7 +27,8 @@ namespace pdp
  *  no argument is given one. */
 std::unique_ptr<ReplacementPolicy> makePolicy(const std::string &spec);
 
-/** The single-core comparison roster of Fig. 10. */
+/** The single-core comparison roster of Fig. 10, its DIP baseline
+ *  first. */
 std::vector<std::string> fig10PolicyNames();
 
 } // namespace pdp

@@ -33,9 +33,9 @@ std::vector<uint32_t> defaultPdGrid();
 size_t fewestMisses(const std::vector<const SimResult *> &results);
 
 /**
- * Sweep static PDs for one benchmark over one lockstep decode
- * (sim/lockstep_sweep.h) and return the fewestMisses() one.  A config
- * that observesGlobalOrder() throws CheckFailure.
+ * Sweep static PDs for one benchmark with runSingleCoreLockstep (one
+ * decode, or one sequential run per PD for an observed config) and
+ * return the fewestMisses() one.
  *
  * @param benchmark suite benchmark name
  * @param bypass true for SPDP-B, false for SPDP-NB

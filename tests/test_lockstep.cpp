@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -44,6 +46,17 @@ quickConfig()
     return config;
 }
 
+/** Both runs' telemetry sections in the deterministic dump's form. */
+void
+expectSameTelemetry(const std::shared_ptr<const telemetry::RunTelemetry> &a,
+                    const std::shared_ptr<const telemetry::RunTelemetry> &b)
+{
+    ASSERT_EQ(a != nullptr, b != nullptr);
+    if (a) {
+        EXPECT_EQ(toJson(*a, false).dump(), toJson(*b, false).dump());
+    }
+}
+
 /** Every SimResult field the deterministic dump carries.  Doubles are
  *  compared exactly: both sides must run the identical arithmetic. */
 void
@@ -62,6 +75,7 @@ expectSameResult(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.bypassFraction, b.bypassFraction);
     EXPECT_EQ(a.auditsRun, b.auditsRun);
     EXPECT_EQ(a.auditViolations, b.auditViolations);
+    expectSameTelemetry(a.telemetry, b.telemetry);
 }
 
 SimResult
@@ -69,7 +83,7 @@ sequentialRun(const std::string &bench, const PolicyFactory &makePol,
               const SimConfig &config)
 {
     auto gen = SpecSuite::make(bench, seedFor(bench));
-    Hierarchy hierarchy(config.hierarchy, makePol());
+    Hierarchy hierarchy = makeHierarchy(config, makePol());
     return runSingleCore(*gen, hierarchy, config);
 }
 
@@ -92,6 +106,29 @@ expectSameMultiResult(const MultiCoreResult &a, const MultiCoreResult &b)
     EXPECT_EQ(a.harmonicFairness, b.harmonicFairness);
     EXPECT_EQ(a.auditsRun, b.auditsRun);
     EXPECT_EQ(a.auditViolations, b.auditViolations);
+    expectSameTelemetry(a.telemetry, b.telemetry);
+}
+
+/** The configs that observe the global access order: traced telemetry,
+ *  an invariant audit and (single-core only) the stream prefetcher. */
+template <typename Config>
+std::vector<std::pair<std::string, Config>>
+observedConfigs(const Config &base)
+{
+    std::vector<std::pair<std::string, Config>> configs;
+    Config traced = base;
+    traced.telemetry.enabled = true;
+    traced.telemetry.traceEvents = true;
+    configs.emplace_back("telemetry", traced);
+    Config audited = base;
+    audited.auditEvery = 64;
+    configs.emplace_back("audit", audited);
+    if constexpr (std::is_same_v<Config, SimConfig>) {
+        Config prefetching = base;
+        prefetching.withPrefetcher = true;
+        configs.emplace_back("prefetcher", prefetching);
+    }
+    return configs;
 }
 
 MultiCoreConfig
@@ -168,14 +205,30 @@ TEST(LockstepSweepTest, ShardPlanStubRejectsSharding)
     EXPECT_THROW(ShardPlan::make(llc, 2), CheckFailure);
 }
 
-TEST(LockstepSweepTest, RejectsGlobalOrderObservers)
+TEST(LockstepSweepTest, ObservedConfigsMatchIndependentRuns)
 {
-    std::vector<PolicyFactory> factories = {[] { return makePolicy("LRU"); }};
-    SimConfig config = quickConfig();
-    config.telemetry.enabled = true;
-    auto gen = SpecSuite::make("429.mcf", seedFor("429.mcf"));
-    EXPECT_THROW(runSingleCoreLockstep(*gen, config, factories),
-                 std::exception);
+    // A config that observes the global access order runs each policy
+    // alone on the sequential loop, so its telemetry, audits and
+    // prefetches are those of an independent run.
+    const std::vector<std::string> specs = {"LRU", "PDP-3", "SPDP-B:64"};
+    std::vector<PolicyFactory> factories;
+    for (const std::string &spec : specs)
+        factories.push_back([spec] { return makePolicy(spec); });
+    for (const auto &[name, config] : observedConfigs(quickConfig())) {
+        ASSERT_TRUE(observesGlobalOrder(config)) << name;
+        auto gen = SpecSuite::make("429.mcf", seedFor("429.mcf"));
+        const std::vector<SimResult> swept =
+            runSingleCoreLockstep(*gen, config, factories, /*threads=*/3);
+        ASSERT_EQ(swept.size(), specs.size());
+        for (size_t c = 0; c < specs.size(); ++c) {
+            SCOPED_TRACE(name + "/" + specs[c]);
+            const SimResult plain =
+                sequentialRun("429.mcf", factories[c], config);
+            expectSameResult(swept[c], plain);
+            EXPECT_EQ(plain.telemetry != nullptr, name == "telemetry");
+            EXPECT_EQ(plain.auditsRun > 0, name == "audit");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -222,14 +275,29 @@ TEST(MultiCoreLockstepTest, RejectsWhatRunMultiCoreRejects)
     EXPECT_THROW(runMultiCoreLockstep(randomWorkloads(1, 64, 7)[0],
                                       {"LRU"}, config),
                  CheckFailure);
-    // Observed configs stay on the sequential driver.
-    config = quickMultiConfig(2);
-    config.auditEvery = 64;
-    EXPECT_THROW(runMultiCoreLockstep(pair, {"LRU"}, config), CheckFailure);
     // The engine itself needs a generator to serve.
     EXPECT_THROW(runLockstepLanes({}, quickConfig(),
                                   {[] { return makePolicy("LRU"); }}, 1),
                  CheckFailure);
+}
+
+TEST(MultiCoreLockstepTest, ObservedConfigsMatchIndependentRuns)
+{
+    const WorkloadSpec workload = randomWorkloads(1, 2, 7)[0];
+    for (const auto &[name, config] : observedConfigs(quickMultiConfig(2))) {
+        ASSERT_TRUE(observesGlobalOrder(config)) << name;
+        const std::vector<MultiCoreResult> swept =
+            runMultiCoreLockstep(workload, kSharedPolicies, config, 4);
+        ASSERT_EQ(swept.size(), kSharedPolicies.size());
+        for (size_t c = 0; c < swept.size(); ++c) {
+            SCOPED_TRACE(name + "/" + kSharedPolicies[c]);
+            const MultiCoreResult plain =
+                runMultiCore(workload, kSharedPolicies[c], config);
+            expectSameMultiResult(swept[c], plain);
+            EXPECT_EQ(plain.telemetry != nullptr, name == "telemetry");
+            EXPECT_EQ(plain.auditsRun > 0, name == "audit");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -400,6 +400,26 @@ TEST(Suites, RegistryHasThePortedFiguresAndUniqueJobKeys)
     EXPECT_EQ(findSuite("no_such_suite"), nullptr);
 }
 
+TEST(Suites, ModelJobsGetOneTimeoutBudgetPerCell)
+{
+    // model_validation simulates 11 cells per job and the pruned explore
+    // job 7 (3 contenders per family + the audit cell): each gets the
+    // soft --timeout budgets a folded sweep of as many cells would.
+    SuiteOptions options;
+    options.scale = 0.01;
+    options.timeoutSeconds = 2.0;
+    options.explore = true;
+    for (const auto &[name, budget] :
+         {std::pair{"model_validation", 22.0}, std::pair{"explore", 14.0}}) {
+        const Suite *suite = findSuite(name);
+        ASSERT_NE(suite, nullptr) << name;
+        const std::vector<Job> jobs = selectJobs(*suite, options);
+        ASSERT_FALSE(jobs.empty()) << name;
+        for (const Job &job : jobs)
+            EXPECT_EQ(job.timeoutSeconds, budget) << job.key;
+    }
+}
+
 TEST(Suites, SmokeSuiteRunsEndToEndAndWritesJson)
 {
     const Suite *suite = findSuite("smoke");

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "check/check.h"
+#include "core/pdp_policy.h"
 #include "hw/overhead_model.h"
 #include "prefetch/stream_prefetcher.h"
 #include "sim/multi_core_sim.h"
@@ -112,14 +113,32 @@ TEST(StaticPdSearch, FindsTheSweetSpot)
     EXPECT_EQ(r.sweep.size(), 4u);
 }
 
-TEST(StaticPdSearch, RejectsAPrefetcherConfig)
+TEST(StaticPdSearch, PrefetcherConfigMatchesIndependentRuns)
 {
+    // The prefetcher observes the global access order, so the search
+    // runs each PD alone, as independent runSingleCore calls would.
     SimConfig config;
     config.accesses = 50000;
     config.warmup = 10000;
     config.withPrefetcher = true;
-    EXPECT_THROW(bestStaticPd("436.cactusADM", true, config, {16, 80}),
-                 CheckFailure);
+    const std::vector<uint32_t> grid = {16, 80};
+    const StaticPdResult r =
+        bestStaticPd("436.cactusADM", true, config, grid);
+    ASSERT_EQ(r.sweep.size(), grid.size());
+    std::vector<SimResult> plain;
+    for (uint32_t pd : grid) {
+        auto gen = SpecSuite::make("436.cactusADM");
+        Hierarchy hierarchy = makeHierarchy(config, makeSpdpB(pd));
+        plain.push_back(runSingleCore(*gen, hierarchy, config));
+    }
+    for (size_t i = 0; i < grid.size(); ++i) {
+        EXPECT_EQ(r.sweep[i].first, grid[i]);
+        EXPECT_EQ(r.sweep[i].second.llcMisses, plain[i].llcMisses);
+        EXPECT_EQ(r.sweep[i].second.llcBypasses, plain[i].llcBypasses);
+        EXPECT_EQ(r.sweep[i].second.cycles, plain[i].cycles);
+    }
+    EXPECT_EQ(r.bestPd,
+              grid[fewestMisses({&plain[0], &plain[1]})]);
 }
 
 TEST(MultiCoreSim, MetricsAreCoherent)

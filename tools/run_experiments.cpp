@@ -15,7 +15,7 @@
  *                   [--obs-sample-rate X] [--perf-counters]
  *                   [--fault-at N]
  *                   [--tenants N] [--churn N] [--deterministic-json]
- *                   [--explore] [--explore-topk N]
+ *                   [--explore]
  *
  * --filter keeps the jobs whose key contains the substring, before
  * runner::selectJobs folds adjacent cells into lockstep sweeps.
@@ -40,10 +40,9 @@
  *
  * --explore switches the `explore` suite from the exhaustive static-PD
  * grid to the model-pruned path: the analytic estimator (src/model/)
- * ranks every (family, PD) cell in microseconds and only the top-K
- * contenders per family (--explore-topk, default 3) plus one seeded
- * audit cell from the pruned tail are simulated.  Other suites ignore
- * both flags.
+ * ranks every (family, PD) cell in microseconds and only the top 3
+ * contenders per family plus one seeded audit cell from the pruned
+ * tail are simulated.  Other suites ignore the flag.
  *
  * --tenants / --churn parameterize the `service` suite's scripted
  * tenant population (other suites ignore them).  --deterministic-json
@@ -92,7 +91,7 @@ printUsage(std::FILE *to)
                  "                       [--perf-counters] [--fault-at N]\n"
                  "                       [--tenants N] [--churn N]\n"
                  "                       [--deterministic-json]\n"
-                 "                       [--explore] [--explore-topk N]\n"
+                 "                       [--explore]\n"
                  "\n"
                  "--telemetry samples per-epoch policy state into the\n"
                  "BENCH json; --trace also writes TRACE_<suite>.jsonl\n"
@@ -107,9 +106,8 @@ printUsage(std::FILE *to)
                  "(flight-recorder exercise).\n"
                  "\n"
                  "--explore prunes the `explore` suite's static-PD grid\n"
-                 "with the analytic model and simulates only the top-K\n"
-                 "contenders per family (--explore-topk, default 3) plus\n"
-                 "one seeded audit cell.\n"
+                 "with the analytic model and simulates only the top 3\n"
+                 "contenders per family plus one seeded audit cell.\n"
                  "\n"
                  "--tenants/--churn shape the `service` suite's scripted\n"
                  "population; --deterministic-json writes the BENCH json\n"
@@ -189,16 +187,6 @@ main(int argc, char **argv)
             options.deterministicJson = true;
         } else if (arg == "--explore") {
             options.explore = true;
-        } else if (arg == "--explore-topk") {
-            const auto topk = pdp::parseUnsigned(needValue(i));
-            if (!topk || *topk == 0 || *topk > 64) {
-                std::fprintf(stderr,
-                             "--explore-topk wants an integer in [1, 64], "
-                             "got \"%s\"\n",
-                             argv[i]);
-                return 2;
-            }
-            options.exploreTopK = static_cast<unsigned>(*topk);
         } else if (arg == "--scale") {
             // !(scale > 0) also rejects NaN; past 1e9 the scaled run
             // lengths overflow uint64_t.
