@@ -69,14 +69,6 @@ RdProfiler::coveredFraction() const
     return static_cast<double>(covered) / static_cast<double>(accesses_);
 }
 
-double
-RdProfiler::tailFraction() const
-{
-    if (accesses_ == 0)
-        return 0.0;
-    return static_cast<double>(tailMass()) / static_cast<double>(accesses_);
-}
-
 uint32_t
 RdProfiler::peakRd() const
 {

@@ -69,9 +69,6 @@ class RdProfiler
      */
     uint64_t tailMass() const { return histogram_.overflow(); }
 
-    /** tailMass() as a fraction of all observed accesses. */
-    double tailFraction() const;
-
     /** Reuse distance with the highest count (the main RDD peak). */
     uint32_t peakRd() const;
 

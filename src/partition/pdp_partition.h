@@ -46,23 +46,6 @@ class PdpPartitionPolicy : public PdpPolicy, public TenantAwarePartition
     /** Current PD of each thread. */
     const std::vector<uint32_t> &threadPds() const { return pds_; }
 
-    /** One step of the last greedy E_m search (audit evidence). */
-    struct GreedyStep
-    {
-        unsigned thread;
-        uint32_t chosenPd;
-        /** E_m of the partial vector with the chosen peak. */
-        double chosenEm;
-        /** Best E_m any candidate peak of this thread achieved. */
-        double bestCandidateEm;
-    };
-
-    /** Trace of the most recent recompute()'s greedy search. */
-    const std::vector<GreedyStep> &lastGreedyTrace() const
-    {
-        return lastGreedy_;
-    }
-
     void auditGlobal(InvariantReporter &reporter) const override;
 
     // TenantAwarePartition: slots join/leave dynamically (service mode).
@@ -112,6 +95,17 @@ class PdpPartitionPolicy : public PdpPolicy, public TenantAwarePartition
     void recompute() override;
 
   private:
+    /** One step of the last greedy E_m search (audit evidence). */
+    struct GreedyStep
+    {
+        unsigned thread;
+        uint32_t chosenPd;
+        /** E_m of the partial vector with the chosen peak. */
+        double chosenEm;
+        /** Best E_m any candidate peak of this thread achieved. */
+        double bestCandidateEm;
+    };
+
     /** E_m for a candidate PD vector over threads [0, upto). */
     double evaluateEm(const std::vector<uint32_t> &pds,
                       const std::vector<unsigned> &threads) const;
@@ -127,6 +121,7 @@ class PdpPartitionPolicy : public PdpPolicy, public TenantAwarePartition
     std::vector<uint32_t> pds_;
     /** Slot liveness; all 1 outside tenant mode (fixed-core runs). */
     std::vector<uint8_t> active_;
+    /** Trace of the most recent greedy search, read by auditGlobal. */
     std::vector<GreedyStep> lastGreedy_;
 };
 

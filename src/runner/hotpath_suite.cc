@@ -340,13 +340,12 @@ hotpathPartitionJob(double scale)
 }
 
 /**
- * Overhead of an enabled-but-idle telemetry build on the substrate hot
- * path: two identical SoA LRU caches walk the same stream in interleaved
- * paired segments; one side also bumps a registry counter per access —
- * the pattern an always-on metric would use.  `telemetry_idle_ratio` is
- * the median plain/instrumented time ratio (1.0 = free; CI gates >=
- * 0.98, i.e. within the 2% budget), and `telemetry_compiled` records
- * whether the build compiled telemetry in at all.
+ * Overhead of idle telemetry on the substrate hot path: two identical
+ * SoA LRU caches walk the same stream in interleaved paired segments;
+ * one side also bumps a registry counter per access — the pattern an
+ * always-on metric would use.  `telemetry_idle_ratio` is the median
+ * plain/instrumented time ratio (1.0 = free; CI gates >= 0.98, i.e.
+ * within the 2% budget).
  */
 Job
 hotpathTelemetryIdleJob(double scale)
@@ -387,8 +386,6 @@ hotpathTelemetryIdleJob(double scale)
                        plain.stats().hitRate());
         outcome.metrics["telemetry_idle_ratio"] =
             medianRatio(t.first, t.second);
-        outcome.metrics["telemetry_compiled"] =
-            telemetry::kCompiled ? 1.0 : 0.0;
         return outcome;
     };
     return job;
@@ -640,10 +637,7 @@ reportHotpath(std::ostream &out, const RecordLookup &records)
     const std::string idle_key = "hotpath/llc/LRU-telemetry-idle";
     if (const auto idle = records.metric(idle_key, "telemetry_idle_ratio")) {
         out << "\ntelemetry idle overhead: plain/instrumented = "
-            << Table::num(*idle, 3) << "x (1.00 = free; telemetry "
-            << (metric(idle_key, "telemetry_compiled") > 0 ? "compiled in"
-                                                           : "compiled out")
-            << ")\n";
+            << Table::num(*idle, 3) << "x (1.00 = free)\n";
     }
 
     const std::string sweep_key = "hotpath/sweep/SPDP-B-grid";

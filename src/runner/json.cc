@@ -1,10 +1,8 @@
 #include "runner/json.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "check/check.h"
 
@@ -215,306 +213,6 @@ Json::dump(int indent) const
     std::string out;
     dumpTo(out, indent, 0);
     return out;
-}
-
-namespace
-{
-
-/** Recursive-descent parser over [pos, text.size()). */
-class Parser
-{
-  public:
-    explicit Parser(const std::string &text) : text_(text) {}
-
-    std::optional<Json>
-    document(std::string *error)
-    {
-        auto value = parseValue(0);
-        if (value) {
-            skipSpace();
-            if (pos_ != text_.size()) {
-                fail("trailing characters");
-                value.reset();
-            }
-        }
-        if (!value && error)
-            *error = error_.empty() ? "malformed JSON" : error_;
-        return value;
-    }
-
-  private:
-    static constexpr int kMaxDepth = 64;
-
-    void
-    fail(const std::string &what)
-    {
-        if (error_.empty()) {
-            error_ = what + " at offset " + std::to_string(pos_);
-        }
-    }
-
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipSpace();
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        const size_t len = std::string(word).size();
-        if (text_.compare(pos_, len, word) == 0) {
-            pos_ += len;
-            return true;
-        }
-        return false;
-    }
-
-    std::optional<std::string>
-    parseString()
-    {
-        if (!consume('"')) {
-            fail("expected string");
-            return std::nullopt;
-        }
-        std::string out;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"')
-                return out;
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    break;
-                const char esc = text_[pos_++];
-                switch (esc) {
-                case '"':
-                case '\\':
-                case '/':
-                    out += esc;
-                    break;
-                case 'b':
-                    out += '\b';
-                    break;
-                case 'f':
-                    out += '\f';
-                    break;
-                case 'n':
-                    out += '\n';
-                    break;
-                case 'r':
-                    out += '\r';
-                    break;
-                case 't':
-                    out += '\t';
-                    break;
-                case 'u': {
-                    if (pos_ + 4 > text_.size()) {
-                        fail("truncated \\u escape");
-                        return std::nullopt;
-                    }
-                    unsigned code = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        const char h = text_[pos_++];
-                        code <<= 4;
-                        if (h >= '0' && h <= '9')
-                            code += static_cast<unsigned>(h - '0');
-                        else if (h >= 'a' && h <= 'f')
-                            code += static_cast<unsigned>(h - 'a' + 10);
-                        else if (h >= 'A' && h <= 'F')
-                            code += static_cast<unsigned>(h - 'A' + 10);
-                        else {
-                            fail("bad \\u escape");
-                            return std::nullopt;
-                        }
-                    }
-                    // UTF-8 encode the BMP code point (surrogate pairs
-                    // are not needed for our own output).
-                    if (code < 0x80) {
-                        out += static_cast<char>(code);
-                    } else if (code < 0x800) {
-                        out += static_cast<char>(0xc0 | (code >> 6));
-                        out += static_cast<char>(0x80 | (code & 0x3f));
-                    } else {
-                        out += static_cast<char>(0xe0 | (code >> 12));
-                        out += static_cast<char>(0x80 |
-                                                 ((code >> 6) & 0x3f));
-                        out += static_cast<char>(0x80 | (code & 0x3f));
-                    }
-                    break;
-                }
-                default:
-                    fail("unknown escape");
-                    return std::nullopt;
-                }
-            } else {
-                out += c;
-            }
-        }
-        fail("unterminated string");
-        return std::nullopt;
-    }
-
-    std::optional<Json>
-    parseNumber()
-    {
-        const size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-')
-            ++pos_;
-        bool integral = true;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (std::isdigit(static_cast<unsigned char>(c))) {
-                ++pos_;
-            } else if (c == '.' || c == 'e' || c == 'E' || c == '+' ||
-                       c == '-') {
-                integral = false;
-                ++pos_;
-            } else {
-                break;
-            }
-        }
-        const std::string token = text_.substr(start, pos_ - start);
-        if (token.empty() || token == "-") {
-            fail("expected number");
-            return std::nullopt;
-        }
-        if (integral) {
-            // An integer token that overflows its 64-bit type must NOT
-            // silently fall through to strtod: doubles only hold 53
-            // mantissa bits, so e.g. a seed near 2^64 would round to a
-            // different value and the corruption would go unnoticed.
-            errno = 0;
-            if (token[0] == '-') {
-                const long long v = std::strtoll(token.c_str(), nullptr, 10);
-                if (errno == ERANGE) {
-                    fail("integer out of range");
-                    return std::nullopt;
-                }
-                return Json(static_cast<int64_t>(v));
-            }
-            const unsigned long long v =
-                std::strtoull(token.c_str(), nullptr, 10);
-            if (errno == ERANGE) {
-                fail("integer out of range");
-                return std::nullopt;
-            }
-            return Json(static_cast<uint64_t>(v));
-        }
-        char *end = nullptr;
-        const double d = std::strtod(token.c_str(), &end);
-        if (end != token.c_str() + token.size()) {
-            fail("malformed number");
-            return std::nullopt;
-        }
-        return Json(d);
-    }
-
-    std::optional<Json>
-    parseValue(int depth)
-    {
-        if (depth > kMaxDepth) {
-            fail("nesting too deep");
-            return std::nullopt;
-        }
-        skipSpace();
-        if (pos_ >= text_.size()) {
-            fail("unexpected end of input");
-            return std::nullopt;
-        }
-        const char c = text_[pos_];
-        if (c == '{') {
-            ++pos_;
-            Json obj = Json::object();
-            skipSpace();
-            if (consume('}'))
-                return obj;
-            for (;;) {
-                skipSpace();
-                auto key = parseString();
-                if (!key)
-                    return std::nullopt;
-                if (!consume(':')) {
-                    fail("expected ':'");
-                    return std::nullopt;
-                }
-                auto value = parseValue(depth + 1);
-                if (!value)
-                    return std::nullopt;
-                obj.set(*key, std::move(*value));
-                if (consume(','))
-                    continue;
-                if (consume('}'))
-                    return obj;
-                fail("expected ',' or '}'");
-                return std::nullopt;
-            }
-        }
-        if (c == '[') {
-            ++pos_;
-            Json arr = Json::array();
-            skipSpace();
-            if (consume(']'))
-                return arr;
-            for (;;) {
-                auto value = parseValue(depth + 1);
-                if (!value)
-                    return std::nullopt;
-                arr.push(std::move(*value));
-                if (consume(','))
-                    continue;
-                if (consume(']'))
-                    return arr;
-                fail("expected ',' or ']'");
-                return std::nullopt;
-            }
-        }
-        if (c == '"') {
-            auto s = parseString();
-            if (!s)
-                return std::nullopt;
-            return Json(std::move(*s));
-        }
-        if (c == 't') {
-            if (literal("true"))
-                return Json(true);
-        } else if (c == 'f') {
-            if (literal("false"))
-                return Json(false);
-        } else if (c == 'n') {
-            if (literal("null"))
-                return Json(nullptr);
-        } else {
-            return parseNumber();
-        }
-        fail("unexpected token");
-        return std::nullopt;
-    }
-
-    const std::string &text_;
-    size_t pos_ = 0;
-    std::string error_;
-};
-
-} // namespace
-
-std::optional<Json>
-Json::parse(const std::string &text, std::string *error)
-{
-    return Parser(text).document(error);
 }
 
 } // namespace runner

@@ -1,10 +1,11 @@
 /**
  * @file
- * Minimal JSON value model, writer and parser for the experiment runner.
+ * Minimal JSON value model and writer for the experiment runner.
  *
  * The container images carry no JSON library, so the runner brings its
- * own: just enough of RFC 8259 for the BENCH_*.json result files — and a
- * parser so tests can round-trip and schema-check what the sink emits.
+ * own: just enough of RFC 8259 to write the BENCH, TRACE and FLIGHT
+ * files.  The program only writes JSON; tools/pdpreport.py is the one
+ * reader of those files.
  *
  * Determinism: dump() is a pure function of the value tree.  Object keys
  * keep insertion order (the emitting code orders them), doubles print in
@@ -16,7 +17,6 @@
 #define PDP_RUNNER_JSON_H
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,18 +30,7 @@ namespace runner
 class Json
 {
   public:
-    enum class Type
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object,
-    };
-
     Json() = default;
-    Json(std::nullptr_t) {}
     Json(bool b) : type_(Type::Bool), bool_(b) {}
     Json(double d) : type_(Type::Number), num_(d), numKind_(NumKind::Real) {}
     Json(int64_t i)
@@ -71,13 +60,9 @@ class Json
         return j;
     }
 
-    Type type() const { return type_; }
     bool isNull() const { return type_ == Type::Null; }
-    bool isBool() const { return type_ == Type::Bool; }
-    bool isNumber() const { return type_ == Type::Number; }
     bool isString() const { return type_ == Type::String; }
     bool isArray() const { return type_ == Type::Array; }
-    bool isObject() const { return type_ == Type::Object; }
 
     bool asBool() const { return bool_; }
 
@@ -106,27 +91,20 @@ class Json
     /** Object member lookup; nullptr when absent or not an object. */
     const Json *find(const std::string &key) const;
 
-    /** True if the object has `key`. */
-    bool contains(const std::string &key) const { return find(key); }
-
-    /** Object members in insertion order. */
-    const std::vector<std::pair<std::string, Json>> &
-    members() const
-    {
-        return fields_;
-    }
-
     /** Serialize; indent > 0 pretty-prints with that many spaces. */
     std::string dump(int indent = 0) const;
 
-    /**
-     * Parse a complete JSON document.  Returns nullopt on malformed
-     * input (and stores a message in *error when provided).
-     */
-    static std::optional<Json> parse(const std::string &text,
-                                     std::string *error = nullptr);
-
   private:
+    enum class Type
+    {
+        Null,
+        Bool,
+        Number,
+        String,
+        Array,
+        Object,
+    };
+
     enum class NumKind
     {
         Real,

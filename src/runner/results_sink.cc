@@ -108,10 +108,11 @@ toJson(const ServiceResult &result)
 namespace
 {
 
-Json
-toJson(const telemetry::Snapshot &snapshot)
+/** A Source snapshot as `j`'s "policy" (scalars) and, when it has any,
+ *  "series" members. */
+void
+setSnapshot(Json &j, const telemetry::Snapshot &snapshot)
 {
-    Json j = Json::object();
     Json policy = Json::object();
     for (const auto &[name, value] : snapshot.scalars)
         policy.set(name, value);
@@ -126,7 +127,6 @@ toJson(const telemetry::Snapshot &snapshot)
         }
         j.set("series", std::move(series));
     }
-    return j;
 }
 
 Json
@@ -178,10 +178,7 @@ toJson(const telemetry::RunTelemetry &run, bool includeVolatile)
                   ? static_cast<double>(rec.intervalHits) /
                         static_cast<double>(rec.intervalAccesses)
                   : 0.0);
-        const Json policy = toJson(rec.policy);
-        e.set("policy", *policy.find("policy"));
-        if (const Json *series = policy.find("series"))
-            e.set("series", *series);
+        setSnapshot(e, rec.policy);
         Json occupancy = Json::array();
         for (uint64_t n : rec.threadOccupancy)
             occupancy.push(n);
@@ -243,84 +240,6 @@ toJson(const JobRecord &record, bool includeVolatile)
     if (run)
         j.set("telemetry", toJson(*run, includeVolatile));
     return j;
-}
-
-int
-validateResultsDocument(const Json &doc, std::string *error)
-{
-    const auto fail = [&](const std::string &message) {
-        if (error)
-            *error = message;
-        return 0;
-    };
-    if (!doc.isObject())
-        return fail("document is not an object");
-    const Json *schema = doc.find("schema");
-    if (!schema || !schema->isString())
-        return fail("missing schema string");
-    int version = 0;
-    if (schema->asString() == kResultsSchemaV1)
-        version = 1;
-    else if (schema->asString() == kResultsSchemaV2)
-        version = 2;
-    else
-        return fail("unknown schema: " + schema->asString());
-    const Json *experiment = doc.find("experiment");
-    if (!experiment || !experiment->isString())
-        return fail("missing experiment string");
-    const Json *jobs = doc.find("jobs");
-    if (!jobs || !jobs->isArray())
-        return fail("missing jobs array");
-    const Json *count = doc.find("job_count");
-    if (!count || !count->isNumber() || count->asUint() != jobs->size())
-        return fail("job_count does not match the jobs array");
-    for (size_t i = 0; i < jobs->size(); ++i) {
-        const Json &job = jobs->at(i);
-        const std::string where = "jobs[" + std::to_string(i) + "]";
-        if (!job.isObject())
-            return fail(where + " is not an object");
-        const Json *key = job.find("key");
-        if (!key || !key->isString())
-            return fail(where + ": missing key");
-        if (!job.find("seed") || !job.find("status"))
-            return fail(where + ": missing seed/status");
-        if (const Json *service = job.find("service")) {
-            if (version < 2)
-                return fail(where + ": service section in a v1 document");
-            if (!service->isObject() || !service->find("policy"))
-                return fail(where + ": service section without a policy");
-            const Json *tenants = service->find("tenants");
-            if (!tenants || !tenants->isArray())
-                return fail(where + ": service without a tenants array");
-            for (size_t t = 0; t < tenants->size(); ++t) {
-                const Json &tenant = tenants->at(t);
-                if (!tenant.isObject() || !tenant.find("name") ||
-                    !tenant.find("hit_rate") ||
-                    !tenant.find("occupancy_drift") ||
-                    !tenant.find("p99_miss_cycles"))
-                    return fail(where + ": malformed tenant " +
-                                std::to_string(t));
-            }
-        }
-        const Json *run = job.find("telemetry");
-        if (!run)
-            continue;
-        if (version < 2)
-            return fail(where + ": telemetry section in a v1 document");
-        if (!run->isObject() || !run->find("interval"))
-            return fail(where + ": telemetry without an interval");
-        const Json *epochs = run->find("epochs");
-        if (!epochs || !epochs->isArray())
-            return fail(where + ": telemetry without an epochs array");
-        for (size_t e = 0; e < epochs->size(); ++e) {
-            const Json &epoch = epochs->at(e);
-            if (!epoch.isObject() || !epoch.find("access") ||
-                !epoch.find("policy"))
-                return fail(where + ": malformed epoch " +
-                            std::to_string(e));
-        }
-    }
-    return version;
 }
 
 ResultsSink::ResultsSink(std::string experiment)
@@ -400,7 +319,7 @@ ResultsSink::toJson(bool includeVolatile) const
     }
 
     Json doc = Json::object();
-    doc.set("schema", kResultsSchemaV2);
+    doc.set("schema", "pdp-bench-results/v2");
     doc.set("experiment", experiment_);
     doc.set("git", PDP_GIT_DESCRIBE);
     doc.set("scale", scale);

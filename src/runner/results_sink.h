@@ -9,8 +9,8 @@
  * the usual text tables.
  *
  * JSON schema ("pdp-bench-results/v2"; v1 differs only in lacking the
- * telemetry/registry sections and is still accepted by
- * validateResultsDocument):
+ * telemetry/registry sections, and tools/pdpreport.py, the reader of
+ * these files, still accepts it):
  *
  *   {
  *     "schema": "pdp-bench-results/v2",
@@ -84,10 +84,6 @@ namespace pdp
 namespace runner
 {
 
-/** Schema identifiers accepted by validateResultsDocument. */
-inline constexpr const char *kResultsSchemaV1 = "pdp-bench-results/v1";
-inline constexpr const char *kResultsSchemaV2 = "pdp-bench-results/v2";
-
 /** SimResult as a JSON object (schema above). */
 Json toJson(const SimResult &result);
 
@@ -103,14 +99,6 @@ Json toJson(const telemetry::RunTelemetry &run, bool includeVolatile = true);
 
 /** One job record as a JSON object. */
 Json toJson(const JobRecord &record, bool includeVolatile = true);
-
-/**
- * Structural validation of a parsed results document.  Accepts both v1
- * and v2; returns the schema version (1 or 2), or 0 with a message in
- * *error when the document is malformed.  A telemetry section on a job
- * is only legal in v2.
- */
-int validateResultsDocument(const Json &doc, std::string *error = nullptr);
 
 class ResultsSink
 {

@@ -50,48 +50,14 @@ struct TenantState
     Accumulator quota;
     Accumulator occupancy;
     Accumulator drift;
-    /** Per-SLO-interval delta baselines (burn-rate inputs). */
+    /** Per-SLO-interval delta baselines (burn-rate inputs).  The
+     *  burn-rate monitor scores the p99 of the miss latencies since
+     *  sloLatBase, where the end-of-run TenantOutcome reports the
+     *  whole-residency quantile. */
     uint64_t sloBaseAccesses = 0;
     uint64_t sloBaseHits = 0;
-    std::array<uint64_t, Log2Histogram::kBuckets> sloLatBase{};
-    uint64_t sloLatBaseCount = 0;
+    Log2Histogram sloLatBase;
 };
-
-/**
- * p99 of the miss-latency observations added since `base`, as the
- * resolution-honest bucket upper edge; advances the baseline to now.
- * This is the sliding-interval view of TimingModel::missLatency() that
- * the burn-rate monitor scores, where the end-of-run TenantOutcome
- * reports the whole-residency quantile.
- */
-double
-intervalP99(const Log2Histogram &hist,
-            std::array<uint64_t, Log2Histogram::kBuckets> &base,
-            uint64_t &base_count)
-{
-    const uint64_t count = hist.count() - base_count;
-    double p99 = 0.0;
-    if (count > 0) {
-        // rank = ceil(0.99 * count), clamped into [1, count]
-        uint64_t rank = static_cast<uint64_t>(
-            0.99 * static_cast<double>(count));
-        if (static_cast<double>(rank) < 0.99 * static_cast<double>(count))
-            ++rank;
-        rank = std::max<uint64_t>(1, std::min(rank, count));
-        uint64_t seen = 0;
-        for (unsigned k = 0; k < Log2Histogram::kBuckets; ++k) {
-            seen += hist.at(k) - base[k];
-            if (seen >= rank) {
-                p99 = static_cast<double>(Log2Histogram::upperEdge(k));
-                break;
-            }
-        }
-    }
-    for (unsigned k = 0; k < Log2Histogram::kBuckets; ++k)
-        base[k] = hist.at(k);
-    base_count = hist.count();
-    return p99;
-}
 
 double
 eventField(unsigned v)
@@ -255,8 +221,7 @@ runService(const std::vector<TenantSpec> &tenants,
         ts.sloBaseHits = ts.baseHits;
         // Callers reset the timer alongside the stats baseline, so the
         // miss-latency interval baseline restarts from empty.
-        ts.sloLatBase.fill(0);
-        ts.sloLatBaseCount = 0;
+        ts.sloLatBase.reset();
     };
 
     auto doJoin = [&](unsigned spec) {
@@ -454,15 +419,17 @@ runService(const std::vector<TenantSpec> &tenants,
                 stats.threadAccesses[s] - ts.sloBaseAccesses;
             const uint64_t intervalHits =
                 stats.threadHits[s] - ts.sloBaseHits;
+            const Log2Histogram &latency = ts.timer.missLatency();
             monitor.observe(
                 s, measured, intervalAccesses,
                 intervalAccesses ? static_cast<double>(intervalHits) /
                         static_cast<double>(intervalAccesses)
                                  : 0.0,
-                intervalP99(ts.timer.missLatency(), ts.sloLatBase,
-                            ts.sloLatBaseCount));
+                static_cast<double>(
+                    latency.since(ts.sloLatBase).quantile(0.99)));
             ts.sloBaseAccesses = stats.threadAccesses[s];
             ts.sloBaseHits = stats.threadHits[s];
+            ts.sloLatBase = latency;
         }
         // A quota vector that moved since the last look is a periodic
         // reallocation (the PD-recompute / UMON clock fired).

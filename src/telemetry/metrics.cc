@@ -31,9 +31,6 @@ MetricsRegistry::registerEntry(const std::string &name, MetricKind kind,
         case MetricKind::Gauge:
             entry.gauge = std::make_unique<Gauge>();
             break;
-        case MetricKind::Histogram:
-            entry.histogram = std::make_unique<Histogram>();
-            break;
         }
         it = entries_.emplace(name, std::move(entry)).first;
     }
@@ -53,13 +50,6 @@ Gauge &
 MetricsRegistry::gauge(const std::string &name, bool volatile_metric)
 {
     return *registerEntry(name, MetricKind::Gauge, volatile_metric).gauge;
-}
-
-Histogram &
-MetricsRegistry::histogram(const std::string &name, bool volatile_metric)
-{
-    return *registerEntry(name, MetricKind::Histogram, volatile_metric)
-                .histogram;
 }
 
 std::vector<MetricSnapshot>
@@ -82,15 +72,6 @@ MetricsRegistry::snapshot(bool includeVolatile) const
             break;
         case MetricKind::Gauge:
             snap.value = entry.gauge->value();
-            break;
-        case MetricKind::Histogram:
-            for (unsigned b = 0; b < Histogram::kBuckets; ++b) {
-                const uint64_t n = entry.histogram->bucket(b);
-                if (n) {
-                    snap.buckets.emplace_back(b, n);
-                    snap.count += n;
-                }
-            }
             break;
         }
         out.push_back(std::move(snap));
@@ -117,9 +98,6 @@ MetricsRegistry::resetAll()
             break;
         case MetricKind::Gauge:
             entry.gauge->reset();
-            break;
-        case MetricKind::Histogram:
-            entry.histogram->reset();
             break;
         }
     }

@@ -1,7 +1,7 @@
 /**
  * @file
- * MetricsRegistry: named counters, gauges and log2 histograms with static
- * handle registration.
+ * MetricsRegistry: named counters and gauges with static handle
+ * registration.
  *
  * Design goals (see DESIGN.md "Telemetry & tracing"):
  *
@@ -9,42 +9,30 @@
  *    address is stable for the process lifetime, so call sites register
  *    once (usually into a function-local static) and afterwards touch
  *    only their own handle.
- *  - An update on an enabled build is a relaxed load + relaxed store —
- *    no read-modify-write, no fence.  On x86 a relaxed fetch_add still
- *    compiles to `lock add` (~20 cycles), which would be visible against
- *    the SoA cache hot path; a plain store is not.  The price is that
+ *  - An update is a relaxed load + relaxed store — no read-modify-write,
+ *    no fence.  On x86 a relaxed fetch_add still compiles to `lock add`
+ *    (~20 cycles), which would be visible against the SoA cache hot
+ *    path; a plain store is not.  The price is that
  *    two threads racing on the same handle can lose updates — telemetry
  *    values are advisory observability data, never inputs to simulation
  *    results, so approximate totals are acceptable by contract.
- *  - With PDP_TELEMETRY=OFF (PDP_TELEMETRY_ENABLED == 0) every update
- *    compiles to nothing; the registry and snapshot API remain available
- *    so callers need no #ifdefs.
  */
 
 #ifndef PDP_TELEMETRY_METRICS_H
 #define PDP_TELEMETRY_METRICS_H
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
-
-#ifndef PDP_TELEMETRY_ENABLED
-#define PDP_TELEMETRY_ENABLED 1
-#endif
 
 namespace pdp
 {
 namespace telemetry
 {
-
-/** True when metric updates are compiled in (PDP_TELEMETRY CMake knob). */
-inline constexpr bool kCompiled = PDP_TELEMETRY_ENABLED != 0;
 
 /** A monotonically increasing event count. */
 class Counter
@@ -53,11 +41,8 @@ class Counter
     void
     add(uint64_t n = 1) noexcept
     {
-        if constexpr (kCompiled)
-            value_.store(value_.load(std::memory_order_relaxed) + n,
-                         std::memory_order_relaxed);
-        else
-            (void)n;
+        value_.store(value_.load(std::memory_order_relaxed) + n,
+                     std::memory_order_relaxed);
     }
 
     uint64_t
@@ -79,10 +64,7 @@ class Gauge
     void
     set(double v) noexcept
     {
-        if constexpr (kCompiled)
-            value_.store(v, std::memory_order_relaxed);
-        else
-            (void)v;
+        value_.store(v, std::memory_order_relaxed);
     }
 
     double
@@ -97,56 +79,10 @@ class Gauge
     std::atomic<double> value_{0.0};
 };
 
-/** Log2-bucketed histogram: observe(v) lands in bucket bit_width(v),
- *  i.e. bucket b collects values in [2^(b-1), 2^b) with bucket 0 = {0}. */
-class Histogram
-{
-  public:
-    static constexpr unsigned kBuckets = 65;
-
-    void
-    observe(uint64_t v) noexcept
-    {
-        if constexpr (kCompiled) {
-            auto &cell = buckets_[std::bit_width(v)];
-            cell.store(cell.load(std::memory_order_relaxed) + 1,
-                       std::memory_order_relaxed);
-        } else {
-            (void)v;
-        }
-    }
-
-    uint64_t
-    bucket(unsigned b) const noexcept
-    {
-        return buckets_[b].load(std::memory_order_relaxed);
-    }
-
-    uint64_t
-    total() const noexcept
-    {
-        uint64_t sum = 0;
-        for (unsigned b = 0; b < kBuckets; ++b)
-            sum += bucket(b);
-        return sum;
-    }
-
-    void
-    reset() noexcept
-    {
-        for (auto &cell : buckets_)
-            cell.store(0, std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<uint64_t> buckets_[kBuckets]{};
-};
-
 enum class MetricKind
 {
     Counter,
     Gauge,
-    Histogram,
 };
 
 /** One metric's value at snapshot time. */
@@ -157,12 +93,10 @@ struct MetricSnapshot
     /** Volatile metrics (wall-clock derived) are excluded from
      *  deterministic exports. */
     bool isVolatile = false;
-    /** Counter value or histogram total. */
+    /** Counter value. */
     uint64_t count = 0;
     /** Gauge value. */
     double value = 0.0;
-    /** Non-empty histogram buckets as (bucket index, count). */
-    std::vector<std::pair<unsigned, uint64_t>> buckets;
 };
 
 /**
@@ -178,8 +112,6 @@ class MetricsRegistry
 
     Counter &counter(const std::string &name, bool volatile_metric = false);
     Gauge &gauge(const std::string &name, bool volatile_metric = false);
-    Histogram &histogram(const std::string &name,
-                         bool volatile_metric = false);
 
     /** All metrics sorted by name; includeVolatile = false drops the
      *  wall-clock derived ones (deterministic exports). */
@@ -198,7 +130,6 @@ class MetricsRegistry
         bool isVolatile;
         std::unique_ptr<Counter> counter;
         std::unique_ptr<Gauge> gauge;
-        std::unique_ptr<Histogram> histogram;
     };
 
     Entry &registerEntry(const std::string &name, MetricKind kind,

@@ -150,6 +150,18 @@ class Log2Histogram
         return upperEdge(kBuckets - 1);
     }
 
+    /** The observations added since `base`, an earlier copy of this
+     *  histogram, as a histogram of their own. */
+    Log2Histogram
+    since(const Log2Histogram &base) const
+    {
+        Log2Histogram delta;
+        for (unsigned k = 0; k < kBuckets; ++k)
+            delta.buckets_[k] = buckets_[k] - base.buckets_[k];
+        delta.count_ = count_ - base.count_;
+        return delta;
+    }
+
     uint64_t at(unsigned bucket) const { return buckets_[bucket]; }
     static constexpr unsigned kBuckets = 65;
 
@@ -182,30 +194,6 @@ class Log2Histogram
     std::array<uint64_t, kBuckets> buckets_{};
     uint64_t count_ = 0;
 };
-
-/** Harmonic mean of a vector of positive values (0 if empty). */
-inline double
-harmonicMean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double denom = 0.0;
-    for (double v : values)
-        denom += 1.0 / v;
-    return static_cast<double>(values.size()) / denom;
-}
-
-/** Geometric mean of a vector of positive values (0 if empty). */
-inline double
-geometricMean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double acc = 0.0;
-    for (double v : values)
-        acc += __builtin_log(v);
-    return __builtin_exp(acc / static_cast<double>(values.size()));
-}
 
 } // namespace pdp
 

@@ -503,21 +503,21 @@ TEST(FlightRecorder, InjectedCheckFailureDumpsRingAndOpenSpans)
                  CheckFailure);
     check::FlightRecorder::setJobKey("");
 
-    const std::string path =
-        dir + "/" + check::flightFileName("obs-flight-check");
-    std::string error;
-    const auto doc = runner::Json::parse(readFile(path), &error);
-    ASSERT_TRUE(doc.has_value()) << error;
-    EXPECT_EQ(doc->find("schema")->asString(), "pdp-flight/v1");
-    EXPECT_EQ(doc->find("job")->asString(), "obs-flight-check");
-    EXPECT_EQ(doc->find("reason")->asString(), "check_failure");
+    // The dump is pretty-printed: a top-level member opens its own line,
+    // and an empty array prints as "[]", so "[\n" means one element or
+    // more.  tools/pdpreport.py check validates whole FLIGHT files.
+    const std::string text =
+        readFile(dir + "/" + check::flightFileName("obs-flight-check"));
+    EXPECT_EQ(text.rfind("{\n  \"schema\": \"pdp-flight/v1\",\n", 0), 0u);
+    EXPECT_NE(text.find("\n  \"job\": \"obs-flight-check\",\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("\n  \"reason\": \"check_failure\",\n"),
+              std::string::npos);
     // The scope dumped while sampler and tracer were still alive: the
     // event ring, the faulted request's open span, and the registry.
-    ASSERT_NE(doc->find("events"), nullptr);
-    EXPECT_GT(doc->find("events")->size(), 0u);
-    ASSERT_NE(doc->find("open_spans"), nullptr);
-    EXPECT_GE(doc->find("open_spans")->size(), 1u);
-    ASSERT_NE(doc->find("metrics"), nullptr);
+    EXPECT_NE(text.find("\n  \"events\": [\n"), std::string::npos);
+    EXPECT_NE(text.find("\n  \"open_spans\": [\n"), std::string::npos);
+    EXPECT_NE(text.find("\n  \"metrics\": {"), std::string::npos);
 }
 
 TEST(FlightRecorder, ExecutorFallbackDumpsFailedJobs)
@@ -537,14 +537,12 @@ TEST(FlightRecorder, ExecutorFallbackDumpsFailedJobs)
     ASSERT_EQ(records.size(), 1u);
     EXPECT_EQ(records[0].status, JobStatus::Failed);
 
-    const std::string path =
-        dir + "/" + check::flightFileName(job.key);
-    std::string error;
-    const auto doc = runner::Json::parse(readFile(path), &error);
-    ASSERT_TRUE(doc.has_value()) << error;
-    EXPECT_EQ(doc->find("schema")->asString(), "pdp-flight/v1");
-    EXPECT_EQ(doc->find("reason")->asString(), "job_failed");
-    EXPECT_NE(doc->find("detail")->asString().find("injected failure"),
+    const std::string text =
+        readFile(dir + "/" + check::flightFileName(job.key));
+    EXPECT_EQ(text.rfind("{\n  \"schema\": \"pdp-flight/v1\",\n", 0), 0u);
+    EXPECT_NE(text.find("\n  \"reason\": \"job_failed\",\n"),
               std::string::npos);
-    ASSERT_NE(doc->find("metrics"), nullptr);
+    EXPECT_NE(text.find("\n  \"detail\": \"injected failure"),
+              std::string::npos);
+    EXPECT_NE(text.find("\n  \"metrics\": {"), std::string::npos);
 }

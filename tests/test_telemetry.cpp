@@ -31,32 +31,18 @@ TEST(MetricsRegistry, HandlesAreStableAndSnapshotIsSorted)
     c.add(3);
     c.add(2);
     registry.gauge("test.a_gauge").set(1.5);
-    telemetry::Histogram &h = registry.histogram("test.m_hist");
-    h.observe(1);
-    h.observe(1024);
 
     const auto snap = registry.snapshot();
-    if (kCompiled) {
-        ASSERT_EQ(snap.size(), 3u);
-        // Sorted by name, independent of registration order.
-        EXPECT_EQ(snap[0].name, "test.a_gauge");
-        EXPECT_EQ(snap[1].name, "test.m_hist");
-        EXPECT_EQ(snap[2].name, "test.z_counter");
-        EXPECT_EQ(snap[0].value, 1.5);
-        EXPECT_EQ(snap[1].count, 2u);
-        EXPECT_EQ(snap[2].count, 5u);
-    } else {
-        // Compiled-out builds still register handles; updates are no-ops.
-        ASSERT_EQ(snap.size(), 3u);
-        EXPECT_EQ(c.value(), 0u);
-        EXPECT_EQ(snap[2].count, 0u);
-    }
+    ASSERT_EQ(snap.size(), 2u);
+    // Sorted by name, independent of registration order.
+    EXPECT_EQ(snap[0].name, "test.a_gauge");
+    EXPECT_EQ(snap[1].name, "test.z_counter");
+    EXPECT_EQ(snap[0].value, 1.5);
+    EXPECT_EQ(snap[1].count, 5u);
 }
 
 TEST(MetricsRegistry, VolatileMetricsCanBeFiltered)
 {
-    if (!kCompiled)
-        GTEST_SKIP() << "telemetry compiled out";
     MetricsRegistry registry;
     registry.counter("stable").add(1);
     registry.counter("wallclock", /*volatile_metric=*/true).add(1);

@@ -171,22 +171,21 @@ TEST(Stats, Log2HistogramQuantileIsResolutionHonest)
     // cycles, bucket edge 63) and 1 exposed (168 cycles, edge 255).
     for (int i = 0; i < 99; ++i)
         h.add(50);
+    const Log2Histogram base = h;
     h.add(168);
     EXPECT_EQ(h.count(), 100u);
     EXPECT_EQ(h.quantile(0.50), 63u);
     EXPECT_EQ(h.quantile(0.99), 63u);  // rank 99 still in the 50s
     EXPECT_EQ(h.quantile(0.995), 255u);
     EXPECT_EQ(h.quantile(1.0), 255u);
+    // since() keeps only what was added after the baseline copy.
+    const Log2Histogram delta = h.since(base);
+    EXPECT_EQ(delta.count(), 1u);
+    EXPECT_EQ(delta.quantile(0.99), 255u);
+    EXPECT_EQ(h.since(h).quantile(0.99), 0u);
     h.reset();
     EXPECT_EQ(h.count(), 0u);
     EXPECT_EQ(h.quantile(0.99), 0u);
-}
-
-TEST(Stats, HarmonicMean)
-{
-    EXPECT_DOUBLE_EQ(harmonicMean({1.0, 1.0}), 1.0);
-    EXPECT_NEAR(harmonicMean({1.0, 2.0}), 4.0 / 3.0, 1e-12);
-    EXPECT_DOUBLE_EQ(harmonicMean({}), 0.0);
 }
 
 TEST(Table, RendersAlignedColumns)

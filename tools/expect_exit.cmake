@@ -1,10 +1,15 @@
 # Run a command and fail unless it exits with status EXPECT_EXIT:
 #
-#   cmake -DEXPECT_EXIT=2 -P expect_exit.cmake <program> [args...]
+#   cmake -DEXPECT_EXIT=2 [-DWORK_DIR=<dir>] -P expect_exit.cmake
+#         <program> [args...]
 #
 # ctest only tells zero from nonzero (WILL_FAIL); this pins the status.
+# The command runs in WORK_DIR, by default the current directory.
 if(NOT DEFINED EXPECT_EXIT)
     message(FATAL_ERROR "expect_exit.cmake: set -DEXPECT_EXIT=<status>")
+endif()
+if(NOT DEFINED WORK_DIR)
+    set(WORK_DIR ".")
 endif()
 
 # Everything after the script path is the command.
@@ -26,6 +31,7 @@ if(NOT _command)
 endif()
 
 execute_process(COMMAND ${_command}
+    WORKING_DIRECTORY "${WORK_DIR}"
     RESULT_VARIABLE _status
     OUTPUT_VARIABLE _stdout
     ERROR_VARIABLE _stderr)
