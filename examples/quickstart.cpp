@@ -39,7 +39,7 @@ main(int argc, char **argv)
               << config.hierarchy.llc.ways << "-way\n\n";
 
     const std::vector<std::string> policies = {
-        "LRU", "DIP", "DRRIP", "EELRU", "SDP", "SHiP", "PDP-3", "PDP-8",
+        "LRU", "DIP", "DRRIP", "EELRU", "SDP", "PDP-3", "PDP-8",
     };
 
     pdp::Table table({"policy", "LLC hit rate", "MPKI", "bypass", "IPC",

@@ -45,7 +45,7 @@ Cache::selectAccessPaths()
 {
     fastPath_ = &Cache::accessImpl<ReplacementPolicy, false>;
     instrumentedPath_ = &Cache::accessImpl<ReplacementPolicy, true>;
-    // Exact types only: a subclass (DIP, SDP, UCP, SHiP, TA-DRRIP, the
+    // Exact types only: a subclass (DIP, SDP, UCP, TA-DRRIP, the
     // partitioned PDP, ...) overrides virtual hooks the fused ops would
     // bypass.
     const std::type_info &type = typeid(*policy_);
@@ -95,26 +95,6 @@ bool
 Cache::contains(uint64_t line_addr) const
 {
     return findWay(setIndex(line_addr), line_addr) >= 0;
-}
-
-bool
-Cache::invalidate(uint64_t line_addr)
-{
-    const uint32_t set = setIndex(line_addr);
-    const int way = findWay(set, line_addr);
-    if (way < 0)
-        return false;
-    const uint64_t bit = 1ull << way;
-    setState_[set].valid &= ~bit;
-    setState_[set].dirty &= ~bit;
-    setState_[set].reused &= ~bit;
-    // Keep invalidated ways in the canonical empty state the accessors
-    // have always reported (tag 0, thread 0).
-    tags_[lineIdx(set, way)] = 0;
-    if (ways_ <= kMaxFpWays)
-        setState_[set].fp[way] = 0;
-    threadIds_[lineIdx(set, way)] = 0;
-    return true;
 }
 
 AccessOutcome
@@ -315,7 +295,8 @@ Cache::auditSet(uint32_t set, InvariantReporter &reporter) const
                            static_cast<unsigned>(setState_[set].fp[way]),
                            " does not match tag ", lineAddr(set, way));
         if (!isValid(set, way)) {
-            // Invalid ways stay in the canonical empty state, so the
+            // Invalid ways were never filled (nothing invalidates a
+            // line), so they stay in the canonical empty state and the
             // fingerprint probe cannot alias a stale tag.
             reporter.check(lineAddr(set, way) == 0 &&
                                lineThread(set, way) == 0,

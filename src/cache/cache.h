@@ -11,7 +11,7 @@
  * is observationally identical to the historical array-of-structs
  * store: the accessor surface (isValid/isDirty/isReused/lineThread/
  * lineAddr) reports exactly the same values, including the canonical
- * zeroed tag/thread of never-filled or invalidated ways.
+ * zeroed tag/thread of never-filled ways.
  */
 
 #ifndef PDP_CACHE_CACHE_H
@@ -105,9 +105,6 @@ class Cache
 
     /** Probe without side effects: is the line present? */
     bool contains(uint64_t line_addr) const;
-
-    /** Invalidate a line if present (returns true if it was). */
-    bool invalidate(uint64_t line_addr);
 
     // --- geometry ---
     uint32_t numSets() const { return numSets_; }

@@ -54,7 +54,7 @@ struct LruRankRow
     std::uint8_t rank[kPolicyScratchBytes];
 };
 
-/** Scratch-row image of the RRIP family (SRRIP/BRRIP/DRRIP, SHiP,
+/** Scratch-row image of the RRIP family (SRRIP/BRRIP/DRRIP,
  *  TA-DRRIP): one re-reference prediction value byte per way, 0 = near
  *  .. max = distant (see RripPolicy). */
 struct RripRow

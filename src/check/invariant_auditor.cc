@@ -42,9 +42,9 @@ InvariantAuditor::InvariantAuditor() : InvariantAuditor(Options{}) {}
 InvariantAuditor::InvariantAuditor(Options options) : options_(options) {}
 
 void
-InvariantAuditor::watchCache(const Cache &cache, std::string name)
+InvariantAuditor::watchCache(const Cache &cache)
 {
-    caches_.push_back({&cache, std::move(name), 0});
+    caches_.push_back({&cache, 0});
 }
 
 void
@@ -53,13 +53,6 @@ InvariantAuditor::watchOccupancy(const Cache &cache,
                                  bool cross_check_stats)
 {
     occupancies_.push_back({&cache, &tracker, cross_check_stats});
-}
-
-void
-InvariantAuditor::addCheck(std::string name,
-                           std::function<void(InvariantReporter &)> fn)
-{
-    customChecks_.push_back({std::move(name), std::move(fn)});
 }
 
 void
@@ -100,8 +93,6 @@ InvariantAuditor::fullAudit()
     for (const WatchedOccupancy &watched : occupancies_)
         watched.tracker->auditInvariants(*watched.cache,
                                          watched.crossCheckStats, reporter);
-    for (const CustomCheck &check : customChecks_)
-        check.fn(reporter);
     finish(std::move(reporter));
 }
 

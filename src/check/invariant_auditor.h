@@ -15,8 +15,7 @@
  *    per-set checks of ONE set, rotating round-robin, so `cadence = 1`
  *    ("max cadence") still covers the whole cache every numSets accesses
  *    at O(ways) per access;
- *  - every `fullEvery` observed accesses it walks everything at once,
- *    including registered custom checks.
+ *  - every `fullEvery` observed accesses it walks everything at once.
  *
  * Violations either accumulate (count-and-report, the default — see
  * totalViolations()/lastReport()) or throw CheckFailure immediately
@@ -27,7 +26,6 @@
 #define PDP_CHECK_INVARIANT_AUDITOR_H
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -105,7 +103,7 @@ class InvariantAuditor
     explicit InvariantAuditor(Options options);
 
     /** Audit this cache (stats + lines + its policy) from now on. */
-    void watchCache(const Cache &cache, std::string name = "llc");
+    void watchCache(const Cache &cache);
 
     /**
      * Audit an occupancy tracker against its cache.  With
@@ -115,10 +113,6 @@ class InvariantAuditor
      */
     void watchOccupancy(const Cache &cache, const OccupancyTracker &tracker,
                         bool cross_check_stats = false);
-
-    /** Register an extra check to run on every full audit. */
-    void addCheck(std::string name,
-                  std::function<void(InvariantReporter &)> fn);
 
     /** Cadence hook; wired into Cache::access via Cache::setAuditor. */
     void onAccess();
@@ -133,13 +127,10 @@ class InvariantAuditor
     /** Violations of the most recent non-clean audit pass. */
     const InvariantReporter &lastReport() const { return lastReport_; }
 
-    const Options &options() const { return options_; }
-
   private:
     struct WatchedCache
     {
         const Cache *cache;
-        std::string name;
         uint32_t nextSet = 0;
     };
 
@@ -148,12 +139,6 @@ class InvariantAuditor
         const Cache *cache;
         const OccupancyTracker *tracker;
         bool crossCheckStats;
-    };
-
-    struct CustomCheck
-    {
-        std::string name;
-        std::function<void(InvariantReporter &)> fn;
     };
 
     void incrementalAudit();
@@ -168,7 +153,6 @@ class InvariantAuditor
     InvariantReporter lastReport_;
     std::vector<WatchedCache> caches_;
     std::vector<WatchedOccupancy> occupancies_;
-    std::vector<CustomCheck> customChecks_;
 };
 
 } // namespace pdp

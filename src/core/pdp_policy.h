@@ -163,16 +163,10 @@ class PdpPolicy : public ReplacementPolicy, public telemetry::Source
     /** Current protecting distance. */
     uint32_t pd() const { return pd_; }
 
-    /** Distance step implied by n_c. */
-    uint32_t distanceStep() const { return sd_; }
-
     /** History of recomputed PDs (dynamic mode). */
     const std::vector<PdSample> &pdHistory() const { return history_; }
 
     const PdpParams &params() const { return params_; }
-
-    /** Read access to the live counter array (diagnostics, partitioning). */
-    const RdCounterArray &counterArray() const { return *rdd_; }
 
     // --- fault-injection hooks for the checker tests ---
     uint8_t

@@ -58,7 +58,6 @@ class PippPolicy : public ReplacementPolicy, public telemetry::Source
     void auditSet(uint32_t set, InvariantReporter &reporter) const override;
 
     const std::vector<uint32_t> &allocation() const { return alloc_; }
-    bool isStreaming(unsigned thread) const { return streaming_[thread]; }
 
     /** Epoch telemetry: way allocation + streaming classification. */
     void

@@ -49,12 +49,6 @@ class Umon
     /** Include/exclude a thread slot from partitioning (tenant churn). */
     void setActive(unsigned thread, bool active);
 
-    bool
-    isActive(unsigned thread) const
-    {
-        return thread < numThreads_ && active_[thread] != 0;
-    }
-
     /** Forget a slot's shadow tags and utility curve (slot recycling:
      *  a new tenant must not inherit the previous occupant's curve). */
     void resetThread(unsigned thread);

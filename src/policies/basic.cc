@@ -62,74 +62,4 @@ LruPolicy::auditSet(uint32_t set, InvariantReporter &reporter) const
     }
 }
 
-void
-FifoPolicy::attach(Cache &cache, uint32_t num_sets, uint32_t num_ways)
-{
-    ReplacementPolicy::attach(cache, num_sets, num_ways);
-    stamps_.assign(static_cast<size_t>(num_sets) * num_ways, 0);
-}
-
-void
-FifoPolicy::onHit(const AccessContext &ctx, int way)
-{
-    // FIFO ignores hits.
-    (void)ctx;
-    (void)way;
-}
-
-int
-FifoPolicy::selectVictim(const AccessContext &ctx)
-{
-    int victim = 0;
-    uint64_t oldest = ~0ull;
-    for (uint32_t way = 0; way < numWays_; ++way) {
-        const uint64_t s =
-            stamps_[static_cast<size_t>(ctx.set) * numWays_ + way];
-        if (s < oldest) {
-            oldest = s;
-            victim = static_cast<int>(way);
-        }
-    }
-    return victim;
-}
-
-void
-FifoPolicy::onInsert(const AccessContext &ctx, int way)
-{
-    stamps_[static_cast<size_t>(ctx.set) * numWays_ + way] = ++clock_;
-}
-
-void
-FifoPolicy::auditSet(uint32_t set, InvariantReporter &reporter) const
-{
-    for (uint32_t way = 0; way < numWays_; ++way) {
-        const uint64_t s =
-            stamps_[static_cast<size_t>(set) * numWays_ + way];
-        reporter.check(s <= clock_, "fifo.stamp_range", name(), ": set ",
-                       set, " way ", way, " stamp ", s,
-                       " is ahead of the clock ", clock_);
-    }
-}
-
-void
-RandomPolicy::onHit(const AccessContext &ctx, int way)
-{
-    (void)ctx;
-    (void)way;
-}
-
-int
-RandomPolicy::selectVictim(const AccessContext &ctx)
-{
-    (void)ctx;
-    return static_cast<int>(rng_.below(numWays_));
-}
-
-void
-RandomPolicy::onInsert(const AccessContext &ctx, int way)
-{
-    (void)ctx;
-    (void)way;
-}
-
 } // namespace pdp

@@ -1,6 +1,7 @@
 /**
  * @file
- * The classic baseline replacement policies: LRU, FIFO and Random.
+ * True LRU replacement: the baseline of every comparison, and the base
+ * class of the LRU-stack policies (LIP/BIP/DIP, SDP, UCP).
  */
 
 #ifndef PDP_POLICIES_BASIC_H
@@ -8,13 +9,11 @@
 
 #include <bit>
 #include <cstdint>
-#include <vector>
 
 #include "check/contracts.h"
 #include "policies/replacement_policy.h"
 #include "policies/scratch_rows.h"
 #include "util/bytescan.h"
-#include "util/rng.h"
 
 namespace pdp
 {
@@ -196,57 +195,9 @@ class LruPolicy : public ReplacementPolicy
     ScratchRows rows_;
 };
 
-/** First-in-first-out replacement (insertion stamps only). */
-class FifoPolicy : public ReplacementPolicy
-{
-  public:
-    const std::string &
-    name() const override
-    {
-        static const std::string n = "FIFO";
-        return n;
-    }
-
-    void attach(Cache &cache, uint32_t num_sets, uint32_t num_ways) override;
-    void onHit(const AccessContext &ctx, int way) override;
-    int selectVictim(const AccessContext &ctx) override;
-    void onInsert(const AccessContext &ctx, int way) override;
-
-    void auditSet(uint32_t set, InvariantReporter &reporter) const override;
-
-  private:
-    std::vector<uint64_t> stamps_;
-    uint64_t clock_ = 0;
-};
-
-/** Uniform-random replacement (deterministic seeded RNG). */
-class RandomPolicy : public ReplacementPolicy
-{
-  public:
-    explicit RandomPolicy(uint64_t seed = 0xbadc0ffee) : rng_(seed) {}
-
-    const std::string &
-    name() const override
-    {
-        static const std::string n = "Random";
-        return n;
-    }
-
-    void onHit(const AccessContext &ctx, int way) override;
-    int selectVictim(const AccessContext &ctx) override;
-    void onInsert(const AccessContext &ctx, int way) override;
-
-  private:
-    Rng rng_;
-};
-
-// Scratch-row contracts (tools/pdplint, DESIGN.md "Enforced
-// contracts").  LRU keeps its rank permutation in the cache's lent
-// row; FIFO's 8-byte insertion stamps do not fit the row and Random
-// has no per-set state, so both leave the row untouched.
+// Scratch-row contract (tools/pdplint, DESIGN.md "Enforced
+// contracts"): LRU keeps its rank permutation in the cache's lent row.
 PDP_SCRATCH_LAYOUT(LruPolicy, LruRankRow);
-PDP_SCRATCH_LAYOUT(FifoPolicy, NoScratchState);
-PDP_SCRATCH_LAYOUT(RandomPolicy, NoScratchState);
 
 } // namespace pdp
 

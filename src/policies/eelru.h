@@ -59,10 +59,6 @@ class EelruPolicy : public ReplacementPolicy
     void auditGlobal(InvariantReporter &reporter) const override;
     void auditSet(uint32_t set, InvariantReporter &reporter) const override;
 
-    /** Currently selected early point (0 = plain LRU mode). */
-    uint32_t earlyPoint() const { return early_; }
-    uint32_t latePoint() const { return late_; }
-
   private:
     struct Entry
     {

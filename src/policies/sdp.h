@@ -88,8 +88,6 @@ class SdpPolicy : public LruPolicy
     void auditGlobal(InvariantReporter &reporter) const override;
     void auditSet(uint32_t set, InvariantReporter &reporter) const override;
 
-    const DeadBlockPredictor &predictor() const { return predictor_; }
-
     /** Fault-injection hook for the checker tests. */
     void
     debugSetDeadBit(uint32_t set, int way, uint8_t value)

@@ -125,6 +125,11 @@ timedSegment(const std::vector<uint64_t> &trace, size_t *cursor,
  *  the median ratio is a real pair's ratio). */
 constexpr int kHotpathPairs = 5;
 
+/** Pairs in the telemetry-idle measurement.  Its ~1% effect sits inside
+ *  the spread of a 5-pair median, so it walks 51 pairs of the same
+ *  segment length. */
+constexpr int kIdlePairs = 51;
+
 /** Interleaved pairs in the lockstep-sweep and explore measurements
  *  (odd; fewer than kHotpathPairs because each side is a whole grid). */
 constexpr int kSweepPairs = 3;
@@ -177,12 +182,13 @@ totalSeconds(const std::vector<double> &side)
 
 /**
  * The paired segment walk of two trace walkers: warm both over one full
- * pass, reset `measured`'s stats, then time kHotpathPairs interleaved
- * segments of each.  *walked gets the accesses each side walked.
+ * pass, reset `measured`'s stats, then time `pairs` interleaved segments
+ * of each, every segment a kHotpathPairs-th of hotpathTarget(scale).
+ * *walked gets the accesses each side walked.
  */
 template <typename First, typename Second>
 PairedSeconds
-pairedSegments(const std::vector<uint64_t> &trace, double scale,
+pairedSegments(const std::vector<uint64_t> &trace, double scale, int pairs,
                Cache &measured, uint64_t *walked, First &&first,
                Second &&second)
 {
@@ -193,9 +199,9 @@ pairedSegments(const std::vector<uint64_t> &trace, double scale,
 
     const uint64_t seg =
         std::max<uint64_t>(hotpathTarget(scale) / kHotpathPairs, 1);
-    *walked = seg * kHotpathPairs;
+    *walked = seg * static_cast<uint64_t>(pairs);
     return runPairs(
-        kHotpathPairs,
+        pairs,
         [&] { return timedSegment(trace, &first_cursor, seg, first); },
         [&] { return timedSegment(trace, &second_cursor, seg, second); });
 }
@@ -251,7 +257,8 @@ hotpathCacheJob(std::string key, std::string policySpec, double scale)
 
         uint64_t done = 0;
         const PairedSeconds t =
-            pairedSegments(trace, scale, cache, &done, soa, aos);
+            pairedSegments(trace, scale, kHotpathPairs, cache, &done, soa,
+                           aos);
         const double aos_seconds = totalSeconds(t.second);
 
         JobOutcome outcome;
@@ -341,7 +348,7 @@ hotpathPartitionJob(double scale)
 
 /**
  * Overhead of idle telemetry on the substrate hot path: two identical
- * SoA LRU caches walk the same stream in interleaved paired segments;
+ * SoA LRU caches walk the same stream in kIdlePairs interleaved pairs;
  * one side also bumps a registry counter per access — the pattern an
  * always-on metric would use.  `telemetry_idle_ratio` is the median
  * plain/instrumented time ratio (1.0 = free; CI gates >= 0.98, i.e.
@@ -378,8 +385,8 @@ hotpathTelemetryIdleJob(double scale)
         };
 
         uint64_t done = 0;
-        const PairedSeconds t = pairedSegments(trace, scale, plain, &done,
-                                               plain_walk, instr_walk);
+        const PairedSeconds t = pairedSegments(
+            trace, scale, kIdlePairs, plain, &done, plain_walk, instr_walk);
 
         JobOutcome outcome;
         hotpathMetrics(outcome, done, totalSeconds(t.first),

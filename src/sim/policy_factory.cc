@@ -9,7 +9,6 @@
 #include "policies/eelru.h"
 #include "policies/rrip.h"
 #include "policies/sdp.h"
-#include "policies/ship.h"
 #include "util/parse.h"
 
 namespace pdp
@@ -25,10 +24,6 @@ makeNamedPolicy(const std::string &base)
 {
     if (base == "LRU")
         return std::make_unique<LruPolicy>();
-    if (base == "FIFO")
-        return std::make_unique<FifoPolicy>();
-    if (base == "Random")
-        return std::make_unique<RandomPolicy>();
     if (base == "LIP")
         return makeLip();
     if (base == "BIP")
@@ -45,8 +40,6 @@ makeNamedPolicy(const std::string &base)
         return std::make_unique<EelruPolicy>();
     if (base == "SDP")
         return std::make_unique<SdpPolicy>();
-    if (base == "SHiP")
-        return std::make_unique<ShipPolicy>();
     if (base == "PDP-2")
         return makeDynamicPdp(2);
     if (base == "PDP-3")

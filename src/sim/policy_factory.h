@@ -4,9 +4,9 @@
  * examples and tests share one naming scheme.
  *
  * Recognized specs:
- *   LRU | FIFO | Random | LIP | BIP | DIP | SRRIP | BRRIP | DRRIP |
- *   EELRU | SDP | SHiP | PDP-2 | PDP-3 | PDP-8 | PDP-8-NB |
- *   SPDP-B:<pd> | SPDP-NB:<pd> | PDP-1INS
+ *   LRU | LIP | BIP | DIP | SRRIP | BRRIP | DRRIP | EELRU | SDP |
+ *   PDP-2 | PDP-3 | PDP-8 | PDP-8-NB | SPDP-B:<pd> | SPDP-NB:<pd> |
+ *   PDP-1INS
  */
 
 #ifndef PDP_SIM_POLICY_FACTORY_H

@@ -36,14 +36,12 @@ requestHash(uint64_t seed, unsigned tenant, uint64_t request)
 } // namespace
 
 SpanTracer::SpanTracer(EventTrace *trace, uint64_t seed, double sample_rate)
-    : trace_(trace), seed_(seed),
-      sampleRate_(std::clamp(sample_rate, 0.0, 1.0)),
-      threshold_(sampleRate_ >= 1.0
-                     ? kSampleSpace
-                     : static_cast<uint64_t>(
-                           sampleRate_ *
-                           static_cast<double>(kSampleSpace)))
+    : trace_(trace), seed_(seed)
 {
+    const double rate = std::clamp(sample_rate, 0.0, 1.0);
+    threshold_ = rate >= 1.0
+        ? kSampleSpace
+        : static_cast<uint64_t>(rate * static_cast<double>(kSampleSpace));
 }
 
 bool

@@ -95,12 +95,9 @@ class SpanTracer
     /** Traces opened so far (sampled requests). */
     uint64_t sampled() const { return sampled_; }
 
-    double sampleRate() const { return sampleRate_; }
-
   private:
     EventTrace *trace_;
     uint64_t seed_;
-    double sampleRate_;
     /** shouldSample threshold over the hash's top 53 bits. */
     uint64_t threshold_;
     uint64_t sampled_ = 0;

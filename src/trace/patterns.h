@@ -193,9 +193,6 @@ class MixturePattern : public Pattern
     /** The pattern that produced the most recent line (for PC lookup). */
     Pattern &lastComponent() { return *components_[last_].pattern; }
 
-    size_t numComponents() const { return components_.size(); }
-    Pattern &component(size_t i) { return *components_[i].pattern; }
-
   private:
     std::vector<MixtureComponent> components_;
     std::vector<double> cumulative_;

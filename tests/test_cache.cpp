@@ -169,15 +169,6 @@ TEST(Cache, ThreadWaysInSet)
     EXPECT_EQ(cache.threadWaysInSet(0, 7), 0u);
 }
 
-TEST(Cache, InvalidateRemovesLine)
-{
-    Cache cache(tinyConfig(), std::make_unique<LruPolicy>());
-    cache.access(at(0x40));
-    EXPECT_TRUE(cache.invalidate(0x40));
-    EXPECT_FALSE(cache.contains(0x40));
-    EXPECT_FALSE(cache.invalidate(0x40));
-}
-
 TEST(Cache, WritebackAccessesSeparate)
 {
     Cache cache(tinyConfig(), std::make_unique<LruPolicy>());

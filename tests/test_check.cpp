@@ -20,6 +20,7 @@
 #include "policies/basic.h"
 #include "policies/dip.h"
 #include "policies/rrip.h"
+#include "policies/sdp.h"
 #include "sim/multi_core_sim.h"
 #include "sim/policy_factory.h"
 #include "sim/single_core_sim.h"
@@ -262,6 +263,19 @@ TEST(InjectedViolation, DipPselOutOfRange)
     InvariantReporter reporter;
     cache.auditGlobalInvariants(reporter);
     EXPECT_TRUE(reporter.has("dueling.psel_range")) << reporter.report();
+}
+
+TEST(InjectedViolation, SdpDeadBitOutOfRange)
+{
+    auto policy = std::make_unique<SdpPolicy>();
+    SdpPolicy *sdp = policy.get();
+    Cache cache(smallConfig(), std::move(policy));
+    exercise(cache, 300);
+
+    sdp->debugSetDeadBit(3, 1, 2);  // a dead bit is 0 or 1
+    InvariantReporter reporter;
+    cache.auditInvariants(reporter);
+    EXPECT_TRUE(reporter.has("sdp.dead_bit")) << reporter.report();
 }
 
 TEST(InjectedViolation, CacheStatsIdentityBroken)

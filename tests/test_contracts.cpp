@@ -20,7 +20,6 @@
 #include "policies/eelru.h"
 #include "policies/rrip.h"
 #include "policies/sdp.h"
-#include "policies/ship.h"
 
 namespace pdp
 {
@@ -43,13 +42,10 @@ layoutHolds()
 
 // Every concrete policy in src/policies + src/partition + src/core.
 static_assert(layoutHolds<LruPolicy>());
-static_assert(layoutHolds<FifoPolicy>());
-static_assert(layoutHolds<RandomPolicy>());
 static_assert(layoutHolds<InsertionLruPolicy>());
 static_assert(layoutHolds<SdpPolicy>());
 static_assert(layoutHolds<EelruPolicy>());
 static_assert(layoutHolds<RripPolicy>());
-static_assert(layoutHolds<ShipPolicy>());
 static_assert(layoutHolds<PdpPolicy>());
 static_assert(layoutHolds<UcpPolicy>());
 static_assert(layoutHolds<TaDrripPolicy>());
@@ -66,15 +62,10 @@ static_assert(
 static_assert(std::is_same_v<ScratchLayout<SdpPolicy>::type, LruRankRow>);
 static_assert(std::is_same_v<ScratchLayout<UcpPolicy>::type, LruRankRow>);
 static_assert(std::is_same_v<ScratchLayout<RripPolicy>::type, RripRow>);
-static_assert(std::is_same_v<ScratchLayout<ShipPolicy>::type, RripRow>);
 static_assert(std::is_same_v<ScratchLayout<TaDrripPolicy>::type, RripRow>);
 static_assert(std::is_same_v<ScratchLayout<PdpPolicy>::type, RpdRow>);
 static_assert(
     std::is_same_v<ScratchLayout<PdpPartitionPolicy>::type, RpdRow>);
-static_assert(
-    std::is_same_v<ScratchLayout<FifoPolicy>::type, NoScratchState>);
-static_assert(
-    std::is_same_v<ScratchLayout<RandomPolicy>::type, NoScratchState>);
 static_assert(
     std::is_same_v<ScratchLayout<EelruPolicy>::type, NoScratchState>);
 static_assert(
@@ -95,11 +86,11 @@ TEST(ScratchContracts, RowImagesFitTheLentRow)
     EXPECT_LE(ScratchLayout<SdpPolicy>::size, kPolicyScratchBytes);
     EXPECT_LE(ScratchLayout<UcpPolicy>::size, kPolicyScratchBytes);
     EXPECT_LE(ScratchLayout<RripPolicy>::size, kPolicyScratchBytes);
-    EXPECT_LE(ScratchLayout<ShipPolicy>::size, kPolicyScratchBytes);
     EXPECT_LE(ScratchLayout<TaDrripPolicy>::size, kPolicyScratchBytes);
     EXPECT_LE(ScratchLayout<PdpPolicy>::size, kPolicyScratchBytes);
     EXPECT_LE(ScratchLayout<PdpPartitionPolicy>::size, kPolicyScratchBytes);
-    EXPECT_EQ(ScratchLayout<FifoPolicy>::size, sizeof(NoScratchState));
+    EXPECT_EQ(ScratchLayout<EelruPolicy>::size, sizeof(NoScratchState));
+    EXPECT_EQ(ScratchLayout<PippPolicy>::size, sizeof(NoScratchState));
 }
 
 TEST(ScratchContracts, RowResidentPoliciesUseTheLentRow)

@@ -14,7 +14,7 @@
  *  - fused vs virtual dispatch for LRU, the RRIP family and static and
  *    dynamic PDP at 8, 16 and 32 ways (exact type vs `final` subclass),
  *  - the SIMD row kernels vs scalar copies of the loops they replaced,
- *  - packed valid/dirty/reused mask transitions incl. invalidate,
+ *  - packed valid/dirty/reused mask transitions,
  *  - invariant-auditor cleanliness mid-stream (fingerprints, rank
  *    permutation, mask/canonical-state coupling),
  *  - byte-identical smoke-suite JSON across two serial runs.
@@ -539,22 +539,10 @@ TEST(HotpathMasks, InsertHitWriteInvalidateTransitions)
     EXPECT_FALSE(out.evictedDirty);
     EXPECT_FALSE(out.evictedReused);
 
-    // Invalidate: valid bit drops, line state reads canonical zero.
+    // The line that evicted the original one is still resident.
     out = cache.access(at(line + 8));
-    ASSERT_TRUE(out.hit);
-    const int way = out.way;
-    ASSERT_GE(way, 0);
-    EXPECT_TRUE(cache.invalidate(line + 8));
-    EXPECT_FALSE(cache.isValid(0, static_cast<uint32_t>(way)));
-    EXPECT_EQ(cache.lineAddr(0, static_cast<uint32_t>(way)), 0u);
-    EXPECT_FALSE(cache.contains(line + 8));
-    EXPECT_FALSE(cache.invalidate(line + 8));
-
-    // A subsequent miss refills the invalidated way first.
-    out = cache.access(at(line + 12));
-    EXPECT_FALSE(out.hit);
-    EXPECT_FALSE(out.evictedValid);
-    EXPECT_EQ(out.way, way);
+    EXPECT_TRUE(out.hit);
+    EXPECT_GE(out.way, 0);
 }
 
 TEST(HotpathMasks, AuditorStaysCleanMidStream)
@@ -577,14 +565,6 @@ TEST(HotpathMasks, AuditorStaysCleanMidStream)
             ASSERT_TRUE(reporter.clean()) << reporter.report();
         }
     }
-    // Invalidation must clear the fingerprint too, or a later probe of
-    // an aliasing address could false-hit; the auditor checks the
-    // canonical coupling.
-    for (uint64_t line = 0; line < 64; ++line)
-        cache.invalidate(line);
-    InvariantReporter reporter;
-    cache.auditInvariants(reporter);
-    ASSERT_TRUE(reporter.clean()) << reporter.report();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the baseline replacement policies: LRU/FIFO/Random
- * semantics, DIP insertion behaviour, the RRIP family, set dueling,
- * EELRU and SDP mechanics, and SHiP signature learning.
+ * Unit tests for the baseline replacement policies: LRU semantics, DIP
+ * insertion behaviour, the RRIP family, set dueling, EELRU and SDP
+ * mechanics, and the policy factory.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "policies/eelru.h"
 #include "policies/rrip.h"
 #include "policies/sdp.h"
-#include "policies/ship.h"
 #include "sim/policy_factory.h"
 
 using namespace pdp;
@@ -43,14 +42,6 @@ at(uint64_t line, uint64_t pc = 0x400000)
     return ctx;
 }
 
-/** Fill set 0 of a (sets=4) cache with `ways` distinct lines. */
-void
-fillSetZero(Cache &cache, uint32_t ways, uint64_t base = 0)
-{
-    for (uint32_t i = 0; i < ways; ++i)
-        cache.access(at(base + i * 4));
-}
-
 } // namespace
 
 TEST(Lru, CyclicThrashNeverHits)
@@ -61,30 +52,6 @@ TEST(Lru, CyclicThrashNeverHits)
         for (uint64_t line : {0u, 4u, 8u})
             cache.access(at(line));
     EXPECT_EQ(cache.stats().hits, 0u);
-}
-
-TEST(Fifo, IgnoresHits)
-{
-    Cache cache(tinyConfig(4, 2), std::make_unique<FifoPolicy>());
-    cache.access(at(0));
-    cache.access(at(4));
-    cache.access(at(0)); // hit; FIFO order unchanged, 0 still oldest
-    const AccessOutcome out = cache.access(at(8));
-    EXPECT_EQ(out.evictedAddr, 0u);
-}
-
-TEST(Random, EventuallyEvictsEveryWay)
-{
-    Cache cache(tinyConfig(4, 4), std::make_unique<RandomPolicy>());
-    fillSetZero(cache, 4);
-    std::set<uint64_t> evicted;
-    for (uint64_t i = 0; i < 200; ++i) {
-        const AccessOutcome out = cache.access(at(100 * 4 + i * 4));
-        if (out.evictedValid)
-            evicted.insert(out.evictedAddr);
-    }
-    // All four original lines must have been victims at some point.
-    EXPECT_GE(evicted.size(), 4u);
 }
 
 TEST(Lip, InsertsAtLruPosition)
@@ -212,32 +179,27 @@ TEST(Sdp, BypassesLearnedDeadPc)
     EXPECT_GT(cache.stats().bypasses, 0u);
 }
 
-TEST(Ship, DistantInsertionForDeadSignatures)
-{
-    Cache cache(tinyConfig(4, 2, false), std::make_unique<ShipPolicy>());
-    // Train one signature as never-reused.
-    const uint64_t dead_pc = 0xd00d00;
-    for (uint64_t i = 0; i < 2000; ++i)
-        cache.access(at(i * 4, dead_pc));
-    // A reused line from another PC must survive dead-signature inserts.
-    cache.access(at(3, 0x700d));
-    cache.access(at(3, 0x700d));
-    for (uint64_t i = 0; i < 4; ++i)
-        cache.access(at(20000 * 4 + 3 + i * 4, dead_pc));
-    EXPECT_TRUE(cache.contains(3));
-}
-
 TEST(PolicyFactory, BuildsEveryStandardSpec)
 {
     for (const char *spec :
-         {"LRU", "FIFO", "Random", "LIP", "BIP", "DIP", "SRRIP", "BRRIP",
-          "DRRIP", "EELRU", "SDP", "SHiP", "PDP-2", "PDP-3", "PDP-8",
-          "PDP-8-NB", "PDP-1INS", "SPDP-B:72", "SPDP-NB:64"}) {
+         {"LRU", "LIP", "BIP", "DIP", "SRRIP", "BRRIP", "DRRIP", "EELRU",
+          "SDP", "PDP-2", "PDP-3", "PDP-8", "PDP-8-NB", "PDP-1INS",
+          "SPDP-B:72", "SPDP-NB:64"}) {
         auto policy = makePolicy(spec);
         ASSERT_NE(policy, nullptr) << spec;
         EXPECT_FALSE(policy->name().empty());
     }
-    EXPECT_THROW(makePolicy("NotAPolicy"), std::invalid_argument);
+    // An unknown spec throws an error naming it; FIFO, Random and
+    // SHiP-lite are not policies of this simulator.
+    for (const char *spec : {"NotAPolicy", "FIFO", "Random", "SHiP"}) {
+        try {
+            makePolicy(spec);
+            ADD_FAILURE() << spec << " accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(spec), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(PolicyFactory, RejectsMalformedSpecs)

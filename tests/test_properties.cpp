@@ -84,9 +84,9 @@ TEST_P(PolicyInvariantTest, RandomTrafficKeepsStateConsistent)
 
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, PolicyInvariantTest,
-    ::testing::Values("LRU", "FIFO", "Random", "LIP", "BIP", "DIP",
-                      "SRRIP", "BRRIP", "DRRIP", "EELRU", "SDP", "SHiP",
-                      "PDP-2", "PDP-3", "PDP-8", "PDP-8-NB", "PDP-1INS"),
+    ::testing::Values("LRU", "LIP", "BIP", "DIP", "SRRIP", "BRRIP",
+                      "DRRIP", "EELRU", "SDP", "PDP-2", "PDP-3", "PDP-8",
+                      "PDP-8-NB", "PDP-1INS"),
     [](const auto &info) {
         std::string name = info.param;
         for (char &c : name)
