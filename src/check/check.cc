@@ -5,16 +5,9 @@ namespace pdp
 namespace check
 {
 
-CheckContext &
-CheckContext::instance()
-{
-    static CheckContext context;
-    return context;
-}
-
 void
-CheckContext::fail(const char *file, int line, const char *expression,
-                   const std::string &message)
+fail(const char *file, int line, const char *expression,
+     const std::string &message)
 {
     // Strip the leading path: the site is identified well enough by the
     // basename and diagnostics stay one-line.
@@ -23,53 +16,12 @@ CheckContext::fail(const char *file, int line, const char *expression,
     if (slash != std::string::npos)
         short_file.erase(0, slash + 1);
 
-    if (mode() == FailMode::FailFast) {
-        std::ostringstream os;
-        os << "PDP_CHECK failed at " << short_file << ":" << line << ": "
-           << expression;
-        if (!message.empty())
-            os << " — " << message;
-        throw CheckFailure(os.str());
-    }
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++failureCount_;
-    for (FailureRecord &rec : failures_) {
-        if (rec.line == line && rec.file == short_file) {
-            ++rec.count;
-            // Keep the first message; repeats of one site rarely add
-            // information and the record stays bounded.
-            return;
-        }
-    }
-    failures_.push_back({short_file, line, expression, message, 1});
-}
-
-std::string
-CheckContext::report() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
     std::ostringstream os;
-    os << failureCount_ << " check failure(s) across " << failures_.size()
-       << " site(s)\n";
-    for (const FailureRecord &rec : failures_) {
-        os << "  " << rec.file << ":" << rec.line << " [" << rec.expression
-           << "]";
-        if (!rec.message.empty())
-            os << " " << rec.message;
-        if (rec.count > 1)
-            os << " (x" << rec.count << ")";
-        os << "\n";
-    }
-    return os.str();
-}
-
-void
-CheckContext::reset()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    failureCount_ = 0;
-    failures_.clear();
+    os << "PDP_CHECK failed at " << short_file << ":" << line << ": "
+       << expression;
+    if (!message.empty())
+        os << " — " << message;
+    throw CheckFailure(os.str());
 }
 
 } // namespace check

@@ -4,15 +4,12 @@
  *
  * PDP_CHECK(cond, msg...) verifies `cond` in every build.  On failure it
  * formats the expression, the file:line site and the streamed message
- * parts, then either throws a CheckFailure (fail-fast, the default) or
- * records the failure and continues (count-and-report), depending on the
- * process-wide CheckContext mode.  The count mode is what lets the
- * InvariantAuditor sweep a corrupted simulator and report every broken
- * invariant instead of dying on the first one.
+ * parts and throws a CheckFailure: a failed check never lets the caller
+ * run on past it.
  *
  * PDP_DCHECK is the same contract but compiles to nothing unless
- * PDP_DCHECK_ENABLED is defined (Debug builds, or -DPDP_ENABLE_DCHECKS=ON);
- * use it on hot paths where an always-on branch would be measurable.
+ * PDP_DCHECK_ENABLED is defined (Debug builds define it); use it on hot
+ * paths where an always-on branch would be measurable.
  *
  * Message parts are streamed, not printf-formatted:
  *
@@ -22,18 +19,15 @@
 #ifndef PDP_CHECK_CHECK_H
 #define PDP_CHECK_CHECK_H
 
-#include <atomic>
-#include <cstdint>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace pdp
 {
 
-/** Thrown by a failed PDP_CHECK in fail-fast mode. */
+/** Thrown by a failed PDP_CHECK and by an audit pass that finds a
+ *  violated invariant. */
 class CheckFailure : public std::logic_error
 {
   public:
@@ -43,97 +37,9 @@ class CheckFailure : public std::logic_error
 namespace check
 {
 
-/** What a failed check does. */
-enum class FailMode
-{
-    /** Throw CheckFailure immediately (the default). */
-    FailFast,
-    /** Record the failure and keep going; see CheckContext::failures(). */
-    Count,
-};
-
-/** One recorded check failure (count mode). */
-struct FailureRecord
-{
-    std::string file;
-    int line = 0;
-    std::string expression;
-    std::string message;
-    /** Times this exact site fired (repeats collapse into one record). */
-    uint64_t count = 0;
-};
-
-/**
- * Process-wide state of the checking layer: the fail mode and, in count
- * mode, the accumulated failure records.
- *
- * Thread-safety: fail() may be reached concurrently from experiment-
- * runner workers (each throwing inside its own job), so the count-mode
- * record path is mutex-guarded.  Mode switching (ScopedCountMode) is a
- * single-threaded affair — switch modes only while no sweep is in
- * flight.
- */
-class CheckContext
-{
-  public:
-    static CheckContext &instance();
-
-    FailMode mode() const { return mode_.load(std::memory_order_relaxed); }
-
-    void
-    setMode(FailMode mode)
-    {
-        mode_.store(mode, std::memory_order_relaxed);
-    }
-
-    /** Total failures observed since the last reset() (count mode). */
-    uint64_t
-    failureCount() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return failureCount_;
-    }
-
-    /** Distinct failing sites, most recent last (count mode).  The
-     *  reference is only stable while no other thread can fail checks;
-     *  concurrent readers should use report(). */
-    const std::vector<FailureRecord> &failures() const { return failures_; }
-
-    /** Human-readable digest of all recorded failures. */
-    std::string report() const;
-
-    /** Drop all recorded failures and reset the counter. */
-    void reset();
-
-    /** Route one failure according to the current mode.  Called by the
-     *  macros; throws CheckFailure in fail-fast mode. */
-    void fail(const char *file, int line, const char *expression,
-              const std::string &message);
-
-  private:
-    CheckContext() = default;
-
-    std::atomic<FailMode> mode_{FailMode::FailFast};
-    mutable std::mutex mutex_;
-    uint64_t failureCount_ = 0;
-    std::vector<FailureRecord> failures_;
-};
-
-/** RAII guard: switch to count mode, restore the previous mode on exit. */
-class ScopedCountMode
-{
-  public:
-    ScopedCountMode() : previous_(CheckContext::instance().mode())
-    {
-        CheckContext::instance().setMode(FailMode::Count);
-    }
-    ~ScopedCountMode() { CheckContext::instance().setMode(previous_); }
-    ScopedCountMode(const ScopedCountMode &) = delete;
-    ScopedCountMode &operator=(const ScopedCountMode &) = delete;
-
-  private:
-    FailMode previous_;
-};
+/** Throw the CheckFailure of one failed check.  Called by the macros. */
+[[noreturn]] void fail(const char *file, int line, const char *expression,
+                       const std::string &message);
 
 namespace detail
 {
@@ -161,9 +67,9 @@ formatMessage(Parts &&...parts)
 #define PDP_CHECK(cond, ...)                                               \
     do {                                                                   \
         if (!(cond)) [[unlikely]]                                          \
-            ::pdp::check::CheckContext::instance().fail(                   \
-                __FILE__, __LINE__, #cond,                                 \
-                ::pdp::check::detail::formatMessage(__VA_ARGS__));         \
+            ::pdp::check::fail(__FILE__, __LINE__, #cond,                  \
+                               ::pdp::check::detail::formatMessage(        \
+                                   __VA_ARGS__));                          \
     } while (0)
 
 #ifdef PDP_DCHECK_ENABLED

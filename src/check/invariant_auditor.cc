@@ -37,9 +37,7 @@ InvariantReporter::report() const
     return os.str();
 }
 
-InvariantAuditor::InvariantAuditor() : InvariantAuditor(Options{}) {}
-
-InvariantAuditor::InvariantAuditor(Options options) : options_(options) {}
+InvariantAuditor::InvariantAuditor(uint64_t cadence) : cadence_(cadence) {}
 
 void
 InvariantAuditor::watchCache(const Cache &cache)
@@ -59,11 +57,11 @@ void
 InvariantAuditor::onAccess()
 {
     ++ticks_;
-    if (options_.fullEvery != 0 && ticks_ % options_.fullEvery == 0) {
-        fullAudit();
+    if (ticks_ % kFullEvery == 0) {
+        auditNow();
         return;
     }
-    if (options_.cadence != 0 && ticks_ % options_.cadence == 0)
+    if (cadence_ != 0 && ticks_ % cadence_ == 0)
         incrementalAudit();
 }
 
@@ -81,11 +79,11 @@ InvariantAuditor::incrementalAudit()
     }
     for (const WatchedOccupancy &watched : occupancies_)
         watched.tracker->auditGlobal(reporter);
-    finish(std::move(reporter));
+    finish(reporter);
 }
 
 void
-InvariantAuditor::fullAudit()
+InvariantAuditor::auditNow()
 {
     InvariantReporter reporter;
     for (const WatchedCache &watched : caches_)
@@ -93,31 +91,15 @@ InvariantAuditor::fullAudit()
     for (const WatchedOccupancy &watched : occupancies_)
         watched.tracker->auditInvariants(*watched.cache,
                                          watched.crossCheckStats, reporter);
-    finish(std::move(reporter));
-}
-
-const InvariantReporter &
-InvariantAuditor::auditNow()
-{
-    fullAudit();
-    return lastReport_;
+    finish(reporter);
 }
 
 void
-InvariantAuditor::finish(InvariantReporter &&reporter)
+InvariantAuditor::finish(const InvariantReporter &reporter)
 {
     ++auditsRun_;
-    if (reporter.clean()) {
-        // Keep lastReport_ pointing at the most recent FAILING pass so a
-        // later clean pass does not erase the evidence.
-        if (totalViolations_ == 0)
-            lastReport_ = std::move(reporter);
-        return;
-    }
-    totalViolations_ += reporter.violations().size();
-    if (options_.failFast)
+    if (!reporter.clean())
         throw CheckFailure("invariant audit failed: " + reporter.report());
-    lastReport_ = std::move(reporter);
 }
 
 } // namespace pdp

@@ -15,11 +15,11 @@
  *    per-set checks of ONE set, rotating round-robin, so `cadence = 1`
  *    ("max cadence") still covers the whole cache every numSets accesses
  *    at O(ways) per access;
- *  - every `fullEvery` observed accesses it walks everything at once.
+ *  - every kFullEvery observed accesses it walks everything at once.
  *
- * Violations either accumulate (count-and-report, the default — see
- * totalViolations()/lastReport()) or throw CheckFailure immediately
- * (failFast).
+ * A pass that finds any violation throws CheckFailure; its message is
+ * the pass's whole InvariantReporter::report(), so it names every
+ * invariant that pass found broken, not just the first.
  */
 
 #ifndef PDP_CHECK_INVARIANT_AUDITOR_H
@@ -70,7 +70,6 @@ class InvariantReporter
     void fail(const char *invariant, std::string detail);
 
     bool clean() const { return violations_.empty(); }
-    const std::vector<Violation> &violations() const { return violations_; }
 
     /** True if any recorded violation carries this invariant name. */
     bool has(const std::string &invariant) const;
@@ -86,21 +85,13 @@ class InvariantReporter
 class InvariantAuditor
 {
   public:
-    struct Options
-    {
-        /** Accesses between incremental audits (global checks — cache
-         *  + occupancy-conservation — plus one rotating set); 0
-         *  disables incremental auditing. */
-        uint64_t cadence = 1;
-        /** Accesses between full-state walks; 0 = only on demand. */
-        uint64_t fullEvery = 1u << 18;
-        /** Throw CheckFailure as soon as an audit pass finds violations
-         *  (instead of counting them). */
-        bool failFast = false;
-    };
+    /** Accesses between full-state walks. */
+    static constexpr uint64_t kFullEvery = 1u << 18;
 
-    InvariantAuditor();
-    explicit InvariantAuditor(Options options);
+    /** @param cadence accesses between incremental audits (global
+     *  checks — cache + occupancy-conservation — plus one rotating
+     *  set); 0 disables incremental auditing. */
+    explicit InvariantAuditor(uint64_t cadence = 1);
 
     /** Audit this cache (stats + lines + its policy) from now on. */
     void watchCache(const Cache &cache);
@@ -117,15 +108,12 @@ class InvariantAuditor
     /** Cadence hook; wired into Cache::access via Cache::setAuditor. */
     void onAccess();
 
-    /** Run a full audit immediately and fold it into the totals. */
-    const InvariantReporter &auditNow();
+    /** Run a full audit immediately; throws CheckFailure on any
+     *  violation. */
+    void auditNow();
 
     uint64_t accessesSeen() const { return ticks_; }
     uint64_t auditsRun() const { return auditsRun_; }
-    uint64_t totalViolations() const { return totalViolations_; }
-
-    /** Violations of the most recent non-clean audit pass. */
-    const InvariantReporter &lastReport() const { return lastReport_; }
 
   private:
     struct WatchedCache
@@ -142,15 +130,12 @@ class InvariantAuditor
     };
 
     void incrementalAudit();
-    void fullAudit();
-    /** Fold one pass into the totals; throws in failFast mode. */
-    void finish(InvariantReporter &&reporter);
+    /** Count one pass; throws CheckFailure if it found violations. */
+    void finish(const InvariantReporter &reporter);
 
-    Options options_;
+    uint64_t cadence_;
     uint64_t ticks_ = 0;
     uint64_t auditsRun_ = 0;
-    uint64_t totalViolations_ = 0;
-    InvariantReporter lastReport_;
     std::vector<WatchedCache> caches_;
     std::vector<WatchedOccupancy> occupancies_;
 };

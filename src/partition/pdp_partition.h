@@ -55,14 +55,15 @@ class PdpPartitionPolicy : public PdpPolicy, public TenantAwarePartition
     void beginTenantMode() override;
     int tenantJoin() override;
     void tenantLeave(unsigned slot) override;
-    unsigned tenantCapacity() const override { return numThreads_; }
-    unsigned activeTenants() const override;
+    std::vector<double> tenantQuotas() const override;
+
+    /** Currently active slots. */
+    unsigned activeTenants() const;
     bool
-    tenantActive(unsigned slot) const override
+    tenantActive(unsigned slot) const
     {
         return slot < active_.size() && active_[slot] != 0;
     }
-    std::vector<double> tenantQuotas() const override;
 
     /** Epoch telemetry: the base PDP snapshot (shared RDD view) plus the
      *  per-thread PD vector and per-thread RDD masses.  Inactive tenant

@@ -54,14 +54,6 @@ class TenantAwarePartition
     /** Deactivate a slot and reallocate. */
     virtual void tenantLeave(unsigned slot) = 0;
 
-    /** Total slots (thread ids) the policy was built for. */
-    virtual unsigned tenantCapacity() const = 0;
-
-    /** Currently active slots. */
-    virtual unsigned activeTenants() const = 0;
-
-    virtual bool tenantActive(unsigned slot) const = 0;
-
     /** Per-slot target share of cache capacity, in [0, 1]; one entry per
      *  slot, 0 for inactive slots.  Entries of active slots sum to ~1
      *  whenever any tenant is active. */

@@ -58,14 +58,15 @@ class UcpPolicy : public LruPolicy,
     void beginTenantMode() override;
     int tenantJoin() override;
     void tenantLeave(unsigned slot) override;
-    unsigned tenantCapacity() const override { return numThreads_; }
-    unsigned activeTenants() const override;
+    std::vector<double> tenantQuotas() const override;
+
+    /** Currently active slots. */
+    unsigned activeTenants() const;
     bool
-    tenantActive(unsigned slot) const override
+    tenantActive(unsigned slot) const
     {
         return slot < active_.size() && active_[slot] != 0;
     }
-    std::vector<double> tenantQuotas() const override;
 
     /** Epoch telemetry: the current per-thread way allocation. */
     void

@@ -29,10 +29,8 @@ toJson(const SimResult &result)
     j.set("llc_misses", result.llcMisses);
     j.set("llc_bypasses", result.llcBypasses);
     j.set("bypass_fraction", result.bypassFraction);
-    if (result.auditsRun) {
+    if (result.auditsRun)
         j.set("audits_run", result.auditsRun);
-        j.set("audit_violations", result.auditViolations);
-    }
     return j;
 }
 
@@ -54,10 +52,8 @@ toJson(const MultiCoreResult &result)
         threads.push(std::move(t));
     }
     j.set("threads", std::move(threads));
-    if (result.auditsRun) {
+    if (result.auditsRun)
         j.set("audits_run", result.auditsRun);
-        j.set("audit_violations", result.auditViolations);
-    }
     return j;
 }
 
@@ -98,10 +94,8 @@ toJson(const ServiceResult &result)
         tenants.push(std::move(t));
     }
     j.set("tenants", std::move(tenants));
-    if (result.auditsRun) {
+    if (result.auditsRun)
         j.set("audits_run", result.auditsRun);
-        j.set("audit_violations", result.auditViolations);
-    }
     return j;
 }
 

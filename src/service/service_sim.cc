@@ -106,9 +106,8 @@ runService(const std::vector<TenantSpec> &tenants,
     const uint64_t totalLines =
         static_cast<uint64_t>(llc.numSets()) * llc.numWays();
 
-    RunObservers observers(llc, config.auditEvery, config.auditFailFast,
-                           config.telemetry, config.accesses,
-                           config.slots);
+    RunObservers observers(llc, config.auditEvery, config.telemetry,
+                           config.accesses, config.slots);
     telemetry::EpochSampler *sampler = observers.sampler();
     telemetry::EventTrace *trace = observers.trace();
 
@@ -123,7 +122,7 @@ runService(const std::vector<TenantSpec> &tenants,
             config.telemetry.spanSampleRate);
     telemetry::SpanTracer *tracer = tracerPtr.get();
 
-    SloMonitor monitor(SloMonitorConfig{}, config.slots, trace);
+    SloMonitor monitor(config.slots, trace);
 
     // Crash forensics: declared after the sampler/tracer so stack
     // unwinding destroys this scope FIRST, while the event ring and any

@@ -99,9 +99,9 @@ struct ServiceConfig
      *  failure unwinds through the FlightScope with the event ring and
      *  any open span still live. */
     uint64_t faultAt = 0;
-    /** Incremental invariant-audit cadence; 0 disables (see src/check). */
+    /** Incremental invariant-audit cadence; 0 disables.  A violation
+     *  throws CheckFailure out of the run (see src/check). */
     uint64_t auditEvery = 0;
-    bool auditFailFast = false;
     telemetry::TelemetryConfig telemetry{};
 
     ServiceConfig
@@ -162,7 +162,6 @@ struct ServiceResult
     /** Requests the SpanTracer head-sampled (0 when tracing is off). */
     uint64_t spansSampled = 0;
     uint64_t auditsRun = 0;
-    uint64_t auditViolations = 0;
     std::shared_ptr<const telemetry::RunTelemetry> telemetry;
 };
 

@@ -8,29 +8,35 @@
 namespace pdp
 {
 
-SloMonitor::SloMonitor(const SloMonitorConfig &config, unsigned slots,
-                       telemetry::EventTrace *trace)
-    : config_(config), trace_(trace), slots_(slots)
+SloMonitor::SloMonitor(unsigned slots, telemetry::EventTrace *trace)
+    : trace_(trace), slots_(slots)
 {
-    PDP_CHECK(config_.windowIntervals >= 1,
-              "SLO window must cover at least one interval");
-    PDP_CHECK(config_.budget > 0.0 && config_.budget <= 1.0,
-              "SLO budget ", config_.budget, " outside (0, 1]");
-    for (SlotState &slot : slots_)
-        slot.window.assign(config_.windowIntervals, false);
+}
+
+SloMonitor::SlotState &
+SloMonitor::state(unsigned slot)
+{
+    PDP_CHECK(slot < slots_.size(), "SLO slot ", slot, " outside [0, ",
+              slots_.size(), ")");
+    return slots_[slot];
+}
+
+const SloMonitor::SlotState &
+SloMonitor::state(unsigned slot) const
+{
+    PDP_CHECK(slot < slots_.size(), "SLO slot ", slot, " outside [0, ",
+              slots_.size(), ")");
+    return slots_[slot];
 }
 
 void
 SloMonitor::attach(unsigned slot, unsigned tenant, const SloBounds &bounds)
 {
-    PDP_CHECK(slot < slots_.size(), "SLO attach to slot ", slot, " of ",
-              slots_.size());
-    SlotState &s = slots_[slot];
+    SlotState &s = state(slot);
     PDP_CHECK(!s.live, "SLO slot ", slot, " attached twice");
     if (s.burning)
         --burningCount_;
     s = SlotState{};
-    s.window.assign(config_.windowIntervals, false);
     s.live = true;
     s.tenant = tenant;
     s.bounds = bounds;
@@ -40,7 +46,7 @@ SloMonitor::attach(unsigned slot, unsigned tenant, const SloBounds &bounds)
 void
 SloMonitor::detach(unsigned slot)
 {
-    SlotState &s = slots_[slot];
+    SlotState &s = state(slot);
     PDP_CHECK(s.live, "SLO detach of idle slot ", slot);
     s.live = false;
     if (s.burning) {
@@ -53,10 +59,10 @@ SloMonitor::detach(unsigned slot)
 double
 SloMonitor::burnRate(unsigned slot) const
 {
-    const SlotState &s = slots_[slot];
+    const SlotState &s = state(slot);
     const unsigned window = std::max(s.filled, 1u);
     return static_cast<double>(s.violationsInWindow) /
-        (static_cast<double>(window) * config_.budget);
+        (static_cast<double>(window) * kBudget);
 }
 
 void
@@ -64,7 +70,7 @@ SloMonitor::observe(unsigned slot, uint64_t access_count,
                     uint64_t interval_accesses, double interval_hit_rate,
                     double interval_p99)
 {
-    SlotState &s = slots_[slot];
+    SlotState &s = state(slot);
     PDP_CHECK(s.live, "SLO observe on idle slot ", slot);
 
     // An interval in which the tenant saw no traffic can't violate a
@@ -75,7 +81,7 @@ SloMonitor::observe(unsigned slot, uint64_t access_count,
          (s.bounds.maxP99MissCycles > 0.0 &&
           interval_p99 > s.bounds.maxP99MissCycles));
 
-    if (s.filled == config_.windowIntervals) {
+    if (s.filled == kWindowIntervals) {
         if (s.window[s.head])
             --s.violationsInWindow;
     } else {
@@ -84,7 +90,7 @@ SloMonitor::observe(unsigned slot, uint64_t access_count,
     s.window[s.head] = violated;
     if (violated)
         ++s.violationsInWindow;
-    s.head = s.head + 1 == config_.windowIntervals ? 0 : s.head + 1;
+    s.head = s.head + 1 == kWindowIntervals ? 0 : s.head + 1;
 
     ++s.stats.intervals;
     if (violated)

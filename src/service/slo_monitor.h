@@ -8,11 +8,12 @@
  * sampling interval (the deterministic epoch clock service_sim already
  * runs — never wall time) scores one boolean per live tenant: did this
  * interval violate the tenant's hit-rate or p99-latency bound?  A
- * sliding window of the last W intervals then yields the burn rate
+ * sliding window of the last W = kWindowIntervals intervals (fewer
+ * until W have been scored) then yields the burn rate
  *
- *     burn = violations_in_window / (W * budget)
+ *     burn = violations_in_window / (W * kBudget)
  *
- * where `budget` is the tolerated violation fraction (error budget).
+ * where kBudget is the tolerated violation fraction (error budget).
  * burn >= 1 means the tenant is consuming budget faster than allowed:
  * crossing up emits an "slo_burn" trace event (and bumps
  * service.slo_burn); dropping back emits "slo_recovered".  The
@@ -41,15 +42,6 @@ struct SloBounds
     double maxP99MissCycles = 0.0;
 };
 
-/** Burn-rate accounting knobs. */
-struct SloMonitorConfig
-{
-    /** Sliding-window length in SLO sampling intervals. */
-    unsigned windowIntervals = 8;
-    /** Error budget: tolerated violating fraction of the window. */
-    double budget = 0.25;
-};
-
 /** What one tenant's residency accumulated (reported per tenant). */
 struct SloBurnStats
 {
@@ -63,13 +55,17 @@ struct SloBurnStats
 class SloMonitor
 {
   public:
+    /** Sliding-window length in SLO sampling intervals. */
+    static constexpr unsigned kWindowIntervals = 8;
+    /** Error budget: tolerated violating fraction of the window. */
+    static constexpr double kBudget = 0.25;
+
     /**
-     * @param config window/budget knobs
-     * @param slots concurrent tenant slots (slot-indexed state)
+     * @param slots concurrent tenant slots (slot-indexed state; every
+     *        slot argument below must be < slots, or CheckFailure)
      * @param trace event destination, or nullptr for metrics-only
      */
-    SloMonitor(const SloMonitorConfig &config, unsigned slots,
-               telemetry::EventTrace *trace);
+    SloMonitor(unsigned slots, telemetry::EventTrace *trace);
 
     /** Bind a tenant to `slot` (resets the slot's window; slots are
      *  recycled across tenants).  `tenant` tags emitted events. */
@@ -90,12 +86,12 @@ class SloMonitor
                  double interval_p99);
 
     double burnRate(unsigned slot) const;
-    bool burning(unsigned slot) const { return slots_[slot].burning; }
+    bool burning(unsigned slot) const { return state(slot).burning; }
 
     /** Residency totals for the tenant currently bound to `slot`. */
     const SloBurnStats &stats(unsigned slot) const
     {
-        return slots_[slot].stats;
+        return state(slot).stats;
     }
 
     /** Tenants whose burn rate is currently >= 1. */
@@ -108,17 +104,20 @@ class SloMonitor
         bool burning = false;
         unsigned tenant = 0;
         SloBounds bounds;
-        /** Ring of the last windowIntervals violation flags. */
-        std::vector<bool> window;
+        /** Ring of the last kWindowIntervals violation flags. */
+        std::vector<bool> window = std::vector<bool>(kWindowIntervals);
         unsigned head = 0;
         unsigned filled = 0;
         unsigned violationsInWindow = 0;
         SloBurnStats stats;
     };
 
+    /** The slot's state; throws CheckFailure for slot >= slots. */
+    SlotState &state(unsigned slot);
+    const SlotState &state(unsigned slot) const;
+
     void setGauge() const;
 
-    SloMonitorConfig config_;
     telemetry::EventTrace *trace_;
     std::vector<SlotState> slots_;
     unsigned burningCount_ = 0;

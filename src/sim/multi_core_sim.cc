@@ -42,9 +42,9 @@ double
 standaloneIpc(const std::string &benchmark, const MultiCoreConfig &config)
 {
     // Memoize per (benchmark, core count, run length, warmup, timing):
-    // every field the baseline run reads.  This is the one piece of
-    // cross-job shared state the experiment runner's workers may reach
-    // concurrently, so the map is mutex-guarded.  The baseline run
+    // every field the baseline run reads.  The experiment runner's
+    // workers may reach the map concurrently (runner/job.h lists every
+    // such process-wide object), so it is mutex-guarded.  The baseline run
     // itself happens outside the lock: two workers racing on the same
     // key at worst duplicate a deterministic computation and insert the
     // identical value, which keeps results independent of worker count.
@@ -86,7 +86,6 @@ roundRobinConfig(const MultiCoreConfig &config)
     run.hierarchy.numThreads = config.cores;
     run.hierarchy.llc = CacheConfig::paperLlc(config.cores);
     run.auditEvery = config.auditEvery;
-    run.auditFailFast = config.auditFailFast;
     run.telemetry = config.telemetry;
     return run;
 }

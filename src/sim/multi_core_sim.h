@@ -39,10 +39,9 @@ struct MultiCoreConfig
     uint64_t warmupPerThread = 400'000;
     TimingParams timing{};
     /** Incremental invariant-audit cadence on the shared LLC (accesses
-     *  between audit ticks); 0 disables auditing. See src/check/. */
+     *  between audit ticks); 0 disables auditing.  A violation throws
+     *  CheckFailure out of the run.  See src/check/. */
     uint64_t auditEvery = 0;
-    /** Throw CheckFailure on the first audit violation. */
-    bool auditFailFast = false;
     /** Epoch telemetry knobs (off by default; see src/telemetry/). */
     telemetry::TelemetryConfig telemetry{};
     bool operator==(const MultiCoreConfig &) const = default;
@@ -76,9 +75,9 @@ struct MultiCoreResult
     double weightedIpc = 0.0;
     double throughput = 0.0;
     double harmonicFairness = 0.0;
-    /** Invariant audit outcome (only populated when auditEvery > 0). */
+    /** Audit passes run, all clean (only populated when auditEvery
+     *  > 0; a dirty pass throws instead). */
     uint64_t auditsRun = 0;
-    uint64_t auditViolations = 0;
     /** Epoch time-series + events (only when config.telemetry.enabled). */
     std::shared_ptr<const telemetry::RunTelemetry> telemetry;
 };

@@ -42,16 +42,12 @@ makeSimResult(const std::string &benchmark, const std::string &policy,
 }
 
 RunObservers::RunObservers(Cache &llc, uint64_t auditEvery,
-                           bool auditFailFast,
                            const telemetry::TelemetryConfig &telemetry,
                            uint64_t measuredAccesses, unsigned threads)
     : llc_(llc)
 {
     if (auditEvery > 0) {
-        InvariantAuditor::Options opts;
-        opts.cadence = auditEvery;
-        opts.failFast = auditFailFast;
-        auditor_ = std::make_unique<InvariantAuditor>(opts);
+        auditor_ = std::make_unique<InvariantAuditor>(auditEvery);
         auditor_->watchCache(llc);
     }
     if (telemetry.enabled)
@@ -75,8 +71,7 @@ runRoundRobin(std::span<AccessGenerator *const> gens, Hierarchy &hierarchy,
               const SimConfig &config, std::span<TimingModel> timers)
 {
     RunObservers observers(hierarchy.llc(), config.auditEvery,
-                           config.auditFailFast, config.telemetry,
-                           config.accesses * gens.size(),
+                           config.telemetry, config.accesses * gens.size(),
                            config.hierarchy.numThreads);
     {
         telemetry::ScopedPhaseTimer phase(observers.trace(), "warmup");

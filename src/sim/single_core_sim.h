@@ -34,10 +34,9 @@ struct SimConfig
     HierarchyConfig hierarchy{};
     bool withPrefetcher = false;
     /** Incremental invariant-audit cadence on the LLC (accesses between
-     *  audit ticks); 0 disables auditing. See src/check/. */
+     *  audit ticks); 0 disables auditing.  A violation throws
+     *  CheckFailure out of the run.  See src/check/. */
     uint64_t auditEvery = 0;
-    /** Throw CheckFailure on the first audit violation. */
-    bool auditFailFast = false;
     /** Epoch telemetry knobs (off by default; see src/telemetry/). */
     telemetry::TelemetryConfig telemetry{};
     bool operator==(const SimConfig &) const = default;
@@ -69,9 +68,9 @@ struct SimResult
     uint64_t llcBypasses = 0;
     /** Bypassed fills as a fraction of LLC accesses (Fig. 10c). */
     double bypassFraction = 0.0;
-    /** Invariant audit outcome (only populated when auditEvery > 0). */
+    /** Audit passes run, all clean (only populated when auditEvery
+     *  > 0; a dirty pass throws instead). */
     uint64_t auditsRun = 0;
-    uint64_t auditViolations = 0;
     /** Epoch time-series + events (only when config.telemetry.enabled;
      *  shared_ptr keeps SimResult cheap to copy). */
     std::shared_ptr<const telemetry::RunTelemetry> telemetry;
@@ -94,7 +93,7 @@ SimResult makeSimResult(const std::string &benchmark,
 class RunObservers
 {
   public:
-    RunObservers(Cache &llc, uint64_t auditEvery, bool auditFailFast,
+    RunObservers(Cache &llc, uint64_t auditEvery,
                  const telemetry::TelemetryConfig &telemetry,
                  uint64_t measuredAccesses, unsigned threads);
 
@@ -116,7 +115,6 @@ class RunObservers
             llc_.setAuditor(nullptr);
             auditor_->auditNow();
             result.auditsRun = auditor_->auditsRun();
-            result.auditViolations = auditor_->totalViolations();
         }
         if (sampler_) {
             sampler_->finish();

@@ -284,18 +284,18 @@ TEST(OccupancyTracker, IncrementalAuditCoversConservation)
     OccupancyTracker tracker(cache);
     cache.setObserver(&tracker);
 
-    InvariantAuditor::Options opts;
-    opts.cadence = 1;
-    opts.fullEvery = 0; // incremental passes only
-    InvariantAuditor auditor(opts);
+    // 256 accesses stay far below InvariantAuditor::kFullEvery, so every
+    // pass is incremental.
+    InvariantAuditor auditor(/*cadence=*/1);
     auditor.watchCache(cache);
     auditor.watchOccupancy(cache, tracker);
 
     std::mt19937_64 rng(7);
-    for (int i = 0; i < 256; ++i) {
-        cache.access(at(rng() % 16));
-        auditor.onAccess();
-    }
+    EXPECT_NO_THROW({
+        for (int i = 0; i < 256; ++i) {
+            cache.access(at(rng() % 16));
+            auditor.onAccess();
+        }
+    });
     EXPECT_EQ(auditor.auditsRun(), 256u);
-    EXPECT_EQ(auditor.totalViolations(), 0u) << auditor.lastReport().report();
 }

@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests for the checking layer (src/check/): PDP_CHECK fail-fast and
- * count-and-report semantics, the InvariantAuditor's cadence machinery,
+ * Tests for the checking layer (src/check/): PDP_CHECK's throw, the
+ * InvariantAuditor's cadence machinery and its throw on a dirty pass,
  * detection of deliberately injected state corruption in every audited
- * subsystem, and clean full-cadence sweeps of the paper configurations.
+ * subsystem, clean full-cadence sweeps of the paper configurations, and
+ * a run that fails when its audit finds a violation.
  */
 
 #include <gtest/gtest.h>
@@ -27,9 +28,6 @@
 #include "trace/spec_suite.h"
 
 using namespace pdp;
-using check::CheckContext;
-using check::FailMode;
-using check::ScopedCountMode;
 
 namespace
 {
@@ -68,16 +66,29 @@ smallPdpParams(unsigned nc_bits = 2)
     return params;
 }
 
+/** The message of the CheckFailure `body` throws ("" and a test
+ *  failure when it throws none). */
+template <typename Body>
+std::string
+checkFailureMessage(Body body)
+{
+    try {
+        body();
+    } catch (const CheckFailure &failure) {
+        return failure.what();
+    }
+    ADD_FAILURE() << "no CheckFailure thrown";
+    return {};
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------------
-// PDP_CHECK / CheckContext semantics
+// PDP_CHECK semantics
 // ---------------------------------------------------------------------------
 
 TEST(CheckMacro, FailFastThrowsWithSiteAndMessage)
 {
-    CheckContext::instance().reset();
-    ASSERT_EQ(CheckContext::instance().mode(), FailMode::FailFast);
     try {
         const int value = 41;
         PDP_CHECK(value == 42, "value is ", value);
@@ -92,38 +103,7 @@ TEST(CheckMacro, FailFastThrowsWithSiteAndMessage)
 
 TEST(CheckMacro, PassingCheckHasNoEffect)
 {
-    CheckContext::instance().reset();
-    PDP_CHECK(1 + 1 == 2, "arithmetic broke");
-    EXPECT_EQ(CheckContext::instance().failureCount(), 0u);
-}
-
-TEST(CheckMacro, CountModeCollapsesRepeatedSites)
-{
-    CheckContext::instance().reset();
-    {
-        ScopedCountMode guard;
-        for (int i = 0; i < 3; ++i)
-            PDP_CHECK(i < 0, "iteration ", i);  // one site, three failures
-        PDP_CHECK(false, "another site");
-    }
-    const auto &ctx = CheckContext::instance();
-    EXPECT_EQ(ctx.failureCount(), 4u);
-    ASSERT_EQ(ctx.failures().size(), 2u);
-    EXPECT_EQ(ctx.failures()[0].count, 3u);
-    EXPECT_EQ(ctx.failures()[1].count, 1u);
-    EXPECT_NE(ctx.report().find("another site"), std::string::npos);
-    CheckContext::instance().reset();
-    EXPECT_EQ(CheckContext::instance().failureCount(), 0u);
-}
-
-TEST(CheckMacro, ScopedCountModeRestoresFailFast)
-{
-    CheckContext::instance().reset();
-    {
-        ScopedCountMode guard;
-        EXPECT_EQ(CheckContext::instance().mode(), FailMode::Count);
-    }
-    EXPECT_EQ(CheckContext::instance().mode(), FailMode::FailFast);
+    EXPECT_NO_THROW(PDP_CHECK(1 + 1 == 2, "arithmetic broke"));
 }
 
 // ---------------------------------------------------------------------------
@@ -142,26 +122,19 @@ TEST(InvariantAuditor, CleanCacheProducesNoViolations)
 TEST(InvariantAuditor, CadenceTicksOnEveryAccess)
 {
     Cache cache(smallConfig(), std::make_unique<LruPolicy>());
-    InvariantAuditor::Options options;
-    options.cadence = 1;
-    options.fullEvery = 0;
-    InvariantAuditor auditor(options);
+    InvariantAuditor auditor(/*cadence=*/1);
     auditor.watchCache(cache);
     cache.setAuditor(&auditor);
-    exercise(cache, 500);
+    EXPECT_NO_THROW(exercise(cache, 500));
     cache.setAuditor(nullptr);
     EXPECT_EQ(auditor.accessesSeen(), 500u);
     EXPECT_EQ(auditor.auditsRun(), 500u);
-    EXPECT_EQ(auditor.totalViolations(), 0u);
 }
 
 TEST(InvariantAuditor, CoarserCadenceAuditsLess)
 {
     Cache cache(smallConfig(), std::make_unique<LruPolicy>());
-    InvariantAuditor::Options options;
-    options.cadence = 64;
-    options.fullEvery = 0;
-    InvariantAuditor auditor(options);
+    InvariantAuditor auditor(/*cadence=*/64);
     auditor.watchCache(cache);
     cache.setAuditor(&auditor);
     exercise(cache, 640);
@@ -177,30 +150,11 @@ TEST(InvariantAuditor, FailFastOptionThrowsOnCorruption)
     exercise(cache, 200);
     rrip->debugSetRrpv(0, 0, 99);
 
-    InvariantAuditor::Options options;
-    options.failFast = true;
-    InvariantAuditor auditor(options);
-    auditor.watchCache(cache);
-    EXPECT_THROW(auditor.auditNow(), CheckFailure);
-}
-
-TEST(InvariantAuditor, CountModeAccumulatesAcrossPasses)
-{
-    auto policy = std::make_unique<RripPolicy>(RripPolicy::Mode::Srrip);
-    RripPolicy *rrip = policy.get();
-    Cache cache(smallConfig(), std::move(policy));
-    exercise(cache, 200);
-    rrip->debugSetRrpv(0, 0, 99);
-
     InvariantAuditor auditor;
     auditor.watchCache(cache);
-    auditor.auditNow();
-    const uint64_t first = auditor.totalViolations();
-    EXPECT_GT(first, 0u);
-    auditor.auditNow();
-    EXPECT_GT(auditor.totalViolations(), first);
-    EXPECT_TRUE(auditor.lastReport().has("rrip.rrpv_range"))
-        << auditor.lastReport().report();
+    const std::string what =
+        checkFailureMessage([&] { auditor.auditNow(); });
+    EXPECT_NE(what.find("rrip.rrpv_range"), std::string::npos) << what;
 }
 
 // ---------------------------------------------------------------------------
@@ -342,14 +296,12 @@ TEST(InjectedViolation, OccupancyLastEventAheadOfCounter)
     InvariantAuditor auditor;
     auditor.watchCache(cache);
     auditor.watchOccupancy(cache, tracker, /*cross_check_stats=*/true);
-    auditor.auditNow();
-    ASSERT_EQ(auditor.totalViolations(), 0u)
-        << auditor.lastReport().report();
+    ASSERT_NO_THROW(auditor.auditNow());
 
     tracker.debugSetLastEvent(0, 0, 1u << 30);
-    auditor.auditNow();
-    EXPECT_TRUE(auditor.lastReport().has("occ.last_event"))
-        << auditor.lastReport().report();
+    const std::string what =
+        checkFailureMessage([&] { auditor.auditNow(); });
+    EXPECT_NE(what.find("occ.last_event"), std::string::npos) << what;
 }
 
 // ---------------------------------------------------------------------------
@@ -375,13 +327,13 @@ TEST(AuditedSweep, Fig10ConfigPdpMaxCadence)
     // The Fig. 10 single-core setup (paper L2 + 2 MB 16-way LLC) under
     // dynamic PDP-3, audited on every LLC access.
     SimConfig cfg = SimConfig{}.scaled(0.02);
-    cfg.auditEvery = 1;
-    cfg.auditFailFast = true;  // die loudly if any invariant breaks
+    cfg.auditEvery = 1;  // a broken invariant throws out of the run
     bool fused = false;
-    const SimResult result = runAudited("436.cactusADM", "PDP-3", cfg, fused);
+    SimResult result;
+    ASSERT_NO_THROW(
+        result = runAudited("436.cactusADM", "PDP-3", cfg, fused));
     EXPECT_TRUE(fused);
     EXPECT_GT(result.auditsRun, 0u);
-    EXPECT_EQ(result.auditViolations, 0u);
     EXPECT_GT(result.llcAccesses, 0u);
 }
 
@@ -391,16 +343,16 @@ TEST(AuditedSweep, Fig10PolicyPanelMaxCadence)
     // every access; LRU, DRRIP and the dynamic PDPs run fused.
     SimConfig cfg = SimConfig{}.scaled(0.004);
     cfg.auditEvery = 1;
-    cfg.auditFailFast = true;
     std::vector<std::string> policies = fig10PolicyNames();
     policies.push_back("LRU");
     for (const std::string &policy : policies) {
         bool fused = false;
-        const SimResult result = runAudited("429.mcf", policy, cfg, fused);
+        SimResult result;
+        EXPECT_NO_THROW(result = runAudited("429.mcf", policy, cfg, fused))
+            << policy;
         EXPECT_EQ(fused, policy == "LRU" || policy == "DRRIP" ||
                              policy.rfind("PDP-", 0) == 0)
             << policy;
-        EXPECT_EQ(result.auditViolations, 0u) << policy;
         EXPECT_GT(result.auditsRun, 0u) << policy;
     }
 }
@@ -414,13 +366,44 @@ TEST(AuditedSweep, MultiCoreSharedPoliciesAudited)
     cfg.accessesPerThread = 12'000;
     cfg.warmupPerThread = 4'000;
     cfg.auditEvery = 16;
-    cfg.auditFailFast = true;
     for (const std::string &policy :
          {std::string("TA-DRRIP"), std::string("UCP"), std::string("PIPP"),
           std::string("PDP-2")}) {
-        const MultiCoreResult result =
-            runMultiCore(workload, policy, cfg);
-        EXPECT_EQ(result.auditViolations, 0u) << policy;
+        MultiCoreResult result;
+        EXPECT_NO_THROW(result = runMultiCore(workload, policy, cfg))
+            << policy;
         EXPECT_GT(result.auditsRun, 0u) << policy;
     }
+}
+
+namespace
+{
+
+/** LRU whose global audit also reports one planted violation, so every
+ *  audit pass over it is dirty. */
+class PlantedViolationLru : public LruPolicy
+{
+  public:
+    void
+    auditGlobal(InvariantReporter &reporter) const override
+    {
+        LruPolicy::auditGlobal(reporter);
+        reporter.fail("test.planted", "planted by the test policy");
+    }
+};
+
+} // namespace
+
+TEST(AuditedSweep, DirtyAuditFailsTheRun)
+{
+    // An audited run whose audit finds a violation must not come back
+    // as a result: the first dirty pass throws out of runSingleCore.
+    SimConfig cfg = SimConfig{}.scaled(0.001);
+    cfg.auditEvery = 1;
+    auto gen = SpecSuite::make("429.mcf");
+    Hierarchy hierarchy(cfg.hierarchy,
+                        std::make_unique<PlantedViolationLru>());
+    const std::string what =
+        checkFailureMessage([&] { runSingleCore(*gen, hierarchy, cfg); });
+    EXPECT_NE(what.find("test.planted"), std::string::npos) << what;
 }

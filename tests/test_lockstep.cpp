@@ -74,7 +74,6 @@ expectSameResult(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.llcBypasses, b.llcBypasses);
     EXPECT_EQ(a.bypassFraction, b.bypassFraction);
     EXPECT_EQ(a.auditsRun, b.auditsRun);
-    EXPECT_EQ(a.auditViolations, b.auditViolations);
     expectSameTelemetry(a.telemetry, b.telemetry);
 }
 
@@ -105,7 +104,6 @@ expectSameMultiResult(const MultiCoreResult &a, const MultiCoreResult &b)
     EXPECT_EQ(a.throughput, b.throughput);
     EXPECT_EQ(a.harmonicFairness, b.harmonicFairness);
     EXPECT_EQ(a.auditsRun, b.auditsRun);
-    EXPECT_EQ(a.auditViolations, b.auditViolations);
     expectSameTelemetry(a.telemetry, b.telemetry);
 }
 

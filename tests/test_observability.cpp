@@ -331,11 +331,14 @@ TEST(ServiceObservability, TraceFilesByteIdenticalAcrossWorkerCounts)
 
 TEST(SloMonitor, BurnAndRecoveryTransitions)
 {
+    // With kWindowIntervals = 8 and kBudget = 0.25, the burn rate
+    // is the window's violations over a quarter of the intervals scored
+    // (at most 8): one violation burns until five intervals are scored,
+    // and leaves the window eight intervals after it was scored.
+    ASSERT_EQ(SloMonitor::kWindowIntervals, 8u);
+    ASSERT_EQ(SloMonitor::kBudget, 0.25);
     telemetry::EventTrace trace(256);
-    SloMonitorConfig config;
-    config.windowIntervals = 4;
-    config.budget = 0.25; // one tolerated violation per full window
-    SloMonitor monitor(config, 2, &trace);
+    SloMonitor monitor(2, &trace);
 
     SloBounds bounds;
     bounds.minHitRate = 0.5;
@@ -349,23 +352,37 @@ TEST(SloMonitor, BurnAndRecoveryTransitions)
     EXPECT_TRUE(monitor.burning(0));
     EXPECT_EQ(monitor.burningCount(), 1u);
     EXPECT_GE(monitor.burnRate(0), 1.0);
+    EXPECT_DOUBLE_EQ(monitor.burnRate(0), 2.0); // 1 / (2 * 0.25)
 
     // An idle interval (no accesses) never scores as violating, even
     // with a violating-looking hit rate of zero.
     monitor.observe(0, access += 1'000, 0, 0.0, 0.0);
+    EXPECT_TRUE(monitor.burning(0));
 
-    // Healthy intervals age the violation out of the window.
-    for (int i = 0; i < 8 && monitor.burning(0); ++i)
-        monitor.observe(0, access += 1'000, 100, 0.9, 0.0);
+    // Healthy intervals dilute the violation: 1 / (4 * 0.25) still
+    // burns, 1 / (5 * 0.25) does not.
+    monitor.observe(0, access += 1'000, 100, 0.9, 0.0);
+    EXPECT_TRUE(monitor.burning(0));
+    monitor.observe(0, access += 1'000, 100, 0.9, 0.0);
     EXPECT_FALSE(monitor.burning(0));
     EXPECT_EQ(monitor.burningCount(), 0u);
+
+    // Once the window is full (eight intervals), the violation counts
+    // 1 / (8 * 0.25) until the tenth interval overwrites it.
+    for (int i = 0; i < 3; ++i)
+        monitor.observe(0, access += 1'000, 100, 0.9, 0.0);
+    EXPECT_DOUBLE_EQ(monitor.burnRate(0), 0.5);
+    monitor.observe(0, access += 1'000, 100, 0.9, 0.0);
+    EXPECT_DOUBLE_EQ(monitor.burnRate(0), 0.5);
+    monitor.observe(0, access += 1'000, 100, 0.9, 0.0);
+    EXPECT_EQ(monitor.burnRate(0), 0.0);
 
     const SloBurnStats &stats = monitor.stats(0);
     EXPECT_EQ(stats.burnEvents, 1u);
     EXPECT_EQ(stats.recoveredEvents, 1u);
     EXPECT_EQ(stats.violations, 1u);
     EXPECT_GE(stats.maxBurnRate, 1.0);
-    EXPECT_GT(stats.intervals, 2u);
+    EXPECT_EQ(stats.intervals, 10u);
 
     unsigned burn = 0, recovered = 0;
     for (const telemetry::TraceEvent &event : trace.chronological()) {
@@ -385,10 +402,7 @@ TEST(SloMonitor, BurnAndRecoveryTransitions)
 
 TEST(SloMonitor, LatencyBoundBurnsAndDetachStopsCounting)
 {
-    SloMonitorConfig config;
-    config.windowIntervals = 4;
-    config.budget = 0.25;
-    SloMonitor monitor(config, 2, nullptr); // metrics-only: no trace
+    SloMonitor monitor(2, nullptr); // metrics-only: no trace
 
     SloBounds bounds;
     bounds.maxP99MissCycles = 100.0;
@@ -403,6 +417,17 @@ TEST(SloMonitor, LatencyBoundBurnsAndDetachStopsCounting)
     monitor.detach(1);
     EXPECT_EQ(monitor.burningCount(), 0u);
     EXPECT_EQ(monitor.stats(1).recoveredEvents, 0u);
+}
+
+TEST(SloMonitor, SlotPastTheEndThrows)
+{
+    SloMonitor monitor(2, nullptr);
+    EXPECT_THROW(monitor.observe(2, 1'000, 50, 1.0, 0.0), CheckFailure);
+    EXPECT_THROW(monitor.detach(2), CheckFailure);
+    EXPECT_THROW(monitor.attach(2, 0, SloBounds{}), CheckFailure);
+    EXPECT_THROW(monitor.burnRate(2), CheckFailure);
+    EXPECT_THROW(monitor.burning(2), CheckFailure);
+    EXPECT_THROW(monitor.stats(2), CheckFailure);
 }
 
 // ---------------------------------------------------------------------
