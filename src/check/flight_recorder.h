@@ -2,11 +2,11 @@
  * @file
  * FlightRecorder: crash forensics for experiment-runner jobs.
  *
- * When a job dies — a PDP_CHECK fires inside a simulation, the run
- * callable throws, or the soft timeout trips — the usual record is one
- * line ("failed: <key> — <message>") and everything the run knew is
- * gone.  The flight recorder dumps that context to
- * FLIGHT_<job>.json (schema "pdp-flight/v1") before it unwinds:
+ * When a job dies — a PDP_CHECK fires inside a simulation or the run
+ * callable throws — the usual record is one line ("failed: <key> —
+ * <message>") and everything the run knew is gone.  The flight recorder
+ * dumps that context to FLIGHT_<job>.json (schema "pdp-flight/v1")
+ * before it unwinds:
  *
  *   - the last-N EventTrace entries (the structured-event ring the run
  *     was already keeping), oldest first, plus the drop count,
@@ -21,11 +21,11 @@
  *     alive).  Its destructor notices in-flight unwinding via
  *     std::uncaught_exceptions() and dumps with the ring and open
  *     spans attached.
- *   - the executor fallback: ThreadPoolExecutor reports any Failed /
- *     TimedOut record.  If the scope already dumped for that job the
- *     fallback is a no-op (per-job dedup — the scope's dump carries
- *     strictly more context); otherwise a metrics-only dump is written
- *     (e.g. soft timeouts, where nothing ever threw).
+ *   - the executor fallback: ThreadPoolExecutor reports any Failed
+ *     record.  If the scope already dumped for that job the fallback is
+ *     a no-op (per-job dedup — the scope's dump carries strictly more
+ *     context); otherwise a metrics-only dump is written (e.g. for a
+ *     job that declares no scope).
  *
  * The recorder is DISABLED by default: unit tests exercise throwing
  * jobs constantly and must not spray FLIGHT files into the tree.
@@ -75,11 +75,11 @@ class FlightRecorder
 
     /**
      * Write FLIGHT_<job>.json.  `reason` is the capture path
-     * ("check_failure", "job_failed", "soft_timeout"), `detail` the
-     * exception/overrun message.  `trace` / `tracer` may be null
-     * (metrics-only dump).  At most one dump is written per job key —
-     * the first wins — and nothing is written while disabled; returns
-     * true only when a file was actually written.
+     * ("check_failure" or "job_failed"), `detail` the exception
+     * message.  `trace` / `tracer` may be null (metrics-only dump).  At
+     * most one dump is written per job key — the first wins — and
+     * nothing is written while disabled; returns true only when a file
+     * was actually written.
      */
     bool dump(const std::string &job, const std::string &reason,
               const std::string &detail,

@@ -60,19 +60,15 @@ PdpPartitionPolicy::beginTenantMode()
     setThreadPds(pds_);
 }
 
-int
-PdpPartitionPolicy::tenantJoin()
+void
+PdpPartitionPolicy::tenantJoin(unsigned slot)
 {
-    for (unsigned t = 0; t < numThreads_; ++t) {
-        if (active_[t])
-            continue;
-        active_[t] = 1;
-        perThreadRdd_[t] = RdCounterArray(params_.dMax, params_.counterStep);
-        pds_[t] = params_.initialPd;
-        solvePartition();
-        return static_cast<int>(t);
-    }
-    return -1;
+    PDP_CHECK(slot < numThreads_ && !active_[slot],
+              name(), ": tenantJoin on active slot ", slot);
+    active_[slot] = 1;
+    perThreadRdd_[slot] = RdCounterArray(params_.dMax, params_.counterStep);
+    pds_[slot] = params_.initialPd;
+    solvePartition();
 }
 
 void

@@ -53,7 +53,7 @@ class PdpPartitionPolicy : public PdpPolicy, public TenantAwarePartition
     // search over the active set; leaving additionally drops the slot to
     // minimal protection so its residual lines age out of the cache.
     void beginTenantMode() override;
-    int tenantJoin() override;
+    void tenantJoin(unsigned slot) override;
     void tenantLeave(unsigned slot) override;
     std::vector<double> tenantQuotas() const override;
 

@@ -16,11 +16,12 @@
  *  - beginTenantMode() deactivates every slot after attach(); the
  *    fixed-core constructors keep all slots active so Fig. 12 paths are
  *    untouched.
- *  - tenantJoin() activates the LOWEST free slot, resets any stale
- *    per-slot monitor state (a previous occupant's RDD / shadow tags /
- *    utility counters must not leak into the new tenant's curve), and
- *    synchronously reallocates quotas.  Returns -1 when all slots are
- *    taken.
+ *  - tenantJoin(slot) activates a free slot, resets any stale per-slot
+ *    monitor state (a previous occupant's RDD / shadow tags / utility
+ *    counters must not leak into the new tenant's curve), and
+ *    synchronously reallocates quotas.  The service simulator picks the
+ *    slot (the lowest free one) for every policy, tenant-aware or not;
+ *    joining an active slot fails a PDP_CHECK.
  *  - tenantLeave(slot) deactivates the slot, clears its monitor state
  *    and reallocates.  The leaver's cache lines are NOT flushed — they
  *    age out naturally under the new quotas, which is the interesting
@@ -48,8 +49,8 @@ class TenantAwarePartition
     /** Enter dynamic mode: all slots inactive (call after attach). */
     virtual void beginTenantMode() = 0;
 
-    /** Activate the lowest free slot; -1 when full. */
-    virtual int tenantJoin() = 0;
+    /** Activate free `slot` and reallocate. */
+    virtual void tenantJoin(unsigned slot) = 0;
 
     /** Deactivate a slot and reallocate. */
     virtual void tenantLeave(unsigned slot) = 0;

@@ -37,19 +37,15 @@ UcpPolicy::beginTenantMode()
     alloc_.assign(numThreads_, 0);
 }
 
-int
-UcpPolicy::tenantJoin()
+void
+UcpPolicy::tenantJoin(unsigned slot)
 {
-    for (unsigned t = 0; t < numThreads_; ++t) {
-        if (active_[t])
-            continue;
-        active_[t] = 1;
-        umon_->resetThread(t);
-        umon_->setActive(t, true);
-        alloc_ = umon_->lookaheadPartition();
-        return static_cast<int>(t);
-    }
-    return -1;
+    PDP_CHECK(slot < numThreads_ && !active_[slot],
+              "UCP: tenantJoin on active slot ", slot);
+    active_[slot] = 1;
+    umon_->resetThread(slot);
+    umon_->setActive(slot, true);
+    alloc_ = umon_->lookaheadPartition();
 }
 
 void

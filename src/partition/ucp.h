@@ -52,11 +52,11 @@ class UcpPolicy : public LruPolicy,
     const std::vector<uint32_t> &allocation() const { return alloc_; }
     const Umon &umon() const { return *umon_; }
 
-    // TenantAwarePartition: a joining tenant takes the lowest free slot
-    // with a cleared UMON and the lookahead runs immediately, so way
-    // quotas reallocate deterministically at every churn step.
+    // TenantAwarePartition: a joining tenant's slot gets a cleared UMON
+    // and the lookahead runs immediately, so way quotas reallocate
+    // deterministically at every churn step.
     void beginTenantMode() override;
-    int tenantJoin() override;
+    void tenantJoin(unsigned slot) override;
     void tenantLeave(unsigned slot) override;
     std::vector<double> tenantQuotas() const override;
 

@@ -14,7 +14,7 @@
  * simulator state with any other job.  The simulator classes (Cache,
  * Hierarchy, ReplacementPolicy, AccessGenerator, Accumulator, Table) are
  * deliberately not thread-safe; "one hierarchy per job" is what makes the
- * sweep race-free.  A job still reaches five process-wide objects, each
+ * sweep race-free.  A job still reaches four process-wide objects, each
  * synchronized on its own:
  *  - the memo inside pdp::standaloneIpc(): a mutex-guarded map; the
  *    baseline run itself happens outside the lock;
@@ -24,8 +24,7 @@
  *    mutex-guarded, and counters and gauges are relaxed atomics (two
  *    jobs updating one counter may lose a count, but never race);
  *  - check::FlightRecorder::global(): mutex-guarded, and the job key a
- *    dump is filed under is thread_local;
- *  - runner::ProgressReporter::global(): mutex-guarded.
+ *    dump is filed under is thread_local.
  *
  * Seeding discipline: every Job carries an explicit seed, derived from
  * the stable part of its key with seedFor() — never a library default.
@@ -118,8 +117,6 @@ enum class JobStatus
     Ok,
     /** The run callable threw; JobRecord::error holds the message. */
     Failed,
-    /** Completed, but exceeded its (soft) wall-clock timeout. */
-    TimedOut,
 };
 
 inline const char *
@@ -130,8 +127,6 @@ toString(JobStatus status)
         return "ok";
     case JobStatus::Failed:
         return "failed";
-    case JobStatus::TimedOut:
-        return "timed_out";
     }
     return "unknown";
 }
@@ -162,11 +157,6 @@ struct Job
     std::string key;
     /** Explicit RNG seed (see the seeding discipline above). */
     uint64_t seed = 0;
-    /** Soft wall-clock timeout in seconds; 0 uses the executor default.
-     *  The runner cannot preempt a compute-bound simulation, so an
-     *  overrunning job still completes — it is then *recorded* as
-     *  TimedOut instead of Ok. */
-    double timeoutSeconds = 0.0;
     /** The work.  Must follow the one-hierarchy-per-job ownership rule. */
     std::function<JobOutcome(const JobContext &)> run;
     /** Multi-result alternative to `run`: one schedulable unit producing
@@ -188,7 +178,7 @@ struct JobRecord
     std::string key;
     uint64_t seed = 0;
     JobStatus status = JobStatus::Failed;
-    /** Exception message (Failed) or overrun note (TimedOut). */
+    /** Exception message (Failed). */
     std::string error;
     /** Wall-clock duration; reporting only, excluded from deterministic
      *  serializations. */

@@ -72,19 +72,16 @@ hitRate(const SimResult &r)
  * once, let `plan` pick and predict the cells in microseconds, simulate
  * them all in one runSingleCoreLockstep call (src/sim picks the driver)
  * and add each cell's result to its record, with `check`'s metrics if
- * any.  The job has one soft `timeout` budget per cell, as a folded
- * sweep of `cells` cells would.
+ * any.
  */
 Job
 modelJob(std::string key, const std::string &bench, const SimConfig &config,
-         size_t cells, double timeout,
          std::function<ModelPlan(const RddFingerprint &)> plan,
          CellCheck check = nullptr)
 {
     Job job;
     job.key = std::move(key);
     job.seed = seedFor(bench);
-    job.timeoutSeconds = timeout * static_cast<double>(cells);
     job.runMany = [bench, config, plan = std::move(plan),
                    check](const JobContext &ctx) {
         FingerprintOptions fopt;
@@ -162,7 +159,6 @@ buildModelValidation(const SuiteOptions &options)
         const std::string prefix = "model_validation/" + bench + "/";
         jobs.push_back(modelJob(
             prefix + "lockstep", bench, config,
-            2 * kValidationPds.size() + 1, options.timeoutSeconds,
             [prefix](const RddFingerprint &fp) {
                 return validationPlan(fp, prefix);
             },
@@ -359,11 +355,10 @@ buildExplore(const SuiteOptions &options)
         const std::string prefix = "explore/" + bench + "/";
         if (options.explore) {
             // The top-K contenders per family plus the audit cell.
-            jobs.push_back(modelJob(
-                prefix + "pruned", bench, config, 2 * kExploreTopK + 1,
-                options.timeoutSeconds, [bench](const RddFingerprint &fp) {
-                    return explorePlan(fp, bench);
-                }));
+            jobs.push_back(modelJob(prefix + "pruned", bench, config,
+                                    [bench](const RddFingerprint &fp) {
+                                        return explorePlan(fp, bench);
+                                    }));
             continue;
         }
         for (bool byp : {false, true})

@@ -136,6 +136,20 @@ toJson(const telemetry::TraceEvent &event)
     return j;
 }
 
+/** The telemetry of whichever result `outcome` holds; nullptr when the
+ *  run recorded none. */
+const telemetry::RunTelemetry *
+telemetryOf(const JobOutcome &outcome)
+{
+    if (outcome.single && outcome.single->telemetry)
+        return outcome.single->telemetry.get();
+    if (outcome.multi && outcome.multi->telemetry)
+        return outcome.multi->telemetry.get();
+    if (outcome.service && outcome.service->telemetry)
+        return outcome.service->telemetry.get();
+    return nullptr;
+}
+
 /** Hardware counter deltas; callers gate on reading.valid — an invalid
  *  reading must stay an *absent* section, never a zero-filled one. */
 Json
@@ -224,14 +238,7 @@ toJson(const JobRecord &record, bool includeVolatile)
         j.set("multi", toJson(*record.outcome.multi));
     if (record.outcome.service)
         j.set("service", toJson(*record.outcome.service));
-    const telemetry::RunTelemetry *run = nullptr;
-    if (record.outcome.single && record.outcome.single->telemetry)
-        run = record.outcome.single->telemetry.get();
-    else if (record.outcome.multi && record.outcome.multi->telemetry)
-        run = record.outcome.multi->telemetry.get();
-    else if (record.outcome.service && record.outcome.service->telemetry)
-        run = record.outcome.service->telemetry.get();
-    if (run)
+    if (const telemetry::RunTelemetry *run = telemetryOf(record.outcome))
         j.set("telemetry", toJson(*run, includeVolatile));
     return j;
 }
@@ -244,91 +251,58 @@ ResultsSink::ResultsSink(std::string experiment)
 void
 ResultsSink::setScale(double scale)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     scale_ = scale;
 }
 
 void
 ResultsSink::setWorkers(unsigned workers)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     workers_ = workers;
 }
 
 void
 ResultsSink::setRegistrySnapshot(std::vector<telemetry::MetricSnapshot> snap)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     registry_ = std::move(snap);
 }
 
 void
 ResultsSink::setDeterministicFile(bool on)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     deterministicFile_ = on;
 }
 
 void
 ResultsSink::add(JobRecord record)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    records_.push_back(std::move(record));
-}
-
-size_t
-ResultsSink::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return records_.size();
-}
-
-std::vector<JobRecord>
-ResultsSink::sortedRecords() const
-{
-    std::vector<JobRecord> records;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        records = records_;
-    }
-    std::sort(records.begin(), records.end(),
-              [](const JobRecord &a, const JobRecord &b) {
-                  return a.key < b.key;
-              });
-    return records;
+    const auto at = std::upper_bound(
+        records_.begin(), records_.end(), record.key,
+        [](const std::string &key, const JobRecord &other) {
+            return key < other.key;
+        });
+    records_.insert(at, std::move(record));
 }
 
 Json
 ResultsSink::toJson(bool includeVolatile) const
 {
-    const std::vector<JobRecord> records = sortedRecords();
-    double scale = 1.0;
-    unsigned workers = 0;
-    std::vector<telemetry::MetricSnapshot> registry;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        scale = scale_;
-        workers = workers_;
-        registry = registry_;
-    }
-
     Json doc = Json::object();
     doc.set("schema", "pdp-bench-results/v2");
     doc.set("experiment", experiment_);
     doc.set("git", PDP_GIT_DESCRIBE);
-    doc.set("scale", scale);
+    doc.set("scale", scale_);
     if (includeVolatile)
-        doc.set("workers", workers);
-    doc.set("job_count", static_cast<uint64_t>(records.size()));
+        doc.set("workers", workers_);
+    doc.set("job_count", static_cast<uint64_t>(records_.size()));
     Json jobs = Json::array();
-    for (const JobRecord &record : records)
+    for (const JobRecord &record : records_)
         jobs.push(runner::toJson(record, includeVolatile));
     doc.set("jobs", std::move(jobs));
     // Registry totals are process-global (they accumulate across every
     // suite the process ran), so they only belong in the volatile form.
-    if (includeVolatile && !registry.empty()) {
+    if (includeVolatile && !registry_.empty()) {
         Json reg = Json::object();
-        for (const telemetry::MetricSnapshot &metric : registry) {
+        for (const telemetry::MetricSnapshot &metric : registry_) {
             if (metric.kind == telemetry::MetricKind::Gauge)
                 reg.set(metric.name, metric.value);
             else
@@ -356,7 +330,7 @@ ResultsSink::outputDirectory(const std::string &directory)
 {
     if (directory.empty())
         return ".";
-    return directory == "none" || directory == "0" ? "" : directory;
+    return directory == "none" ? "" : directory;
 }
 
 bool
@@ -368,16 +342,11 @@ ResultsSink::writeFile(const std::string &directory,
         return false;
     if (dir.back() != '/')
         dir += '/';
-    bool deterministic = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        deterministic = deterministicFile_;
-    }
     const std::string path = dir + fileName();
     std::ofstream out(path);
     if (!out)
         return false;
-    out << toJson(/*includeVolatile=*/!deterministic).dump(2) << '\n';
+    out << toJson(/*includeVolatile=*/!deterministicFile_).dump(2) << '\n';
     if (!out)
         return false;
     if (pathOut)
@@ -394,11 +363,6 @@ ResultsSink::writeTraceFile(const std::string &directory,
         return false;
     if (dir.back() != '/')
         dir += '/';
-    bool deterministic = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        deterministic = deterministicFile_;
-    }
     const std::string path = dir + traceFileName();
     std::ofstream out(path);
     if (!out)
@@ -410,21 +374,15 @@ ResultsSink::writeTraceFile(const std::string &directory,
     header.set("git", PDP_GIT_DESCRIBE);
     out << header.dump() << '\n';
 
-    for (const JobRecord &record : sortedRecords()) {
-        const telemetry::RunTelemetry *run = nullptr;
-        if (record.outcome.single && record.outcome.single->telemetry)
-            run = record.outcome.single->telemetry.get();
-        else if (record.outcome.multi && record.outcome.multi->telemetry)
-            run = record.outcome.multi->telemetry.get();
-        else if (record.outcome.service && record.outcome.service->telemetry)
-            run = record.outcome.service->telemetry.get();
+    for (const JobRecord &record : records_) {
+        const telemetry::RunTelemetry *run = telemetryOf(record.outcome);
         if (!run)
             continue;
         for (const telemetry::TraceEvent &event : run->events) {
             // Deterministic trace files drop wall-clock-bearing events
             // (phase timers) so CI can byte-compare TRACE files across
             // worker counts — same rule as the BENCH document.
-            if (deterministic && event.isVolatile)
+            if (deterministicFile_ && event.isVolatile)
                 continue;
             Json line = Json::object();
             line.set("job", record.key);

@@ -1,12 +1,11 @@
 /**
  * @file
- * ResultsSink: thread-safe collection of job records and their JSON
+ * ResultsSink: the job records of one suite run and their JSON
  * serialization.
  *
- * One sink per suite run.  Worker threads add() records as jobs finish
- * (wire it to ExecutorOptions::onComplete); the coordinating thread then
- * serializes everything as one BENCH_<experiment>.json document next to
- * the usual text tables.
+ * One sink per suite run, used by one thread: runSuite() adds the
+ * records ThreadPoolExecutor::run returned and serializes them as one
+ * BENCH_<experiment>.json document next to the usual text tables.
  *
  * JSON schema ("pdp-bench-results/v2"; v1 differs only in lacking the
  * telemetry/registry sections, and tools/pdpreport.py, the reader of
@@ -23,7 +22,7 @@
  *       {
  *         "key": "fig10/401.gcc/DIP",
  *         "seed": 1234,
- *         "status": "ok" | "failed" | "timed_out",
+ *         "status": "ok" | "failed",
  *         "error": "...",         // only when non-empty
  *         "seconds": 1.32,        // volatile: omitted in deterministic dumps
  *         "hardware": {           // volatile; only when perf counters were
@@ -70,7 +69,6 @@
 #ifndef PDP_RUNNER_RESULTS_SINK_H
 #define PDP_RUNNER_RESULTS_SINK_H
 
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -122,13 +120,9 @@ class ResultsSink
      *  (CI's service-smoke identity check). */
     void setDeterministicFile(bool on);
 
-    /** Append one record.  Thread-safe; callable from worker threads. */
+    /** Add one record, in key order among those already added, so the
+     *  document lists jobs by key whatever the add order. */
     void add(JobRecord record);
-
-    size_t size() const;
-
-    /** All records sorted by job key (stable across worker counts). */
-    std::vector<JobRecord> sortedRecords() const;
 
     /** The whole document; includeVolatile = false for the byte-stable
      *  deterministic form (see file comment). */
@@ -151,8 +145,8 @@ class ResultsSink
 
     /**
      * The directory writeFile() and writeTraceFile() use for `directory`:
-     * "" -> "." (the current directory); "none" or "0" -> disabled
-     * (returns ""); anything else is used as the directory.
+     * "" -> "." (the current directory); "none" -> disabled (returns "");
+     * anything else, "0" included, is used as the directory.
      */
     static std::string outputDirectory(const std::string &directory);
 
@@ -175,7 +169,7 @@ class ResultsSink
     unsigned workers_ = 0;
     bool deterministicFile_ = false;
     std::vector<telemetry::MetricSnapshot> registry_;
-    mutable std::mutex mutex_;
+    /** Sorted by key. */
     std::vector<JobRecord> records_;
 };
 

@@ -371,16 +371,13 @@ runSweep(const std::vector<std::string> &keys,
     return outcomes;
 }
 
-/** One lockstep sweep over the cells jobs[begin, end), with one soft
- *  `timeout` budget per cell. */
+/** One lockstep sweep over the cells jobs[begin, end). */
 Job
-sweepJob(const std::vector<Job> &jobs, size_t begin, size_t end,
-         double timeout)
+sweepJob(const std::vector<Job> &jobs, size_t begin, size_t end)
 {
     Job job;
     job.key = jobs[begin].key + ".." + jobs[end - 1].key;
     job.seed = jobs[begin].seed;
-    job.timeoutSeconds = timeout * (end - begin);
     std::vector<std::string> keys;
     std::vector<SimCell> cells;
     for (size_t c = begin; c < end; ++c) {
@@ -408,10 +405,8 @@ selectJobs(const Suite &suite, const SuiteOptions &options)
         end = begin + 1;
         while (end < jobs.size() && sharesDecode(jobs[begin], jobs[end]))
             ++end;
-        selected.push_back(
-            end - begin == 1
-                ? std::move(jobs[begin])
-                : sweepJob(jobs, begin, end, options.timeoutSeconds));
+        selected.push_back(end - begin == 1 ? std::move(jobs[begin])
+                                            : sweepJob(jobs, begin, end));
     }
     return selected;
 }
@@ -419,26 +414,12 @@ selectJobs(const Suite &suite, const SuiteOptions &options)
 int
 runSuite(const Suite &suite, const SuiteOptions &options, std::ostream &out)
 {
-    ProgressReporter &reporter = ProgressReporter::global();
-    if (options.verbose)
-        reporter.setVerbose(true);
-
     const std::vector<Job> jobs = selectJobs(suite, options);
-
-    ResultsSink sink(suite.name);
-    sink.setScale(options.scale);
-    sink.setDeterministicFile(options.deterministicJson);
 
     ExecutorOptions eopts;
     eopts.workers = options.workers;
-    eopts.defaultTimeoutSeconds = options.timeoutSeconds;
     eopts.perfCounters = options.perfCounters;
-    eopts.reporter = &reporter;
-    eopts.onComplete = [&sink](const JobRecord &record) {
-        sink.add(record);
-    };
     ThreadPoolExecutor executor(eopts);
-    sink.setWorkers(executor.workers());
 
     // Arm the fault flight recorder into the suite's output directory
     // for the duration of the run (scoped: unit tests that drive
@@ -450,8 +431,7 @@ runSuite(const Suite &suite, const SuiteOptions &options, std::ostream &out)
     if (!outDir.empty())
         flightArm.emplace(outDir);
 
-    reporter.beginBatch(suite.name, jobs.size(), executor.workers());
-    const std::vector<JobRecord> records = executor.run(jobs);
+    std::vector<JobRecord> records = executor.run(jobs);
 
     if (options.filter.empty() && suite.report) {
         suite.report(out, RecordLookup(records));
@@ -472,6 +452,13 @@ runSuite(const Suite &suite, const SuiteOptions &options, std::ostream &out)
             << (record.error.empty() ? "" : " — " + record.error) << "\n";
     }
 
+    const size_t total = records.size();
+    ResultsSink sink(suite.name);
+    sink.setScale(options.scale);
+    sink.setWorkers(executor.workers());
+    sink.setDeterministicFile(options.deterministicJson);
+    for (JobRecord &record : records)
+        sink.add(std::move(record));
     if (options.telemetry || options.trace)
         sink.setRegistrySnapshot(
             telemetry::MetricsRegistry::global().snapshot());
@@ -497,9 +484,8 @@ runSuite(const Suite &suite, const SuiteOptions &options, std::ostream &out)
                         sink.traceFileName());
     }
     out << "[runner] " << suite.name << ": "
-        << (records.size() - static_cast<size_t>(notOk)) << "/"
-        << records.size() << " job(s) ok on " << executor.workers()
-        << " worker(s)\n";
+        << (total - static_cast<size_t>(notOk)) << "/" << total
+        << " job(s) ok on " << executor.workers() << " worker(s)\n";
     return notOk + unwritten;
 }
 

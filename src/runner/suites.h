@@ -5,10 +5,10 @@
  *
  * A Suite is (name, description, buildJobs, report).  buildJobs expands
  * the experiment into independent Jobs (one simulation cell each);
- * runSuite() executes them on a ThreadPoolExecutor, streams records into
- * a ResultsSink, writes BENCH_<name>.json and calls report() to print
- * the figure's text tables — identical output no matter how many workers
- * ran the grid.
+ * runSuite() executes them on a ThreadPoolExecutor, calls report() to
+ * print the figure's text tables from the returned records, and hands
+ * the records to a ResultsSink that writes BENCH_<name>.json — identical
+ * output no matter how many workers ran the grid.
  *
  * Every paper artifact is a suite, and each suite family has its own
  * file behind the one registry (allSuites):
@@ -51,16 +51,12 @@ struct SuiteOptions
     double scale = 1.0;
     /** Worker threads; 0 = hardware concurrency (--jobs). */
     unsigned workers = 0;
-    /** Per-job progress lines on stderr (--verbose). */
-    bool verbose = false;
     /** JSON output directory (--json); "" = the current directory,
      *  "none" disables. */
     std::string jsonDir;
     /** Substring filter on job keys; non-empty runs a partial grid and
      *  replaces the figure report with a generic results table. */
     std::string filter;
-    /** Soft per-job timeout in seconds; 0 = none. */
-    double timeoutSeconds = 0.0;
     /** Record epoch telemetry in every simulation job (--telemetry). */
     bool telemetry = false;
     /** Also derive structured events and write TRACE_<suite>.jsonl

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <sstream>
 #include <thread>
 
 #include "check/check.h"
@@ -51,9 +50,9 @@ ThreadPoolExecutor::execute(const Job &job, unsigned laneThreads) const
         perfBase = perf->read();
     }
 
-    // pdplint: allow(wall-clock) job duration feeds the soft-timeout
-    // check and the volatile `seconds` field only; ResultsSink omits
-    // it from deterministic dumps.
+    // pdplint: allow(wall-clock) job duration feeds the volatile
+    // `seconds` field only; ResultsSink omits it from deterministic
+    // dumps.
     const auto start = std::chrono::steady_clock::now();
     try {
         PDP_CHECK((job.run != nullptr) + (job.runMany != nullptr) == 1,
@@ -107,33 +106,19 @@ ThreadPoolExecutor::execute(const Job &job, unsigned laneThreads) const
     if (perf)
         perfDelta = perf->read().since(perfBase);
 
-    const double timeout = job.timeoutSeconds > 0
-        ? job.timeoutSeconds
-        : options_.defaultTimeoutSeconds;
     for (JobRecord &record : group) {
         record.seconds = seconds;
         record.hw = perfDelta;
-        if (record.status == JobStatus::Ok && timeout > 0 &&
-            seconds > timeout) {
-            record.status = JobStatus::TimedOut;
-            std::ostringstream os;
-            os << "soft timeout: ran " << seconds << "s, budget " << timeout
-               << "s";
-            record.error = os.str();
-        }
     }
 
     // Flight-recorder fallback: a simulation with a FlightScope already
     // dumped richer context during its unwind (the per-job dedup makes
-    // this a no-op then); this catches everything else — jobs without a
-    // scope, non-check exceptions, soft timeouts (where nothing threw).
+    // this a no-op then); this catches every other failure, e.g. of a
+    // job that declares no scope.
     for (const JobRecord &record : group)
-        if (record.status != JobStatus::Ok)
+        if (record.status == JobStatus::Failed)
             check::FlightRecorder::global().dump(
-                record.key,
-                record.status == JobStatus::TimedOut ? "soft_timeout"
-                                                     : "job_failed",
-                record.error, nullptr, nullptr);
+                record.key, "job_failed", record.error, nullptr, nullptr);
     check::FlightRecorder::setJobKey("");
     return group;
 }
@@ -148,7 +133,6 @@ ThreadPoolExecutor::run(const std::vector<Job> &jobs)
     // runMany job's expansion lands exactly where its jobs-list slot is.
     std::vector<std::vector<JobRecord>> groups(jobs.size());
     std::atomic<size_t> next{0};
-    std::atomic<unsigned> busy{0};
     const unsigned fanOut = static_cast<unsigned>(
         std::min<size_t>(workers_, jobs.size()));
     const unsigned laneThreads =
@@ -159,16 +143,7 @@ ThreadPoolExecutor::run(const std::vector<Job> &jobs)
             const size_t index = next.fetch_add(1);
             if (index >= jobs.size())
                 return;
-            busy.fetch_add(1);
             groups[index] = execute(jobs[index], laneThreads);
-            const unsigned stillBusy = busy.fetch_sub(1) - 1;
-            if (options_.reporter)
-                options_.reporter->jobFinished(groups[index].front(),
-                                               stillBusy);
-            if (options_.onComplete) {
-                for (const JobRecord &record : groups[index])
-                    options_.onComplete(record);
-            }
         }
     };
 

@@ -11,24 +11,21 @@
  *  - **Fault isolation.**  A job that throws becomes a Failed record
  *    carrying the exception message; the sweep always completes and the
  *    remaining jobs are unaffected.
- *  - **Soft timeouts.**  The runner cannot preempt a compute-bound
- *    simulation, so a timeout does not abort the job: a job whose
- *    wall-clock duration exceeds its budget completes and is recorded
- *    as TimedOut (outcome retained) for the sweep report to flag.
  *
- * Thread-safety contract: jobs must follow the one-hierarchy-per-job
- * ownership rule documented in job.h.  The executor itself touches only
- * its private queue index and per-index record slots.
+ * That is the whole contract: run() hands every record back to its
+ * caller, which alone reduces and serializes them (runSuite passes them
+ * to a ResultsSink).  Thread-safety: jobs must follow the
+ * one-hierarchy-per-job ownership rule documented in job.h.  The
+ * executor itself touches only its private queue index and per-index
+ * record slots.
  */
 
 #ifndef PDP_RUNNER_THREAD_POOL_H
 #define PDP_RUNNER_THREAD_POOL_H
 
-#include <functional>
 #include <vector>
 
 #include "runner/job.h"
-#include "runner/progress.h"
 
 namespace pdp
 {
@@ -41,18 +38,10 @@ struct ExecutorOptions
     /** Worker threads; 0 resolves to std::thread::hardware_concurrency()
      *  (at least 1). */
     unsigned workers = 0;
-    /** Soft wall-clock timeout applied to jobs whose own timeoutSeconds
-     *  is 0; 0 disables. */
-    double defaultTimeoutSeconds = 0.0;
     /** Profile each job with a hardware perf-counter group
      *  (hw/perf_counters.h) into JobRecord::hw; silently a no-op where
      *  perf_event_open is unavailable. */
     bool perfCounters = false;
-    /** Progress funnel; nullptr for silent runs. */
-    ProgressReporter *reporter = nullptr;
-    /** Called on a worker thread after each job finishes (any status).
-     *  Must be thread-safe; ResultsSink::add qualifies. */
-    std::function<void(const JobRecord &)> onComplete;
 };
 
 class ThreadPoolExecutor

@@ -227,23 +227,18 @@ runService(const std::vector<TenantSpec> &tenants,
         TenantState &ts = state[spec];
         PDP_CHECK(ts.phase == TenantState::Phase::Pending,
                   "tenant ", tenants[spec].name, " joined twice");
-        int slot = -1;
-        if (ta) {
-            slot = ta->tenantJoin();
-        } else {
-            for (unsigned s = 0; s < config.slots; ++s)
-                if (slotOwner[s] < 0) {
-                    slot = static_cast<int>(s);
-                    break;
-                }
-        }
-        PDP_CHECK(slot >= 0, "no free tenant slot for ",
+        // The lowest free slot, whatever the policy, so every policy
+        // serves each tenant on the same slot.
+        unsigned slot = 0;
+        while (slot < config.slots && slotOwner[slot] >= 0)
+            ++slot;
+        PDP_CHECK(slot < config.slots, "no free tenant slot for ",
                   tenants[spec].name, " (", live, " live of ",
                   config.slots, ")");
-        PDP_CHECK(slotOwner[slot] < 0, "slot ", slot,
-                  " double-booked joining ", tenants[spec].name);
+        if (ta)
+            ta->tenantJoin(slot);
         ts.phase = TenantState::Phase::Live;
-        ts.slot = slot;
+        ts.slot = static_cast<int>(slot);
         slotOwner[slot] = static_cast<int>(spec);
         ++live;
 
@@ -263,7 +258,7 @@ runService(const std::vector<TenantSpec> &tenants,
         ts.requests = 0;
         ts.joinedAt = measured;
         snapshotBase(ts);
-        monitor.attach(static_cast<unsigned>(slot), spec,
+        monitor.attach(slot, spec,
                        {t.slo.minHitRate, t.slo.maxP99MissCycles});
 
         ++result.joins;

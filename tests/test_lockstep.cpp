@@ -415,11 +415,11 @@ runJobs(const std::string &suiteName, const std::vector<Job> &jobs)
     ResultsSink sink(suiteName);
     ExecutorOptions eopts;
     eopts.workers = 2;
-    eopts.onComplete = [&sink](const JobRecord &r) { sink.add(r); };
     SuiteRun run;
-    for (const JobRecord &record : ThreadPoolExecutor(eopts).run(jobs)) {
+    for (JobRecord &record : ThreadPoolExecutor(eopts).run(jobs)) {
         EXPECT_EQ(record.status, JobStatus::Ok) << record.key;
         run.keys.push_back(record.key);
+        sink.add(std::move(record));
     }
     run.dump = sink.toJson(/*includeVolatile=*/false).dump(2);
     return run;
@@ -537,10 +537,8 @@ TEST(SuiteLockstepTest, Fig12OneCellFilterIsOnePlainJob)
 
 TEST(SuiteLockstepTest, SmokeGroupedDumpMatchesUngrouped)
 {
-    SuiteOptions options = quickSuite();
-    options.timeoutSeconds = 1000.0;
     const std::vector<Job> grouped =
-        expectGroupingInvisible("smoke", options);
+        expectGroupingInvisible("smoke", quickSuite());
     // soplex {DIP, PDP-3}, cactusADM {DRRIP, PDP-3, SPDP-B:64}, soplex
     // {SPDP-B:32, :64, :128}: the two soplex stretches are not adjacent,
     // so they stay two sweeps.  The 2-core cell is alone, so it stays a
@@ -556,10 +554,6 @@ TEST(SuiteLockstepTest, SmokeGroupedDumpMatchesUngrouped)
                         "smoke/450.soplex/SPDP-B:128",
                         "smoke/multi/w0/PDP-2",
                     }));
-    // Each cell keeps its own soft --timeout budget inside a sweep.
-    EXPECT_EQ(grouped[0].timeoutSeconds, 2000.0);
-    EXPECT_EQ(grouped[1].timeoutSeconds, 3000.0);
-    EXPECT_EQ(grouped[3].timeoutSeconds, 0.0);
 }
 
 TEST(SuiteLockstepTest, OneCellFilterYieldsOneRecord)

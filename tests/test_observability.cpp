@@ -312,8 +312,8 @@ TEST(ServiceObservability, TraceFilesByteIdenticalAcrossWorkerCounts)
         sink.setDeterministicFile(true);
         ExecutorOptions eopts;
         eopts.workers = workers;
-        eopts.onComplete = [&sink](const JobRecord &r) { sink.add(r); };
-        ThreadPoolExecutor(eopts).run(jobs);
+        for (JobRecord &record : ThreadPoolExecutor(eopts).run(jobs))
+            sink.add(std::move(record));
         std::string tracePath, benchPath;
         EXPECT_TRUE(sink.writeTraceFile(dir, &tracePath));
         EXPECT_TRUE(sink.writeFile(dir, &benchPath));
@@ -550,24 +550,38 @@ TEST(FlightRecorder, ExecutorFallbackDumpsFailedJobs)
     const std::string dir = makeDir("flight_fallback");
     check::ScopedFlightRecorder armed(dir);
 
-    Job job;
-    job.key = "obs/fallback/boom";
-    job.seed = 1;
-    job.run = [](const JobContext &) -> JobOutcome {
-        throw std::runtime_error("injected failure");
-    };
+    // Eight jobs fail on four workers at once: the recorder is reached
+    // from several threads, and each dump is filed under its own job.
+    std::vector<Job> jobs;
+    for (int i = 0; i < 8; ++i) {
+        Job job;
+        job.key = "obs/fallback/boom" + std::to_string(i);
+        job.seed = 1;
+        job.run = [i](const JobContext &) -> JobOutcome {
+            throw std::runtime_error("injected failure " +
+                                     std::to_string(i));
+        };
+        jobs.push_back(std::move(job));
+    }
     ExecutorOptions eopts;
-    eopts.workers = 1;
-    const auto records = ThreadPoolExecutor(eopts).run({job});
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records[0].status, JobStatus::Failed);
-
-    const std::string text =
-        readFile(dir + "/" + check::flightFileName(job.key));
-    EXPECT_EQ(text.rfind("{\n  \"schema\": \"pdp-flight/v1\",\n", 0), 0u);
-    EXPECT_NE(text.find("\n  \"reason\": \"job_failed\",\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("\n  \"detail\": \"injected failure"),
-              std::string::npos);
-    EXPECT_NE(text.find("\n  \"metrics\": {"), std::string::npos);
+    eopts.workers = 4;
+    const auto records = ThreadPoolExecutor(eopts).run(jobs);
+    ASSERT_EQ(records.size(), jobs.size());
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(records[i].status, JobStatus::Failed);
+        const std::string text =
+            readFile(dir + "/" + check::flightFileName(jobs[i].key));
+        EXPECT_EQ(text.rfind("{\n  \"schema\": \"pdp-flight/v1\",\n", 0),
+                  0u);
+        EXPECT_NE(text.find("\n  \"job\": \"" + jobs[i].key + "\",\n"),
+                  std::string::npos)
+            << text;
+        EXPECT_NE(text.find("\n  \"reason\": \"job_failed\",\n"),
+                  std::string::npos);
+        EXPECT_NE(text.find("\n  \"detail\": \"injected failure " +
+                            std::to_string(i) + "\",\n"),
+                  std::string::npos)
+            << text;
+        EXPECT_NE(text.find("\n  \"metrics\": {"), std::string::npos);
+    }
 }

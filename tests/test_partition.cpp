@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/cache.h"
+#include "check/check.h"
 #include "check/invariant_auditor.h"
 #include "partition/pdp_partition.h"
 #include "partition/pipp.h"
@@ -244,8 +245,8 @@ ucpChurnSequence()
     EXPECT_EQ(ucp->activeTenants(), 0u);
 
     std::vector<std::vector<uint32_t>> history;
-    EXPECT_EQ(ucp->tenantJoin(), 0);
-    EXPECT_EQ(ucp->tenantJoin(), 1);
+    ucp->tenantJoin(0);
+    ucp->tenantJoin(1);
     history.push_back(ucp->allocation());
 
     // Thread 0 reuses 6 lines, thread 1 streams.
@@ -256,12 +257,12 @@ ucpChurnSequence()
             cache.access(at((100000 + lap * 8 + s) * 64, 1));
     }
 
-    EXPECT_EQ(ucp->tenantJoin(), 2);
+    ucp->tenantJoin(2);
     history.push_back(ucp->allocation());
     ucp->tenantLeave(1);
     history.push_back(ucp->allocation());
-    // The vacated slot is the lowest free one, so it is recycled next.
-    EXPECT_EQ(ucp->tenantJoin(), 1);
+    // A vacated slot can be joined again.
+    ucp->tenantJoin(1);
     history.push_back(ucp->allocation());
 
     for (int lap = 0; lap < 50; ++lap)
@@ -300,9 +301,9 @@ TEST(Ucp, TenantQuotasTrackActiveSlots)
     UcpPolicy *ucp = policy.get();
     Cache cache(tinyConfig(64, 8), std::move(policy));
     ucp->beginTenantMode();
-    ucp->tenantJoin();
-    ucp->tenantJoin();
-    ucp->tenantJoin();
+    ucp->tenantJoin(0);
+    ucp->tenantJoin(1);
+    ucp->tenantJoin(2);
     ucp->tenantLeave(1);
     EXPECT_EQ(ucp->activeTenants(), 2u);
     EXPECT_TRUE(ucp->tenantActive(0));
@@ -317,15 +318,17 @@ TEST(Ucp, TenantQuotasTrackActiveSlots)
     EXPECT_NEAR(sum, 1.0, 1e-9);
 }
 
-TEST(Ucp, TenantJoinReturnsMinusOneWhenFull)
+TEST(Ucp, TenantJoinOnActiveSlotThrows)
 {
     auto policy = std::make_unique<UcpPolicy>(2, 1'000'000);
     UcpPolicy *ucp = policy.get();
     Cache cache(tinyConfig(64, 8), std::move(policy));
     ucp->beginTenantMode();
-    EXPECT_EQ(ucp->tenantJoin(), 0);
-    EXPECT_EQ(ucp->tenantJoin(), 1);
-    EXPECT_EQ(ucp->tenantJoin(), -1);
+    ucp->tenantJoin(1);
+    EXPECT_THROW(ucp->tenantJoin(1), CheckFailure);
+    EXPECT_THROW(ucp->tenantJoin(2), CheckFailure); // no such slot
+    ucp->tenantJoin(0);
+    EXPECT_EQ(ucp->activeTenants(), 2u);
 }
 
 TEST(PdpPartition, TenantChurnKeepsInvariantsAndRecyclesSlots)
@@ -335,8 +338,8 @@ TEST(PdpPartition, TenantChurnKeepsInvariantsAndRecyclesSlots)
     Cache cache(tinyConfig(256, 16, /*bypass=*/true), std::move(policy));
     pdp->beginTenantMode();
 
-    EXPECT_EQ(pdp->tenantJoin(), 0);
-    EXPECT_EQ(pdp->tenantJoin(), 1);
+    pdp->tenantJoin(0);
+    pdp->tenantJoin(1);
     uint64_t scan = 1ull << 40;
     for (uint64_t i = 0; i < 50'000; ++i) {
         cache.access(at(i % 2048, 0));
@@ -346,8 +349,9 @@ TEST(PdpPartition, TenantChurnKeepsInvariantsAndRecyclesSlots)
     // A vacated slot drops to minimal protection (counterStep) so its
     // residual lines age out — auditGlobal's part.inactive_pd invariant.
     EXPECT_FALSE(pdp->tenantActive(0));
-    EXPECT_EQ(pdp->tenantJoin(), 0); // lowest slot recycled
-    EXPECT_EQ(pdp->tenantJoin(), 2);
+    pdp->tenantJoin(0); // the vacated slot is recycled
+    EXPECT_THROW(pdp->tenantJoin(1), CheckFailure); // still active
+    pdp->tenantJoin(2);
     EXPECT_EQ(pdp->activeTenants(), 3u);
     for (uint64_t i = 0; i < 20'000; ++i)
         cache.access(at(i % 1024, 2));
@@ -371,8 +375,8 @@ TEST(PdpPartition, InactiveSlotHoldsMinimalPdAfterLeave)
     PdpPartitionPolicy *pdp = policy.get();
     Cache cache(tinyConfig(256, 16, true), std::move(policy));
     pdp->beginTenantMode();
-    ASSERT_EQ(pdp->tenantJoin(), 0);
-    ASSERT_EQ(pdp->tenantJoin(), 1);
+    pdp->tenantJoin(0);
+    pdp->tenantJoin(1);
     for (uint64_t i = 0; i < 30'000; ++i)
         cache.access(at(i % 512, static_cast<uint8_t>(i & 1)));
     pdp->tenantLeave(1);

@@ -1,14 +1,13 @@
 /**
  * @file
  * Tests for the experiment runner (src/runner/): executor determinism
- * across worker counts, per-job fault isolation, soft timeouts, the
- * JSON writer (exact text + schema of ResultsSink documents), seed
- * derivation, and the suite registry.
+ * across worker counts, per-job fault isolation, the JSON writer (exact
+ * text + schema of ResultsSink documents), seed derivation, and the
+ * suite registry.
  */
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -16,7 +15,6 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "runner/job.h"
 #include "runner/json.h"
@@ -154,40 +152,21 @@ TEST(ThreadPoolExecutor, MissingRunCallableIsACapturedFailure)
               std::string::npos);
 }
 
-TEST(ThreadPoolExecutor, SoftTimeoutMarksOverrunningJob)
+TEST(ResultsSink, SortsRecordsAddedOutOfOrder)
 {
-    Job slow;
-    slow.key = "slow";
-    slow.seed = seedFor(slow.key);
-    slow.timeoutSeconds = 1e-6;
-    slow.run = [](const JobContext &) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        JobOutcome outcome;
-        outcome.metrics["done"] = 1.0;
-        return outcome;
-    };
-    const auto records = ThreadPoolExecutor().run({slow});
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records[0].status, JobStatus::TimedOut);
-    EXPECT_NE(records[0].error.find("soft timeout"), std::string::npos);
-    // The outcome still carries the completed work.
-    EXPECT_EQ(records[0].outcome.metrics.at("done"), 1.0);
-}
-
-TEST(ThreadPoolExecutor, OnCompleteStreamsIntoSinkThreadSafely)
-{
-    ResultsSink sink("stream");
-    ExecutorOptions options;
-    options.workers = 4;
-    options.onComplete = [&sink](const JobRecord &record) {
-        sink.add(record);
-    };
-    const auto records = ThreadPoolExecutor(options).run(smallGrid());
-    EXPECT_EQ(sink.size(), records.size());
-    // sortedRecords orders by key regardless of completion order.
-    const auto sorted = sink.sortedRecords();
-    for (size_t i = 1; i < sorted.size(); ++i)
-        EXPECT_LT(sorted[i - 1].key, sorted[i].key);
+    ResultsSink sink("order");
+    for (const char *key : {"b/2", "c", "a", "b/10", "b"}) {
+        JobRecord record;
+        record.key = key;
+        sink.add(std::move(record));
+    }
+    const Json doc = sink.toJson();
+    const Json &jobs = *doc.find("jobs");
+    std::vector<std::string> keys;
+    for (size_t i = 0; i < jobs.size(); ++i)
+        keys.push_back(jobs.at(i).find("key")->asString());
+    EXPECT_EQ(keys,
+              (std::vector<std::string>{"a", "b", "b/10", "b/2", "c"}));
 }
 
 TEST(Json, ScalarAndContainerRoundTrip)
@@ -268,10 +247,10 @@ TEST(ResultsSink, DocumentMatchesSchema)
     options.workers = 2;
     ResultsSink sink("schema_check");
     sink.setScale(0.25);
-    options.onComplete = [&sink](const JobRecord &r) { sink.add(r); };
     ThreadPoolExecutor executor(options);
     sink.setWorkers(executor.workers());
-    executor.run(smallGrid());
+    for (JobRecord &record : executor.run(smallGrid()))
+        sink.add(std::move(record));
 
     const Json doc = sink.toJson();
     ASSERT_TRUE(doc.find("schema"));
@@ -335,8 +314,10 @@ TEST(ResultsSink, WriteFileAndEnvKnob)
     EXPECT_NE(text.find("\n  \"experiment\": \"file_check\",\n"),
               std::string::npos);
 
-    // "none" disables output.
+    // "none", and only "none", disables output.
     EXPECT_FALSE(sink.writeFile("none"));
+    EXPECT_EQ(ResultsSink::outputDirectory("none"), "");
+    EXPECT_EQ(ResultsSink::outputDirectory("0"), "0");
 }
 
 TEST(Suites, RegistryHasThePortedFiguresAndUniqueJobKeys)
@@ -366,26 +347,6 @@ TEST(Suites, RegistryHasThePortedFiguresAndUniqueJobKeys)
           "fig12_partitioning", "prefetch", "hardware"})
         EXPECT_TRUE(names.count(name)) << name;
     EXPECT_EQ(findSuite("no_such_suite"), nullptr);
-}
-
-TEST(Suites, ModelJobsGetOneTimeoutBudgetPerCell)
-{
-    // model_validation simulates 11 cells per job and the pruned explore
-    // job 7 (3 contenders per family + the audit cell): each gets the
-    // soft --timeout budgets a folded sweep of as many cells would.
-    SuiteOptions options;
-    options.scale = 0.01;
-    options.timeoutSeconds = 2.0;
-    options.explore = true;
-    for (const auto &[name, budget] :
-         {std::pair{"model_validation", 22.0}, std::pair{"explore", 14.0}}) {
-        const Suite *suite = findSuite(name);
-        ASSERT_NE(suite, nullptr) << name;
-        const std::vector<Job> jobs = selectJobs(*suite, options);
-        ASSERT_FALSE(jobs.empty()) << name;
-        for (const Job &job : jobs)
-            EXPECT_EQ(job.timeoutSeconds, budget) << job.key;
-    }
 }
 
 TEST(Suites, SmokeSuiteRunsEndToEndAndWritesJson)

@@ -169,10 +169,10 @@ TEST(ServiceSim, ChurnOutcomesArePinned)
 
 TEST(ServiceSim, RequestStreamDoesNotDependOnThePolicy)
 {
-    // The scheduler reads only the tenants' clocks, and tenant-aware
-    // tenantJoin() and the unmanaged path both take the lowest free
-    // slot, so every policy serves each tenant the same requests on the
-    // same slot.  Six slots for at most five live tenants: every join
+    // The scheduler reads only the tenants' clocks, and runService
+    // seats every joining tenant on the lowest free slot, whatever the
+    // policy, so every policy serves each tenant the same requests on
+    // the same slot.  Six slots for at most five live tenants: every join
     // finds two or more free slots, so any other slot rule would show.
     const struct
     {

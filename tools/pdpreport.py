@@ -42,7 +42,7 @@ from collections import Counter
 BENCH_SCHEMAS = {"pdp-bench-results/v1": 1, "pdp-bench-results/v2": 2}
 TRACE_SCHEMA = "pdp-bench-trace/v1"
 FLIGHT_SCHEMA = "pdp-flight/v1"
-FLIGHT_REASONS = ("check_failure", "job_failed", "soft_timeout")
+FLIGHT_REASONS = ("check_failure", "job_failed")
 NUMBER = (int, float)
 
 # The request-lifecycle stages a span:arrival root fans out into, in

@@ -10,8 +10,7 @@
  *   run_experiments --list
  *   run_experiments --suite <name> [--suite <name> ...]
  *                   [--filter <substring>] [--jobs N] [--scale X]
- *                   [--json DIR|none] [--timeout SECONDS] [--verbose]
- *                   [--telemetry] [--trace]
+ *                   [--json DIR|none] [--telemetry] [--trace]
  *                   [--obs-sample-rate X] [--perf-counters]
  *                   [--fault-at N]
  *                   [--tenants N] [--churn N] [--deterministic-json]
@@ -53,7 +52,7 @@
  * --scale multiplies every run length (default 1; at most 1e9).  --jobs
  * defaults to every hardware thread, and results are bit-identical for
  * any value.  --json DIR writes BENCH_<suite>.json into DIR (default the
- * current directory; `none` disables).
+ * current directory; `none`, and only `none`, disables).
  *
  * Exit code is the number of jobs that did not finish Ok plus the
  * number of result files that could not be written (2 for usage errors,
@@ -85,7 +84,6 @@ printUsage(std::FILE *to)
                  "       run_experiments --suite <name> [--suite <name>]\n"
                  "                       [--filter <substring>] [--jobs N]\n"
                  "                       [--scale X] [--json DIR|none]\n"
-                 "                       [--timeout SECONDS] [--verbose]\n"
                  "                       [--telemetry] [--trace]\n"
                  "                       [--obs-sample-rate X]\n"
                  "                       [--perf-counters] [--fault-at N]\n"
@@ -115,7 +113,8 @@ printUsage(std::FILE *to)
                  "\n"
                  "--scale X multiplies run lengths (default 1, at most\n"
                  "1e9); --jobs N defaults to every hardware thread;\n"
-                 "--json DIR defaults to the current directory.\n");
+                 "--json DIR defaults to the current directory; --json\n"
+                 "none writes no result file.\n");
 }
 
 void
@@ -201,16 +200,6 @@ main(int argc, char **argv)
             options.scale = *scale;
         } else if (arg == "--json") {
             options.jsonDir = needValue(i);
-        } else if (arg == "--timeout") {
-            const auto timeout = pdp::parseDouble(needValue(i));
-            if (!timeout || *timeout < 0) {
-                std::fprintf(stderr,
-                             "--timeout wants a non-negative number of "
-                             "seconds, got \"%s\"\n",
-                             argv[i]);
-                return 2;
-            }
-            options.timeoutSeconds = *timeout;
         } else if (arg == "--telemetry") {
             options.telemetry = true;
         } else if (arg == "--trace") {
@@ -239,8 +228,6 @@ main(int argc, char **argv)
                 return 2;
             }
             options.serviceFaultAt = *at;
-        } else if (arg == "--verbose" || arg == "-v") {
-            options.verbose = true;
         } else if (arg == "--help" || arg == "-h") {
             printUsage(stdout);
             listSuites();
