@@ -4,8 +4,8 @@
 #include <fstream>
 
 #include "runner/json.h"
+#include "runner/results_sink.h"
 #include "telemetry/event_trace.h"
-#include "telemetry/metrics.h"
 #include "telemetry/span_tracer.h"
 
 namespace pdp
@@ -17,21 +17,6 @@ namespace
 {
 
 thread_local std::string t_jobKey;
-
-runner::Json
-toJson(const telemetry::TraceEvent &event)
-{
-    runner::Json j = runner::Json::object();
-    j.set("type", event.type);
-    j.set("access", event.accessCount);
-    if (event.isVolatile)
-        j.set("volatile", true);
-    runner::Json fields = runner::Json::object();
-    for (const auto &[name, value] : event.fields)
-        fields.set(name, value);
-    j.set("fields", std::move(fields));
-    return j;
-}
 
 runner::Json
 toJson(const telemetry::OpenSpan &span)
@@ -133,8 +118,11 @@ FlightRecorder::dump(const std::string &job, const std::string &reason,
 
     runner::Json events = runner::Json::array();
     if (trace) {
-        for (const telemetry::TraceEvent &event : trace->chronological())
-            events.push(toJson(event));
+        for (const telemetry::TraceEvent &event : trace->chronological()) {
+            runner::Json e = runner::Json::object();
+            runner::setEvent(e, event);
+            events.push(std::move(e));
+        }
         doc.set("events_dropped", trace->dropped());
     }
     doc.set("events", std::move(events));
@@ -144,17 +132,6 @@ FlightRecorder::dump(const std::string &job, const std::string &reason,
         for (const telemetry::OpenSpan &span : tracer->openSpans())
             spans.push(toJson(span));
     doc.set("open_spans", std::move(spans));
-
-    // Forensics wants everything, volatile metrics included.
-    runner::Json metrics = runner::Json::object();
-    for (const telemetry::MetricSnapshot &metric :
-         telemetry::MetricsRegistry::global().snapshot(true)) {
-        if (metric.kind == telemetry::MetricKind::Gauge)
-            metrics.set(metric.name, metric.value);
-        else
-            metrics.set(metric.name, metric.count);
-    }
-    doc.set("metrics", std::move(metrics));
 
     std::ofstream out(dir + flightFileName(job));
     if (!out)

@@ -10,9 +10,7 @@
  *
  *   - the last-N EventTrace entries (the structured-event ring the run
  *     was already keeping), oldest first, plus the drop count,
- *   - every open span (requests whose lifecycle an exception cut short),
- *   - a full MetricsRegistry snapshot, volatile metrics included —
- *     forensics want everything.
+ *   - every open span (requests whose lifecycle an exception cut short).
  *
  * Two capture paths cooperate:
  *
@@ -24,8 +22,8 @@
  *   - the executor fallback: ThreadPoolExecutor reports any Failed
  *     record.  If the scope already dumped for that job the fallback is
  *     a no-op (per-job dedup — the scope's dump carries strictly more
- *     context); otherwise a metrics-only dump is written (e.g. for a
- *     job that declares no scope).
+ *     context); otherwise a dump with no events and no open spans is
+ *     written (e.g. for a job that declares no scope).
  *
  * The recorder is DISABLED by default: unit tests exercise throwing
  * jobs constantly and must not spray FLIGHT files into the tree.
@@ -76,7 +74,7 @@ class FlightRecorder
     /**
      * Write FLIGHT_<job>.json.  `reason` is the capture path
      * ("check_failure" or "job_failed"), `detail` the exception
-     * message.  `trace` / `tracer` may be null (metrics-only dump).  At
+     * message.  `trace` / `tracer` may be null (nothing to attach).  At
      * most one dump is written per job key — the first wins — and
      * nothing is written while disabled; returns true only when a file
      * was actually written.

@@ -19,21 +19,6 @@ namespace
  * PDP_HOT purity contract (no allocation, no throw, no containers).
  */
 
-/** Prefix sums of the shape: hits[k] = reuses within bucket edge k,
- *  weighted[k] = their occupancy contribution sum N_j * edge_j. */
-PDP_HOT void
-scanKernel(const uint64_t *counts, uint32_t buckets, uint32_t step,
-           uint64_t *prefix_hits, uint64_t *prefix_weighted)
-{
-    uint64_t h = 0, w = 0;
-    for (uint32_t k = 0; k < buckets; ++k) {
-        h += counts[k];
-        w += counts[k] * (static_cast<uint64_t>(k) + 1) * step;
-        prefix_hits[k] = h;
-        prefix_weighted[k] = w;
-    }
-}
-
 /** Allocation-balance solver knobs (calibrated once against the figure
  *  suites' simulations; see DESIGN.md "Analytic model"). */
 constexpr double kPoolFloor = 1.0;  ///< residual unprotected pool (lines)
@@ -254,24 +239,10 @@ rescaleTo(const RddFingerprint &fp, uint32_t target_sets, uint32_t step,
 
 } // namespace
 
-AnalyticModel::AnalyticModel(const ModelConfig &config)
-    : config_(config),
-      model_(config.evictionDelay(), config.minPd, config.plateauTolerance)
-{
-    PDP_CHECK(config_.ways >= 1 && config_.lineBytes >= 1 &&
-                  config_.numSets() >= 1,
-              "degenerate cache geometry: ", config_.sizeBytes, " bytes, ",
-              config_.ways, " ways, ", config_.lineBytes, "-byte lines");
-    PDP_CHECK(config_.counterStep >= 1 && config_.dMax >= config_.counterStep,
-              "degenerate counter geometry: d_max ", config_.dMax,
-              ", S_c ", config_.counterStep);
-}
-
 RddShape
 AnalyticModel::rescale(const RddFingerprint &fp) const
 {
-    return rescaleTo(fp, config_.numSets(), config_.counterStep,
-                     config_.dMax);
+    return rescaleTo(fp, kSets, kCounterStep, kDMax);
 }
 
 RddShape
@@ -282,12 +253,12 @@ AnalyticModel::rescaleFine(const RddFingerprint &fp) const
     // fingerprint's full (rescaled) reach so neither is clipped by the
     // counter geometry.
     const double ratio = static_cast<double>(fp.sets) /
-                         static_cast<double>(config_.numSets());
+                         static_cast<double>(kSets);
     const uint64_t reach =
         static_cast<uint64_t>(std::llround(fp.dMax * ratio));
     const uint32_t fine_d_max = static_cast<uint32_t>(
-        std::min<uint64_t>(std::max<uint64_t>(reach, config_.dMax), 8192));
-    return rescaleTo(fp, config_.numSets(), /*step=*/1, fine_d_max);
+        std::min<uint64_t>(std::max<uint64_t>(reach, kDMax), 8192));
+    return rescaleTo(fp, kSets, /*step=*/1, fine_d_max);
 }
 
 Prediction
@@ -308,7 +279,7 @@ AnalyticModel::predictShape(const RddShape &coarse, const RddShape &fine,
             : nullptr;
     balanceKernel(fine.counts.data(), pair,
                   static_cast<uint32_t>(fine.counts.size()), fine.step,
-                  fine.total, pd, config_.ways, bypass, &pred.hitRate,
+                  fine.total, pd, kWays, bypass, &pred.hitRate,
                   &pred.bypassFraction);
     pred.errorBar = fine.total == 0
         ? 0.0
@@ -351,25 +322,11 @@ AnalyticModel::predictLru(const RddFingerprint &fp) const
     pred.hitRate =
         lruKernel(fine.counts.data(),
                   static_cast<uint32_t>(fine.counts.size()), fine.total,
-                  config_.ways);
+                  kWays);
     pred.errorBar = fine.total == 0
         ? 0.0
         : static_cast<double>(fine.tail) / static_cast<double>(fine.total);
     return pred;
-}
-
-// scanKernel is the grid fast path: suites precompute one prefix scan
-// per shape, then evaluate every candidate cell with pointKernel alone.
-void
-scanShape(const RddShape &shape, std::vector<uint64_t> &prefix_hits,
-          std::vector<uint64_t> &prefix_weighted)
-{
-    prefix_hits.assign(shape.counts.size(), 0);
-    prefix_weighted.assign(shape.counts.size(), 0);
-    if (!shape.counts.empty())
-        scanKernel(shape.counts.data(),
-                   static_cast<uint32_t>(shape.counts.size()), shape.step,
-                   prefix_hits.data(), prefix_weighted.data());
 }
 
 } // namespace model

@@ -1,8 +1,8 @@
 /**
  * @file
- * The analytic estimator: RDD fingerprint + cache config -> predicted
- * hit rate, E(d_p) curve, best PD and bypass fraction, in microseconds
- * per (config, workload) point — no cache simulation involved.
+ * The analytic estimator: RDD fingerprint -> predicted hit rate, E(d_p)
+ * curve, best PD and bypass fraction of the paper's single-core LLC, in
+ * microseconds per (PD, workload) point — no cache simulation involved.
  *
  * Two predictors share one fingerprint:
  *
@@ -23,9 +23,8 @@
  *    SD(d) = sum_{k=1}^{d-1} P(RD > k); a reuse hits iff SD(d) < W.
  *
  * Rescaling: fingerprints are measured once at a reference set count
- * with per-distance resolution; the model rebuckets them to any
- * (sets, S_c, d_max) geometry with d' = round(d * sets_ref / sets),
- * so one profiling pass serves a whole design-space grid.
+ * with per-distance resolution; the model rebuckets them to its
+ * (sets, S_c, d_max) geometry with d' = round(d * sets_ref / sets).
  *
  * Safety: predictions from a live hardware RdCounterArray refuse (with
  * the typed PredictError) a frozen/saturated array — its shape is
@@ -51,33 +50,19 @@ namespace pdp
 namespace model
 {
 
-/** The cache/counter geometry one prediction is made for. */
-struct ModelConfig
-{
-    /** LLC capacity (paper: 2 MB single-core). */
-    uint64_t sizeBytes = 2ull * 1024 * 1024;
-    /** Associativity W (also the eviction slack d_e unless overridden). */
-    uint32_t ways = 16;
-    uint32_t lineBytes = 64;
-    /** Counter-array reach and step the E(d_p) curve is evaluated on. */
-    uint32_t dMax = 256;
-    uint32_t counterStep = 4;
-    /** Eviction slack d_e; 0 means "use the associativity" (paper). */
-    uint32_t de = 0;
-    /** Smallest candidate PD (HitRateModel). */
-    uint32_t minPd = 1;
-    /** Plateau tolerance of the best-PD walk (HitRateModel). */
-    double plateauTolerance = 0.05;
-
-    uint32_t
-    numSets() const
-    {
-        return static_cast<uint32_t>(
-            sizeBytes / (static_cast<uint64_t>(lineBytes) * ways));
-    }
-
-    uint32_t evictionDelay() const { return de ? de : ways; }
-};
+/**
+ * The one geometry every prediction is made for: the paper's 2 MB,
+ * 16-way, 64-byte-line single-core LLC (2048 sets), RD counters reaching
+ * d_max = 256 at step S_c = 4, eviction slack d_e = W, candidate PDs
+ * from 1 and a 5% plateau tolerance on the best-PD walk (HitRateModel).
+ */
+constexpr uint32_t kSets = 2048;
+constexpr uint32_t kWays = 16;
+constexpr uint32_t kDMax = 256;
+constexpr uint32_t kCounterStep = 4;
+constexpr uint32_t kEvictionDelay = kWays;
+constexpr uint32_t kMinPd = 1;
+constexpr double kPlateauTolerance = 0.05;
 
 /** Typed refusal: the estimator will not predict from unusable input
  *  (e.g. a frozen/saturated RdCounterArray). */
@@ -106,22 +91,18 @@ struct Prediction
      *  fraction of accesses.  |predicted - simulated| is expected to
      *  stay within the validation bound + this bar. */
     double errorBar = 0.0;
-    /** The full E(d_p) curve over the config's bucket edges. */
+    /** The full E(d_p) curve over the model's bucket edges. */
     std::vector<EPoint> eCurve;
 };
 
-/** The estimator for one cache/counter geometry. */
+/** The estimator for the model geometry above. */
 class AnalyticModel
 {
   public:
-    explicit AnalyticModel(const ModelConfig &config);
-
-    const ModelConfig &config() const { return config_; }
-
     /**
-     * Rescale a fingerprint to this config's geometry: set-local
-     * distances scale by sets_ref/sets, then rebucket at S_c up to
-     * d_max.  Mass pushed beyond d_max joins the shape's tail.
+     * Rescale a fingerprint to the model geometry: set-local distances
+     * scale by sets_ref/sets, then rebucket at S_c up to d_max.  Mass
+     * pushed beyond d_max joins the shape's tail.
      */
     RddShape rescale(const RddFingerprint &fp) const;
 
@@ -136,9 +117,9 @@ class AnalyticModel
 
     /**
      * Predict from a live hardware counter array (no rescaling: the
-     * array's own geometry is evaluated; capacity still comes from this
-     * config).  The array carries no chain-pair information, so the
-     * balance solver runs with continuity Q = 0 (conservative).
+     * array's own geometry is evaluated; capacity still comes from the
+     * model geometry).  The array carries no chain-pair information, so
+     * the balance solver runs with continuity Q = 0 (conservative).
      * Throws PredictError when the array is frozen — a saturated shape
      * is truncated and must not be extrapolated from.
      */
@@ -156,18 +137,8 @@ class AnalyticModel
      *  and the LRU scan. */
     RddShape rescaleFine(const RddFingerprint &fp) const;
 
-    ModelConfig config_;
-    HitRateModel model_;
+    HitRateModel model_{kEvictionDelay, kMinPd, kPlateauTolerance};
 };
-
-/**
- * Grid fast path: one prefix scan per shape (hits and weighted
- * occupancy below every bucket edge), after which any candidate cell is
- * a constant-time lookup.  The scan itself runs under the PDP_HOT
- * purity contract.
- */
-void scanShape(const RddShape &shape, std::vector<uint64_t> &prefix_hits,
-               std::vector<uint64_t> &prefix_weighted);
 
 } // namespace model
 } // namespace pdp

@@ -14,15 +14,12 @@
  * simulator state with any other job.  The simulator classes (Cache,
  * Hierarchy, ReplacementPolicy, AccessGenerator, Accumulator, Table) are
  * deliberately not thread-safe; "one hierarchy per job" is what makes the
- * sweep race-free.  A job still reaches four process-wide objects, each
+ * sweep race-free.  A job still reaches three process-wide objects, each
  * synchronized on its own:
  *  - the memo inside pdp::standaloneIpc(): a mutex-guarded map; the
  *    baseline run itself happens outside the lock;
  *  - ZipfSampler::shared()'s table map: mutex-guarded, and a table is
  *    built under the lock, then only read through a shared_ptr<const>;
- *  - telemetry::MetricsRegistry::global(): registration is
- *    mutex-guarded, and counters and gauges are relaxed atomics (two
- *    jobs updating one counter may lose a count, but never race);
  *  - check::FlightRecorder::global(): mutex-guarded, and the job key a
  *    dump is filed under is thread_local.
  *

@@ -114,7 +114,7 @@ spdpFamily(bool bypass)
 ModelPlan
 validationPlan(const RddFingerprint &fp, const std::string &prefix)
 {
-    const model::AnalyticModel estimator{model::ModelConfig{}};
+    const model::AnalyticModel estimator;
     ModelPlan plan;
     const auto add = [&](const std::string &cell, PolicyFactory makePol,
                          const model::Prediction &pred, bool bypass) {
@@ -259,7 +259,7 @@ ExplorePlan
 planExplore(const RddFingerprint &fp, unsigned top_k, uint64_t audit_seed)
 {
     const std::vector<uint32_t> grid = defaultPdGrid();
-    const model::AnalyticModel estimator{model::ModelConfig{}};
+    const model::AnalyticModel estimator;
 
     ExplorePlan plan;
     plan.gridCells = 2 * grid.size();

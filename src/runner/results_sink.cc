@@ -123,19 +123,6 @@ setSnapshot(Json &j, const telemetry::Snapshot &snapshot)
     }
 }
 
-Json
-toJson(const telemetry::TraceEvent &event)
-{
-    Json j = Json::object();
-    j.set("type", event.type);
-    j.set("access", event.accessCount);
-    Json fields = Json::object();
-    for (const auto &[name, value] : event.fields)
-        fields.set(name, value);
-    j.set("fields", std::move(fields));
-    return j;
-}
-
 /** The telemetry of whichever result `outcome` holds; nullptr when the
  *  run recorded none. */
 const telemetry::RunTelemetry *
@@ -164,6 +151,19 @@ toJson(const hw::PerfReading &reading)
 }
 
 } // namespace
+
+void
+setEvent(Json &j, const telemetry::TraceEvent &event)
+{
+    j.set("type", event.type);
+    j.set("access", event.accessCount);
+    if (event.isVolatile)
+        j.set("volatile", true);
+    Json fields = Json::object();
+    for (const auto &[name, value] : event.fields)
+        fields.set(name, value);
+    j.set("fields", std::move(fields));
+}
 
 Json
 toJson(const telemetry::RunTelemetry &run, bool includeVolatile)
@@ -203,7 +203,9 @@ toJson(const telemetry::RunTelemetry &run, bool includeVolatile)
         for (const telemetry::TraceEvent &event : run.events) {
             if (event.isVolatile && !includeVolatile)
                 continue;
-            events.push(toJson(event));
+            Json e = Json::object();
+            setEvent(e, event);
+            events.push(std::move(e));
         }
         j.set("events", std::move(events));
         j.set("events_dropped", run.eventsDropped);
@@ -261,12 +263,6 @@ ResultsSink::setWorkers(unsigned workers)
 }
 
 void
-ResultsSink::setRegistrySnapshot(std::vector<telemetry::MetricSnapshot> snap)
-{
-    registry_ = std::move(snap);
-}
-
-void
 ResultsSink::setDeterministicFile(bool on)
 {
     deterministicFile_ = on;
@@ -298,18 +294,6 @@ ResultsSink::toJson(bool includeVolatile) const
     for (const JobRecord &record : records_)
         jobs.push(runner::toJson(record, includeVolatile));
     doc.set("jobs", std::move(jobs));
-    // Registry totals are process-global (they accumulate across every
-    // suite the process ran), so they only belong in the volatile form.
-    if (includeVolatile && !registry_.empty()) {
-        Json reg = Json::object();
-        for (const telemetry::MetricSnapshot &metric : registry_) {
-            if (metric.kind == telemetry::MetricKind::Gauge)
-                reg.set(metric.name, metric.value);
-            else
-                reg.set(metric.name, metric.count);
-        }
-        doc.set("registry", std::move(reg));
-    }
     return doc;
 }
 
@@ -386,12 +370,7 @@ ResultsSink::writeTraceFile(const std::string &directory,
                 continue;
             Json line = Json::object();
             line.set("job", record.key);
-            line.set("type", event.type);
-            line.set("access", event.accessCount);
-            Json fields = Json::object();
-            for (const auto &[name, value] : event.fields)
-                fields.set(name, value);
-            line.set("fields", std::move(fields));
+            setEvent(line, event);
             out << line.dump() << '\n';
         }
     }

@@ -8,8 +8,9 @@
  * BENCH_<experiment>.json document next to the usual text tables.
  *
  * JSON schema ("pdp-bench-results/v2"; v1 differs only in lacking the
- * telemetry/registry sections, and tools/pdpreport.py, the reader of
- * these files, still accepts it):
+ * telemetry and service sections, and tools/pdpreport.py, the reader of
+ * these files, still accepts it, as it accepts the process-wide
+ * "registry" section older v2 files carry):
  *
  *   {
  *     "schema": "pdp-bench-results/v2",
@@ -48,20 +49,21 @@
  *              "hw": {"cycles": ..., ...}},         // volatile; perf
  *             ...                                   // counters only
  *           ],
- *           "events": [           // only when --trace; volatile events
- *             {"type": "pd_change", "access": 262144,  // (phase timers)
- *              "fields": {"from": 128, "to": 68}}, ... // are omitted in
- *           ],                                         // determin. dumps
+ *           "events": [           // only when --trace (setEvent)
+ *             {"type": "pd_change", "access": 262144,
+ *              "fields": {"from": 128, "to": 68}},
+ *             {"type": "phase:measure", "access": 0,
+ *              "volatile": true, "fields": {"seconds": 0.8}}, ...
+ *           ],
  *           "events_dropped": 0
  *         }
  *       }, ...
- *     ],
- *     "registry": {"telemetry.epochs": 34, ...}  // volatile-only section
+ *     ]
  *   }
  *
  * The deterministic form (includeVolatile = false) omits wall-clock
- * durations, the worker count, volatile trace events and the registry
- * dump, so a 1-worker and an N-worker sweep of the same grid dump
+ * durations, the worker count and volatile trace events (phase timers),
+ * so a 1-worker and an N-worker sweep of the same grid dump
  * byte-identical documents — that equality is the runner's determinism
  * test, and it holds with telemetry on.
  */
@@ -75,7 +77,6 @@
 #include "runner/job.h"
 #include "runner/json.h"
 #include "telemetry/epoch_sampler.h"
-#include "telemetry/metrics.h"
 
 namespace pdp
 {
@@ -98,6 +99,11 @@ Json toJson(const telemetry::RunTelemetry &run, bool includeVolatile = true);
 /** One job record as a JSON object. */
 Json toJson(const JobRecord &record, bool includeVolatile = true);
 
+/** `event` as `j`'s "type", "access", "volatile" (only when set) and
+ *  "fields" members: the one writer of trace events in BENCH, TRACE
+ *  and FLIGHT files. */
+void setEvent(Json &j, const telemetry::TraceEvent &event);
+
 class ResultsSink
 {
   public:
@@ -110,10 +116,6 @@ class ResultsSink
 
     /** Record the executor's worker count (volatile metadata). */
     void setWorkers(unsigned workers);
-
-    /** Attach a metrics-registry dump (emitted only in volatile form:
-     *  registry totals are process-global, not per-grid). */
-    void setRegistrySnapshot(std::vector<telemetry::MetricSnapshot> snap);
 
     /** Make writeFile() emit the deterministic (volatile-free) form, so
      *  on-disk documents can be byte-compared across worker counts
@@ -168,7 +170,6 @@ class ResultsSink
     double scale_ = 1.0;
     unsigned workers_ = 0;
     bool deterministicFile_ = false;
-    std::vector<telemetry::MetricSnapshot> registry_;
     /** Sorted by key. */
     std::vector<JobRecord> records_;
 };

@@ -13,7 +13,6 @@
 #include "sim/lockstep_sweep.h"
 #include "sim/policy_factory.h"
 #include "sim/static_pd_search.h"
-#include "telemetry/metrics.h"
 #include "trace/spec_suite.h"
 #include "trace/workload.h"
 #include "util/table.h"
@@ -459,9 +458,6 @@ runSuite(const Suite &suite, const SuiteOptions &options, std::ostream &out)
     sink.setDeterministicFile(options.deterministicJson);
     for (JobRecord &record : records)
         sink.add(std::move(record));
-    if (options.telemetry || options.trace)
-        sink.setRegistrySnapshot(
-            telemetry::MetricsRegistry::global().snapshot());
 
     // A result file that cannot be written fails the run: its jobs ran,
     // but nobody can read what they found.

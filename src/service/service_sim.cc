@@ -12,7 +12,6 @@
 #include "service/slo_monitor.h"
 #include "sim/multi_core_sim.h"
 #include "sim/single_core_sim.h"
-#include "telemetry/metrics.h"
 #include "telemetry/span_tracer.h"
 #include "trace/tenant_stream.h"
 #include "util/stats.h"
@@ -263,8 +262,6 @@ runService(const std::vector<TenantSpec> &tenants,
 
         ++result.joins;
         ++result.reallocs;
-        telemetry::MetricsRegistry::global()
-            .counter("service.joins").add();
         if (trace && measuring) {
             trace->record({"tenant_join", measured, false,
                            {{"tenant", eventField(spec)},
@@ -328,8 +325,6 @@ runService(const std::vector<TenantSpec> &tenants,
 
         ++result.leaves;
         ++result.reallocs;
-        telemetry::MetricsRegistry::global()
-            .counter("service.leaves").add();
         if (trace) {
             trace->record({"tenant_leave", measured, false,
                            {{"tenant", eventField(spec)},
@@ -429,8 +424,6 @@ runService(const std::vector<TenantSpec> &tenants,
         // reallocation (the PD-recompute / UMON clock fired).
         if (quotas != lastQuotas) {
             ++result.reallocs;
-            telemetry::MetricsRegistry::global()
-                .counter("service.reallocs").add();
             if (trace)
                 trace->record({"partition_realloc", measured, false,
                                {{"cause", 2.0},

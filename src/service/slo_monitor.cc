@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "check/check.h"
-#include "telemetry/metrics.h"
 
 namespace pdp
 {
@@ -34,13 +33,10 @@ SloMonitor::attach(unsigned slot, unsigned tenant, const SloBounds &bounds)
 {
     SlotState &s = state(slot);
     PDP_CHECK(!s.live, "SLO slot ", slot, " attached twice");
-    if (s.burning)
-        --burningCount_;
     s = SlotState{};
     s.live = true;
     s.tenant = tenant;
     s.bounds = bounds;
-    setGauge();
 }
 
 void
@@ -49,11 +45,7 @@ SloMonitor::detach(unsigned slot)
     SlotState &s = state(slot);
     PDP_CHECK(s.live, "SLO detach of idle slot ", slot);
     s.live = false;
-    if (s.burning) {
-        s.burning = false;
-        --burningCount_;
-        setGauge();
-    }
+    s.burning = false;
 }
 
 double
@@ -102,17 +94,10 @@ SloMonitor::observe(unsigned slot, uint64_t access_count,
     if (nowBurning == s.burning)
         return;
     s.burning = nowBurning;
-    burningCount_ += nowBurning ? 1 : -1;
-    setGauge();
-
-    auto &registry = telemetry::MetricsRegistry::global();
-    if (nowBurning) {
+    if (nowBurning)
         ++s.stats.burnEvents;
-        registry.counter("service.slo_burn").add();
-    } else {
+    else
         ++s.stats.recoveredEvents;
-        registry.counter("service.slo_recovered").add();
-    }
     if (trace_)
         trace_->record({nowBurning ? "slo_burn" : "slo_recovered",
                         access_count, false,
@@ -122,14 +107,6 @@ SloMonitor::observe(unsigned slot, uint64_t access_count,
                          {"violations",
                           static_cast<double>(s.violationsInWindow)},
                          {"window", static_cast<double>(s.filled)}}});
-}
-
-void
-SloMonitor::setGauge() const
-{
-    telemetry::MetricsRegistry::global()
-        .gauge("service.slo_burning")
-        .set(static_cast<double>(burningCount_));
 }
 
 } // namespace pdp

@@ -15,9 +15,9 @@
  *
  * where kBudget is the tolerated violation fraction (error budget).
  * burn >= 1 means the tenant is consuming budget faster than allowed:
- * crossing up emits an "slo_burn" trace event (and bumps
- * service.slo_burn); dropping back emits "slo_recovered".  The
- * "service.slo_burning" gauge holds the currently-burning tenant count.
+ * crossing up emits an "slo_burn" trace event; dropping back emits
+ * "slo_recovered".  Each tenant's SloBurnStats counts both, and
+ * service_sim reports them per tenant.
  *
  * Everything is a pure function of the interval metrics fed in, so burn
  * events land in deterministic TRACE dumps and byte-compare across
@@ -71,8 +71,8 @@ class SloMonitor
      *  recycled across tenants).  `tenant` tags emitted events. */
     void attach(unsigned slot, unsigned tenant, const SloBounds &bounds);
 
-    /** Release the slot at tenant leave; a burning slot stops counting
-     *  toward the gauge but emits no synthetic recovery. */
+    /** Release the slot at tenant leave; a burning slot stops burning
+     *  but emits no synthetic recovery. */
     void detach(unsigned slot);
 
     /**
@@ -94,9 +94,6 @@ class SloMonitor
         return state(slot).stats;
     }
 
-    /** Tenants whose burn rate is currently >= 1. */
-    unsigned burningCount() const { return burningCount_; }
-
   private:
     struct SlotState
     {
@@ -116,11 +113,8 @@ class SloMonitor
     SlotState &state(unsigned slot);
     const SlotState &state(unsigned slot) const;
 
-    void setGauge() const;
-
     telemetry::EventTrace *trace_;
     std::vector<SlotState> slots_;
-    unsigned burningCount_ = 0;
 };
 
 } // namespace pdp

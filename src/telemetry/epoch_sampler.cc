@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/pdp_policy.h"
-#include "telemetry/metrics.h"
 
 namespace pdp
 {
@@ -95,8 +94,6 @@ EpochSampler::sample()
         perfBase_ = now;
     }
 
-    MetricsRegistry::global().counter("telemetry.epochs").add();
-
     if (trace_)
         deriveEvents(rec);
     prev_ = rec.policy;
@@ -118,7 +115,6 @@ EpochSampler::deriveEvents(const EpochRecord &current)
         event.type = type;
         event.accessCount = current.accessCount;
         event.fields = std::move(fields);
-        MetricsRegistry::global().counter("telemetry.events").add();
         trace_->record(std::move(event));
     };
 

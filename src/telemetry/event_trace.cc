@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "telemetry/metrics.h"
-
 namespace pdp
 {
 namespace telemetry
@@ -18,17 +16,10 @@ EventTrace::EventTrace(size_t capacity)
 void
 EventTrace::record(TraceEvent event)
 {
-    if (size_ == capacity_) {
+    if (size_ == capacity_)
         ++dropped_;
-        // Overflow must be loud: a ring that silently sheds its oldest
-        // records poisons span reconstruction downstream, so losses are
-        // also surfaced process-wide (tools/pdpreport.py warns on it).
-        static Counter &droppedEvents = MetricsRegistry::global().counter(
-            "telemetry.trace_dropped_events");
-        droppedEvents.add();
-    } else {
+    else
         ++size_;
-    }
     ring_[head_] = std::move(event);
     head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
 }

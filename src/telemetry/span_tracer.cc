@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "telemetry/metrics.h"
 #include "util/rng.h"
 
 namespace pdp
@@ -69,7 +68,6 @@ SpanTracer::beginRequest(unsigned tenant, unsigned slot, uint64_t request,
     span.cyclesBegin = cycles;
     open_.push_back(span);
     ++sampled_;
-    MetricsRegistry::global().counter("telemetry.spans_sampled").add();
     return true;
 }
 
@@ -97,9 +95,6 @@ SpanTracer::endRequest(HitLevel level, bool llc_bypassed,
         break;
     }
 
-    static Counter &spanEvents =
-        MetricsRegistry::global().counter("telemetry.span_events");
-
     auto emit = [&](const char *stage, uint64_t span_id, uint64_t parent) {
         TraceEvent event;
         event.type = std::string("span:") + stage;
@@ -114,7 +109,6 @@ SpanTracer::endRequest(HitLevel level, bool llc_bypassed,
             {"cycles_begin", static_cast<double>(span.cyclesBegin)},
             {"cycles_end", static_cast<double>(cycles)},
         };
-        spanEvents.add();
         trace_->record(std::move(event));
     };
 

@@ -76,7 +76,7 @@ samePrediction(const Prediction &a, const Prediction &b)
 
 TEST(AnalyticModelEdge, EmptyRddPredictsZeroEverywhere)
 {
-    const AnalyticModel estimator{ModelConfig{}};
+    const AnalyticModel estimator;
     const RddFingerprint fp = emptyFingerprint();
     for (uint32_t pd : {1u, 16u, 64u, 256u}) {
         const Prediction pred = estimator.predictPdpAt(fp, pd);
@@ -100,7 +100,7 @@ TEST(AnalyticModelEdge, SingleDistanceMassIsCapturedByACoveringPd)
     fp.accesses = 1'000'000;
     fp.counts[9] = 500'000;
 
-    const AnalyticModel estimator{ModelConfig{}};
+    const AnalyticModel estimator;
     const Prediction covering = estimator.predictPdpAt(fp, 12);
     const Prediction short_pd = estimator.predictPdpAt(fp, 4);
     const Prediction over_pd = estimator.predictPdpAt(fp, 64);
@@ -126,7 +126,7 @@ TEST(AnalyticModelEdge, AllMassBeyondReachIsAnErrorBarNotAHit)
     fp.accesses = 1'000'000;
     fp.tailMass = 600'000; // every observed reuse is past the reach
 
-    const AnalyticModel estimator{ModelConfig{}};
+    const AnalyticModel estimator;
     const Prediction pred = estimator.predictPdpAt(fp, 64);
     EXPECT_EQ(pred.hitRate, 0.0);
     EXPECT_NEAR(pred.errorBar, 0.6, 1e-12);
@@ -140,7 +140,7 @@ TEST(AnalyticModelEdge, RepeatedPredictionsAreBitIdentical)
         fp.counts[d - 1] = 3000 / d + (d % 7);
         fp.pairCounts[d - 1] = fp.counts[d - 1] / 2;
     }
-    const AnalyticModel estimator{ModelConfig{}};
+    const AnalyticModel estimator;
     for (bool bypass : {false, true}) {
         const Prediction a = estimator.predictPdp(fp, bypass);
         const Prediction b = estimator.predictPdp(fp, bypass);
@@ -160,7 +160,7 @@ TEST(AnalyticModelEdge, EqualPeaksBreakTiesDeterministically)
     fp.counts[19] = 250'000;
     fp.counts[599] = 250'000;
 
-    const AnalyticModel estimator{ModelConfig{}};
+    const AnalyticModel estimator;
     const Prediction first = estimator.predictPdp(fp);
     EXPECT_GE(first.bestPd, 1u);
     for (int i = 0; i < 3; ++i) {
@@ -169,31 +169,12 @@ TEST(AnalyticModelEdge, EqualPeaksBreakTiesDeterministically)
     }
 }
 
-TEST(AnalyticModelEdge, ScanShapePrefixesMatchADirectSum)
-{
-    RddShape shape;
-    shape.step = 4;
-    shape.counts = {10, 0, 25, 5};
-    shape.total = 100;
-    std::vector<uint64_t> hits, weighted;
-    scanShape(shape, hits, weighted);
-    ASSERT_EQ(hits.size(), shape.counts.size());
-    ASSERT_EQ(weighted.size(), shape.counts.size());
-    // prefix_hits[k] = reuses at or below edge (k+1)*step;
-    // prefix_weighted[k] adds each bucket at its edge distance.
-    EXPECT_EQ(hits.back(), shape.hitSum());
-    const std::vector<uint64_t> want_h = {10, 10, 35, 40};
-    const std::vector<uint64_t> want_w = {40, 40, 340, 420};
-    EXPECT_EQ(hits, want_h);
-    EXPECT_EQ(weighted, want_w);
-}
-
 // ---------------------------------------------------------------------
 // The typed refusal on unusable hardware counter input.
 
 TEST(AnalyticModelRefusal, FrozenCounterArrayThrowsPredictError)
 {
-    const AnalyticModel estimator{ModelConfig{}};
+    const AnalyticModel estimator;
 
     RdCounterArray rdd(256, 4, 8); // 8-bit counters saturate at 255
     for (int i = 0; i < 200; ++i) {
@@ -238,7 +219,7 @@ TEST(AnalyticModelRescale, IdentityGeometryPreservesMassAndPlacement)
     fp.counts[49] = 1000; // distance 50
     fp.tailMass = 77;
 
-    const AnalyticModel estimator{ModelConfig{}}; // 2048 sets, step 4
+    const AnalyticModel estimator; // 2048 sets, step 4
     const RddShape shape = estimator.rescale(fp);
     EXPECT_EQ(shape.total, fp.accesses);
     EXPECT_EQ(shape.counts[(50 - 1) / 4], 1000u);
@@ -255,7 +236,7 @@ TEST(AnalyticModelRescale, HalvingTheSetCountDoublesDistances)
     fp.counts[199] = 400; // d=200 -> 400, past d_max=256 -> tail
     fp.tailMass = 50;
 
-    const AnalyticModel estimator{ModelConfig{}};
+    const AnalyticModel estimator;
     const RddShape shape = estimator.rescale(fp);
     EXPECT_EQ(shape.counts[(100 - 1) / 4], 1000u);
     EXPECT_EQ(shape.tail, fp.tailMass + 400u);
@@ -276,7 +257,7 @@ TEST(AnalyticModelRescale, FingerprintTailBecomesThePredictionErrorBar)
         fingerprintBenchmark("429.mcf", runner::seedFor("429.mcf"), fopt);
     EXPECT_GT(fp.tailMass, 0u); // mcf reuses far past 64 set-accesses
 
-    const AnalyticModel estimator{ModelConfig{}};
+    const AnalyticModel estimator;
     const Prediction pred = estimator.predictPdpAt(fp, 64);
     EXPECT_NEAR(pred.errorBar, fp.tailFraction(), 1e-12);
     EXPECT_NEAR(estimator.predictLru(fp).errorBar, fp.tailFraction(),
@@ -296,7 +277,7 @@ TEST(AnalyticModelLru, ShortDistanceReusesAllHit)
     fp.accesses = 1'000'000;
     fp.counts[3] = 500'000;
 
-    const AnalyticModel estimator{ModelConfig{}};
+    const AnalyticModel estimator;
     EXPECT_NEAR(estimator.predictLru(fp).hitRate, 0.5, 1e-6);
 }
 
@@ -310,7 +291,7 @@ TEST(AnalyticModelLru, DistantReusesAllMiss)
     fp.accesses = 1'000'000;
     fp.counts[2999] = 500'000;
 
-    const AnalyticModel estimator{ModelConfig{}};
+    const AnalyticModel estimator;
     EXPECT_LT(estimator.predictLru(fp).hitRate, 0.01);
 }
 
@@ -364,7 +345,7 @@ TEST_P(ModelValidationTest, PredictionTracksSimulationWithinBound)
     fopt.accesses = config.accesses;
     fopt.warmup = config.warmup;
     const RddFingerprint fp = fingerprintBenchmark(bench, seed, fopt);
-    const AnalyticModel estimator{ModelConfig{}};
+    const AnalyticModel estimator;
 
     struct Cell
     {

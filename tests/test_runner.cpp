@@ -441,8 +441,13 @@ TEST(ResultsSink, TelemetryRoundTripsThroughV2Document)
     ASSERT_TRUE(ep.find("series")->find("rdd"));
     EXPECT_EQ(ep.find("series")->find("rdd")->size(), 3u);
     EXPECT_EQ(ep.find("thread_occupancy")->at(0).asUint(), 42u);
-    ASSERT_TRUE(telemetry->find("events"));
-    EXPECT_EQ(telemetry->find("events")->size(), 2u);
+    const Json *events = telemetry->find("events");
+    ASSERT_TRUE(events);
+    ASSERT_EQ(events->size(), 2u);
+    // Only the wall-clock event is flagged volatile.
+    EXPECT_FALSE(events->at(0).find("volatile"));
+    ASSERT_TRUE(events->at(1).find("volatile"));
+    EXPECT_TRUE(events->at(1).find("volatile")->asBool());
 
     // The deterministic dump keeps the epochs but filters the
     // wall-clock phase event.
@@ -454,6 +459,21 @@ TEST(ResultsSink, TelemetryRoundTripsThroughV2Document)
     EXPECT_EQ(dtel->find("events")->size(), 1u);
     EXPECT_EQ(dtel->find("events")->at(0).find("type")->asString(),
               "pd_change");
+
+    // A TRACE line is the job key followed by the same event members.
+    const std::string dir =
+        (std::filesystem::path(::testing::TempDir()) / "round_trip_trace")
+            .string();
+    std::filesystem::create_directories(dir);
+    std::string path;
+    ASSERT_TRUE(sink.writeTraceFile(dir, &path));
+    std::ifstream in(path);
+    std::string line;
+    for (int i = 0; i < 3; ++i) // header, pd_change, phase:warmup
+        std::getline(in, line);
+    EXPECT_EQ(line, "{\"job\":\"t/roundtrip\",\"type\":\"phase:warmup\","
+                    "\"access\":0,\"volatile\":true,"
+                    "\"fields\":{\"seconds\":0.25}}");
 }
 
 TEST(Suites, UnwritableResultFileFailsTheRun)

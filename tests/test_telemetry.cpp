@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the telemetry subsystem (src/telemetry/): metrics-registry
- * semantics, the bounded event ring, epoch sampling end-to-end through
+ * Tests for the telemetry subsystem (src/telemetry/): the bounded event
+ * ring, epoch sampling end-to-end through
  * the single- and multi-core simulators, event derivation, and the
  * guarantee that sampling never perturbs simulation results.
  */
@@ -14,47 +14,11 @@
 #include "sim/single_core_sim.h"
 #include "telemetry/epoch_sampler.h"
 #include "telemetry/event_trace.h"
-#include "telemetry/metrics.h"
 #include "telemetry/source.h"
 #include "trace/spec_suite.h"
 
 using namespace pdp;
 using namespace pdp::telemetry;
-
-TEST(MetricsRegistry, HandlesAreStableAndSnapshotIsSorted)
-{
-    MetricsRegistry registry;
-    Counter &c = registry.counter("test.z_counter");
-    Counter &again = registry.counter("test.z_counter");
-    EXPECT_EQ(&c, &again);
-
-    c.add(3);
-    c.add(2);
-    registry.gauge("test.a_gauge").set(1.5);
-
-    const auto snap = registry.snapshot();
-    ASSERT_EQ(snap.size(), 2u);
-    // Sorted by name, independent of registration order.
-    EXPECT_EQ(snap[0].name, "test.a_gauge");
-    EXPECT_EQ(snap[1].name, "test.z_counter");
-    EXPECT_EQ(snap[0].value, 1.5);
-    EXPECT_EQ(snap[1].count, 5u);
-}
-
-TEST(MetricsRegistry, VolatileMetricsCanBeFiltered)
-{
-    MetricsRegistry registry;
-    registry.counter("stable").add(1);
-    registry.counter("wallclock", /*volatile_metric=*/true).add(1);
-
-    EXPECT_EQ(registry.snapshot(/*includeVolatile=*/true).size(), 2u);
-    const auto filtered = registry.snapshot(/*includeVolatile=*/false);
-    ASSERT_EQ(filtered.size(), 1u);
-    EXPECT_EQ(filtered[0].name, "stable");
-
-    registry.resetAll();
-    EXPECT_EQ(registry.counter("stable").value(), 0u);
-}
 
 TEST(Snapshot, SetReplacesExistingNames)
 {
@@ -81,6 +45,7 @@ TEST(EventTrace, RingDropsOldestAndCounts)
         trace.record(std::move(event));
     }
     EXPECT_EQ(trace.size(), 4u);
+    EXPECT_EQ(trace.capacity(), 4u);
     EXPECT_EQ(trace.dropped(), 3u);
     const auto events = trace.chronological();
     ASSERT_EQ(events.size(), 4u);

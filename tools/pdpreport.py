@@ -221,7 +221,7 @@ def validate_bench(doc):
     jobs = need(doc, "jobs", list, "document")
     if doc.get("job_count") != len(jobs):
         raise Malformed("job_count disagrees with the jobs array")
-    if "registry" in doc:
+    if "registry" in doc:  # older v2 files: process-wide counters
         need(doc, "registry", dict, "document")
     for i, job in enumerate(jobs):
         if not isinstance(job, dict):
@@ -374,7 +374,8 @@ def validate_flight(doc):
             raise Malformed(f"open_spans[{i}] is not an object")
         for field in OPEN_SPAN_FIELDS:
             need(span, field, NUMBER, f"open_spans[{i}]")
-    need(doc, "metrics", dict, "document")
+    if "metrics" in doc:  # older dumps: process-wide counters
+        need(doc, "metrics", dict, "document")
     return f"job {job}, reason {reason}"
 
 
@@ -390,15 +391,13 @@ def warn_dropped_events(doc):
     """Flag event-ring overflow on stderr.
 
     The ring drops oldest on overflow, so a truncated trace understates
-    whatever it recorded (span counts, SLO burn events, PD changes).
-    Both signals count: each job's ``events_dropped`` and, in volatile
-    dumps, the process-wide ``telemetry.trace_dropped_events`` counter.
+    whatever it recorded (span counts, SLO burn events, PD changes); each
+    job's ``events_dropped`` says by how much.
     """
     dropped = [(job["key"], job["telemetry"].get("events_dropped"))
                for job in bench_jobs(doc, "telemetry")
                if job["telemetry"].get("events_dropped")]
-    registry = doc.get("registry", {}).get("telemetry.trace_dropped_events")
-    if not dropped and not registry:
+    if not dropped:
         return
     print("WARNING: EventTrace ring overflowed (drop-oldest) — the event "
           "stream is truncated and every event count understates "
@@ -406,9 +405,6 @@ def warn_dropped_events(doc):
           file=sys.stderr)
     for key, count in dropped:
         print(f"WARNING:   {key}: {count} event(s) dropped", file=sys.stderr)
-    if registry:
-        print(f"WARNING:   registry telemetry.trace_dropped_events = "
-              f"{registry} (process-wide)", file=sys.stderr)
 
 
 def cmd_check(args):
@@ -587,7 +583,6 @@ def render_flight(path, doc):
         print("    trace %#014x tenant %d request %d (access %d)"
               % (int(span["trace_id"]), span["tenant"], span["request"],
                  span["access"]))
-    print(f"  metrics:    {len(doc['metrics'])} counter(s)/gauge(s)")
 
 
 def cmd_render(args):

@@ -95,8 +95,7 @@ def flight(**changes):
            "events_dropped": 3, "events": request(),
            "open_spans": [{"trace_id": 0x99, "span_id": 0x9a, "tenant": 1,
                            "slot": 1, "request": 8, "access": 999,
-                           "cycles_begin": 10}],
-           "metrics": {"service.requests": 8}}
+                           "cycles_begin": 10}]}
     doc.update(changes)
     return doc
 
@@ -362,6 +361,15 @@ class CheckTest(ReportTest):
                       "1 slo_burn / 1 slo_recovered)", out)
         self.assertIn(f"ok (FLIGHT, job {JOB}, reason check_failure)", out)
 
+    def test_older_process_wide_counters_pass(self):
+        counters = {"telemetry.epochs": 3, "service.slo_burning": 0.0}
+        doc = bench(telemetry_job())
+        doc["registry"] = counters
+        paths = [self.write("BENCH_x.json", doc),
+                 self.write("FLIGHT_x.json", flight(metrics=counters))]
+        status, _, err = self.run_tool("check", *paths)
+        self.assertEqual(status, 0, err)
+
     def test_v1_document_passes(self):
         status, _, _ = self.check(
             "b.json", bench(job("x", vs_aos=1.0),
@@ -603,7 +611,6 @@ class RenderTest(ReportTest):
                       out)
         self.assertIn("trace 0x000000000099 tenant 1 request 8 (access 999)",
                       out)
-        self.assertIn("metrics:    1 counter(s)/gauge(s)", out)
 
 
 class DiffTest(ReportTest):
