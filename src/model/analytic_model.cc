@@ -194,18 +194,18 @@ lruKernel(const uint64_t *counts, uint32_t n, uint64_t total, uint32_t ways)
     return static_cast<double>(hits) / nt;
 }
 
-/** Rebucket a fingerprint to (target_sets, step, d_max): set-local
- *  distances scale by sets_ref/sets, mass past d_max joins the tail. */
+/** Rebucket a fingerprint to (kSets, step, d_max): set-local distances
+ *  scale by sets_ref/kSets, mass past d_max joins the tail.  Both
+ *  callers pass a d_max of at least kDMax and a step of at most
+ *  kCounterStep, so d_max >= step. */
 RddShape
-rescaleTo(const RddFingerprint &fp, uint32_t target_sets, uint32_t step,
-          uint32_t d_max)
+rescaleTo(const RddFingerprint &fp, uint32_t step, uint32_t d_max)
 {
+    static_assert(kSets >= 1 && kCounterStep >= 1 && kDMax >= kCounterStep,
+                  "the model geometry must admit a rescale");
     PDP_CHECK(fp.sets >= 1, "fingerprint carries no set-count geometry");
-    PDP_CHECK(target_sets >= 1 && step >= 1 && d_max >= step,
-              "bad rescale target: ", target_sets, " sets, step ", step,
-              ", d_max ", d_max);
     const double ratio =
-        static_cast<double>(fp.sets) / static_cast<double>(target_sets);
+        static_cast<double>(fp.sets) / static_cast<double>(kSets);
     RddShape shape;
     shape.step = step;
     shape.counts.assign((d_max + step - 1) / step, 0);
@@ -242,7 +242,7 @@ rescaleTo(const RddFingerprint &fp, uint32_t target_sets, uint32_t step,
 RddShape
 AnalyticModel::rescale(const RddFingerprint &fp) const
 {
-    return rescaleTo(fp, kSets, kCounterStep, kDMax);
+    return rescaleTo(fp, kCounterStep, kDMax);
 }
 
 RddShape
@@ -258,7 +258,7 @@ AnalyticModel::rescaleFine(const RddFingerprint &fp) const
         static_cast<uint64_t>(std::llround(fp.dMax * ratio));
     const uint32_t fine_d_max = static_cast<uint32_t>(
         std::min<uint64_t>(std::max<uint64_t>(reach, kDMax), 8192));
-    return rescaleTo(fp, kSets, /*step=*/1, fine_d_max);
+    return rescaleTo(fp, /*step=*/1, fine_d_max);
 }
 
 Prediction

@@ -5,12 +5,7 @@
 namespace pdp
 {
 
-StreamPrefetcher::StreamPrefetcher() : StreamPrefetcher(Params{}) {}
-
-StreamPrefetcher::StreamPrefetcher(Params params) : params_(params)
-{
-    streams_.assign(params_.streams, Stream{});
-}
+StreamPrefetcher::StreamPrefetcher() : streams_(kStreams) {}
 
 std::vector<uint64_t>
 StreamPrefetcher::onDemand(uint64_t line_addr, bool was_miss)
@@ -24,7 +19,7 @@ StreamPrefetcher::onDemand(uint64_t line_addr, bool was_miss)
             continue;
         const uint64_t delta = line_addr > stream.lastAddr
             ? line_addr - stream.lastAddr : stream.lastAddr - line_addr;
-        if (delta <= params_.regionLines) {
+        if (delta <= kRegionLines) {
             match = &stream;
             break;
         }
@@ -45,13 +40,12 @@ StreamPrefetcher::onDemand(uint64_t line_addr, bool was_miss)
         match->lastAddr = line_addr;
         match->lruStamp = clock_;
         if (match->confidence >= 2) {
-            for (uint32_t i = 0; i < params_.degree; ++i) {
+            for (uint32_t i = 0; i < kDegree; ++i) {
                 const int64_t offset = static_cast<int64_t>(match->direction)
-                    * static_cast<int64_t>(params_.distance + i);
+                    * static_cast<int64_t>(kDistance + i);
                 prefetches.push_back(line_addr +
                                      static_cast<uint64_t>(offset));
             }
-            issued_ += prefetches.size();
         }
         return prefetches;
     }

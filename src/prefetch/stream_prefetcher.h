@@ -3,10 +3,10 @@
  * A simple stream prefetcher (Sec. 6.5's "simple stream prefetcher").
  *
  * Tracks a small table of streams keyed by line-address region.  A stream
- * is allocated on an LLC demand miss; two further misses in ascending
+ * is allocated on an L2 demand miss; two further misses in ascending
  * (or descending) order within the region confirm the direction, after
- * which every demand access to the stream issues `degree` prefetches
- * ahead of the demand address.
+ * which every demand access to the stream issues kDegree prefetches
+ * kDistance lines ahead of the demand address.
  */
 
 #ifndef PDP_PREFETCH_STREAM_PREFETCHER_H
@@ -22,26 +22,20 @@ namespace pdp
 class StreamPrefetcher
 {
   public:
-    struct Params
-    {
-        uint32_t streams = 16;      //!< tracked streams
-        uint32_t degree = 2;        //!< prefetches per trigger
-        uint32_t distance = 4;      //!< lines ahead of the demand
-        uint64_t regionLines = 64;  //!< stream window size
-    };
+    static constexpr uint32_t kStreams = 16;     //!< tracked streams
+    static constexpr uint32_t kDegree = 2;       //!< prefetches per trigger
+    static constexpr uint32_t kDistance = 4;     //!< lines ahead of the demand
+    static constexpr uint64_t kRegionLines = 64; //!< stream window size
 
     StreamPrefetcher();
-    explicit StreamPrefetcher(Params params);
 
     /**
      * Feed a demand access; returns the line addresses to prefetch.
      *
      * @param line_addr demand line address
-     * @param was_miss true if the demand missed the LLC
+     * @param was_miss true if the demand missed the L2
      */
     std::vector<uint64_t> onDemand(uint64_t line_addr, bool was_miss);
-
-    uint64_t issued() const { return issued_; }
 
   private:
     struct Stream
@@ -53,10 +47,8 @@ class StreamPrefetcher
         uint64_t lruStamp = 0;
     };
 
-    Params params_;
     std::vector<Stream> streams_;
     uint64_t clock_ = 0;
-    uint64_t issued_ = 0;
 };
 
 } // namespace pdp

@@ -206,8 +206,8 @@ occupancyJob(const std::string &bench, const std::string &policy,
         JobOutcome outcome;
         std::string spec = policy;
         if (policy != "DRRIP") {
-            // The search is not a recorded run: unobserved, it records
-            // no telemetry and keeps its one lockstep decode.
+            // The search is not a recorded run, so it records no
+            // telemetry.
             SimConfig search = config;
             search.telemetry = {};
             const uint32_t pd =
@@ -624,35 +624,8 @@ reportFig11(std::ostream &out, const RecordLookup &records)
 // ---------------------------------------------------------------------------
 // prefetch — Sec. 6.5: with the stream prefetcher filling the LLC,
 // prefetch-unaware PDP-8 and its two prefetch-aware variants vs DRRIP.
-// Prefetcher configs observe the global access order, so these cells
-// run one by one rather than as lockstep lanes.
-
-struct PrefetchVariant
-{
-    std::string key;
-    std::string label;
-    PolicyFactory makePolicy;
-};
-
-std::vector<PrefetchVariant>
-prefetchVariants()
-{
-    const auto pdp = [](PdpParams::PrefetchMode mode) -> PolicyFactory {
-        return [mode]() -> std::unique_ptr<ReplacementPolicy> {
-            PdpParams params;
-            params.prefetchMode = mode;
-            return std::make_unique<PdpPolicy>(params);
-        };
-    };
-    return {
-        {"DRRIP", "DRRIP", [] { return makePolicy("DRRIP"); }},
-        {"PDP-8", "PDP-8", pdp(PdpParams::PrefetchMode::Normal)},
-        {"PDP-8:pf-PD1", "PDP-8 pf->PD=1",
-         pdp(PdpParams::PrefetchMode::InsertPdOne)},
-        {"PDP-8:pf-bypass", "PDP-8 pf-bypass",
-         pdp(PdpParams::PrefetchMode::Bypass)},
-    };
-}
+// Each cell is its own sequential job because it records its LLC's
+// prefetch fills beside the result.
 
 /** One prefetching cell; records the LLC's prefetch fills beside the
  *  result, since a variant can only differ from unaware PDP-8 where
@@ -932,6 +905,26 @@ reportHardware(std::ostream &out, const RecordLookup &records)
 }
 
 } // namespace
+
+std::vector<PrefetchVariant>
+prefetchVariants()
+{
+    const auto pdp = [](PdpParams::PrefetchMode mode) -> PolicyFactory {
+        return [mode]() -> std::unique_ptr<ReplacementPolicy> {
+            PdpParams params;
+            params.prefetchMode = mode;
+            return std::make_unique<PdpPolicy>(params);
+        };
+    };
+    return {
+        {"DRRIP", "DRRIP", [] { return makePolicy("DRRIP"); }},
+        {"PDP-8", "PDP-8", pdp(PdpParams::PrefetchMode::Normal)},
+        {"PDP-8:pf-PD1", "PDP-8 pf->PD=1",
+         pdp(PdpParams::PrefetchMode::InsertPdOne)},
+        {"PDP-8:pf-bypass", "PDP-8 pf-bypass",
+         pdp(PdpParams::PrefetchMode::Bypass)},
+    };
+}
 
 std::vector<Suite>
 figureSuites()

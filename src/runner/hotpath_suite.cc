@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <ostream>
@@ -33,7 +34,7 @@
 #include "sim/lockstep_sweep.h"
 #include "sim/policy_factory.h"
 #include "sim/static_pd_search.h"
-#include "telemetry/metrics.h"
+#include "telemetry/epoch_sampler.h"
 #include "trace/rdd_fingerprint.h"
 #include "trace/spec_suite.h"
 #include "util/table.h"
@@ -350,10 +351,10 @@ hotpathPartitionJob(double scale)
 /**
  * Overhead of idle telemetry on the substrate hot path: two identical
  * SoA LRU caches walk the same stream in kIdlePairs interleaved pairs;
- * one side also bumps a heap-allocated telemetry::Counter per access —
- * the pattern an always-on metric would use.  `telemetry_idle_ratio` is
- * the median plain/instrumented time ratio (1.0 = free; CI gates
- * >= 0.98, i.e. within the 2% budget).
+ * one side also ticks an EpochSampler per access, as a `--telemetry`
+ * run's loops do, with an interval no walk reaches, so only the tick is
+ * timed.  `telemetry_idle_ratio` is the median plain/instrumented time
+ * ratio (1.0 = free; CI gates >= 0.98, i.e. within the 2% budget).
  */
 Job
 hotpathTelemetryIdleJob(double scale)
@@ -367,8 +368,10 @@ hotpathTelemetryIdleJob(double scale)
         const auto trace =
             hotpathTrace(ctx.seed, plain.config().numLines() * 4);
 
-        const auto probe = std::make_unique<telemetry::Counter>();
-        telemetry::Counter &counter = *probe;
+        telemetry::TelemetryConfig idle;
+        idle.enabled = true;
+        idle.interval = std::numeric_limits<uint64_t>::max();
+        telemetry::EpochSampler sampler(idle, instr, 0);
         AccessContext pa;
         const auto plain_walk = [&](uint64_t addr, uint64_t next) {
             plain.prefetchSet(plain.setIndex(next));
@@ -382,7 +385,7 @@ hotpathTelemetryIdleJob(double scale)
             ia.lineAddr = addr;
             ia.set = instr.setIndex(addr);
             instr.access(ia);
-            counter.add(1);
+            sampler.onAccess();
         };
 
         uint64_t done = 0;

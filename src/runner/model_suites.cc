@@ -70,9 +70,8 @@ hitRate(const SimResult &r)
 /**
  * One benchmark's model job: fingerprint the config's measured window
  * once, let `plan` pick and predict the cells in microseconds, simulate
- * them all in one runSingleCoreLockstep call (src/sim picks the driver)
- * and add each cell's result to its record, with `check`'s metrics if
- * any.
+ * them all in one runSingleCoreLockstep call and add each cell's result
+ * to its record, with `check`'s metrics if any.
  */
 Job
 modelJob(std::string key, const std::string &bench, const SimConfig &config,

@@ -319,10 +319,7 @@ sameStream(const MultiCoreCell &a, const MultiCoreCell &b)
 }
 
 /** Whether `next` may join the sweep that `first` opens: cells of one
- *  kind over the same stream and config, and nothing observing the
- *  global access order.  src/sim would run an observed sweep one cell
- *  at a time anyway, so observed cells stay apart only to spread over
- *  workers and fail alone. */
+ *  kind over the same stream and config. */
 bool
 sharesDecode(const Job &first, const Job &next)
 {
@@ -333,8 +330,7 @@ sharesDecode(const Job &first, const Job &next)
         [&next](const auto &a) {
             const auto &b =
                 std::get<std::decay_t<decltype(a)>>(*next.cell);
-            return sameStream(a, b) && a.config == b.config &&
-                !observesGlobalOrder(a.config);
+            return sameStream(a, b) && a.config == b.config;
         },
         *first.cell);
 }

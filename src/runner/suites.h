@@ -168,6 +168,18 @@ int runSuite(const Suite &suite, const SuiteOptions &options,
  *  sweeps"). */
 std::vector<Job> selectJobs(const Suite &suite, const SuiteOptions &options);
 
+/** One policy of the prefetch suite (Sec. 6.5). */
+struct PrefetchVariant
+{
+    std::string key;
+    std::string label;
+    PolicyFactory makePolicy;
+};
+
+/** The prefetch suite's policies: DRRIP, prefetch-unaware PDP-8 and its
+ *  two prefetch-aware variants. */
+std::vector<PrefetchVariant> prefetchVariants();
+
 /**
  * The single-core config of `accesses` measured + `warmup` accesses at
  * options.scale, with the run's telemetry knobs.  Throws CheckFailure

@@ -1,18 +1,21 @@
 /**
  * @file
- * Front-end of the lockstep sweep driver: the sequential generator + L2
- * walk, captured chunk by chunk as a replayable LLC op stream.
+ * Front-end of the lockstep sweep driver: the sequential generators and
+ * L2 walk (PrivateL2s, cache/hierarchy.h), captured chunk by chunk as a
+ * replayable LLC op stream.
  *
- * The load-bearing observation (DESIGN.md "Lockstep sweeps"): with no
- * prefetcher attached, the LLC's input stream is fully determined by
- * the generators and the L2 walk — the L2s are always plain LRU, and
- * round-robin brings every generator to its budget in the same round,
- * so nothing the LLC decides ever feeds back into which ops reach it.
- * That lets one sequential front-end decode the traces and fill the L2s
- * once, emit the LLC ops (demand accesses plus dirty-L2-victim
- * writebacks, in hierarchy order) into a bounded chunk buffer, and hand
- * the chunk to the lockstep sweep, which replays it against N
- * per-config LLCs (lockstep_sweep.cc).
+ * The load-bearing observation (DESIGN.md "Lockstep sweeps"): the LLC's
+ * input stream is fully determined by the generators and the L2 walk —
+ * the L2s are always plain LRU, the stream prefetcher trains on the L2
+ * stream, and round-robin brings every generator to its budget in the
+ * same round, so nothing the LLC decides ever feeds back into which ops
+ * reach it.  That lets one sequential front-end decode the traces and
+ * fill the L2s once, record the LLC ops the walk emits (demand
+ * accesses, dirty-L2-victim writebacks and prefetch fills, in hierarchy
+ * order) into a bounded chunk buffer, and hand the chunk to the
+ * lockstep sweep, which replays it against N per-config LLCs
+ * (lockstep_sweep.cc).  The one op a lane may skip is a prefetch fill
+ * of a line its LLC already holds, as Hierarchy::access skips it.
  *
  * Timing replays from the same buffers: each lane's LLC walk stamps
  * hit/miss into its own level slots for demand ops, and each thread's
@@ -28,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "cache/hierarchy.h"
@@ -53,20 +57,27 @@ toHitLevel(uint8_t level)
                              : HitLevel::Memory;
 }
 
-/** One captured LLC access (demand or L2-victim writeback). */
+/** One captured LLC access (demand, L2-victim writeback or prefetch
+ *  fill). */
 struct LlcOp
 {
     uint64_t lineAddr = 0;
     uint64_t pc = 0;
     /** Chunk-local index of the demand access this op answers; -1 for
-     *  writebacks (which have no timing-level slot). */
+     *  writebacks and prefetch fills (which have no timing-level
+     *  slot). */
     int32_t accessIdx = -1;
     /** LLC set index of lineAddr. */
     uint32_t set = 0;
+    /** Chunk-local index of the access whose walk emitted this op (an
+     *  L2-hit access can emit prefetch fills). */
+    uint32_t sourceIdx = 0;
     uint8_t threadId = 0;
     bool isWrite = false;
     bool isWriteback = false;
+    bool isPrefetch = false;
 };
+static_assert(sizeof(LlcOp) == 32, "an LlcOp is half a cache line");
 
 /** Accesses captured per chunk.  Big enough to amortize the per-chunk
  *  lane fan-out, small enough that the chunk's gap/level/op arrays
@@ -88,7 +99,7 @@ struct TimingSegment
 };
 
 /**
- * The sequential front-end: generators + per-thread L2s, emitting chunk
+ * The sequential front-end: generators + the L2 walk, emitting chunk
  * buffers of LLC ops.  Owns all mutable front-end state; the consumer
  * owns the LLC(s).
  */
@@ -99,19 +110,21 @@ class LlcStreamFrontEnd
      *  only for perfbench/'s call (cache/shard_view.h). */
     explicit LlcStreamFrontEnd(const HierarchyConfig &config,
                                const ShardPlan & = ShardPlan{})
-        : setMask_(config.llc.numSets() - 1)
+        : l2s_(config)
     {
-        for (unsigned t = 0; t < config.numThreads; ++t) {
-            CacheConfig l2cfg = config.l2;
-            l2cfg.label = "L2." + std::to_string(t);
-            l2s_.push_back(std::make_unique<Cache>(
-                l2cfg, std::make_unique<LruPolicy>()));
-        }
         gaps_.resize(kStreamChunk);
-        // Worst case two ops per access (demand + dirty L2 victim).
+        // Two ops per access (demand + dirty L2 victim) without a
+        // prefetcher; prefetch fills grow the buffer past that.
         ops_.reserve(2 * kStreamChunk);
         segments_.reserve(kStreamChunk);
         tails_.resize(config.numThreads);
+    }
+
+    /** Train a stream prefetcher on the L2 stream (Sec. 6.5). */
+    void
+    attachPrefetcher(std::unique_ptr<StreamPrefetcher> prefetcher)
+    {
+        l2s_.attachPrefetcher(std::move(prefetcher));
     }
 
     /** fill's one-generator case. */
@@ -139,54 +152,36 @@ class LlcStreamFrontEnd
         tails_.resize(threads);
         for (uint32_t t = 0; t < threads; ++t)
             tails_[t] = TimingSegment{0, 0, t};
-        AccessContext ctx;
         uint32_t t = 0;
         for (size_t i = 0; i < n * threads;
              ++i, t = t + 1 == threads ? 0 : t + 1) {
             const Access access = gens[t]->next();
             gaps_[i] = access.instrGap;
-
-            Cache &l2 = *l2s_[access.threadId < l2s_.size()
-                                  ? access.threadId
-                                  : 0];
-            ctx.lineAddr = access.lineAddr;
-            ctx.pc = access.pc;
-            ctx.threadId = access.threadId;
-            ctx.isWrite = access.isWrite;
-            ctx.isWriteback = false;
-            ctx.set = l2.setIndex(ctx.lineAddr);
-            const AccessOutcome l2_out = l2.access(ctx);
+            const bool l2Hit =
+                l2s_.walk(access, [&](const AccessContext &ctx) {
+                    LlcOp op;
+                    op.lineAddr = ctx.lineAddr;
+                    op.pc = ctx.pc;
+                    if (!ctx.isWriteback && !ctx.isPrefetch)
+                        op.accessIdx = static_cast<int32_t>(i);
+                    op.set = ctx.set;
+                    op.sourceIdx = static_cast<uint32_t>(i);
+                    op.threadId = ctx.threadId;
+                    op.isWrite = ctx.isWrite;
+                    op.isWriteback = ctx.isWriteback;
+                    op.isPrefetch = ctx.isPrefetch;
+                    ops_.push_back(op);
+                });
             TimingSegment &run = tails_[t];
-            if (l2_out.hit) {
+            if (l2Hit) {
                 run.gapSum += gaps_[i];
                 ++run.count;
                 continue;
             }
-
-            LlcOp op;
-            op.lineAddr = access.lineAddr;
-            op.pc = access.pc;
-            op.accessIdx = static_cast<int32_t>(i);
-            op.set = static_cast<uint32_t>(access.lineAddr & setMask_);
-            op.threadId = access.threadId;
-            op.isWrite = access.isWrite;
-            ops_.push_back(op);
-            // The op's own gap is replayed through onAccess; its
+            // The demand op's own gap is replayed through onAccess; its
             // thread's run of L2 hits before it is its timing segment.
             segments_.push_back(run);
             run = TimingSegment{0, 0, t};
-
-            // Dirty L2 victim writes back into the LLC, in order.
-            if (l2_out.evictedValid && l2_out.evictedDirty) {
-                LlcOp wb;
-                wb.lineAddr = l2_out.evictedAddr;
-                wb.set = static_cast<uint32_t>(l2_out.evictedAddr &
-                                               setMask_);
-                wb.threadId = l2_out.evictedThread;
-                wb.isWrite = true;
-                wb.isWriteback = true;
-                ops_.push_back(wb);
-            }
         }
         return n;
     }
@@ -201,16 +196,10 @@ class LlcStreamFrontEnd
     /** Every generator's tail, by round-robin position. */
     const std::vector<TimingSegment> &tailSegments() const { return tails_; }
 
-    void
-    resetL2Stats()
-    {
-        for (auto &l2 : l2s_)
-            l2->resetStats();
-    }
+    void resetL2Stats() { l2s_.resetStats(); }
 
   private:
-    uint64_t setMask_;
-    std::vector<std::unique_ptr<Cache>> l2s_;
+    PrivateL2s l2s_;
     std::vector<uint32_t> gaps_;
     std::vector<LlcOp> ops_;
     std::vector<TimingSegment> segments_;

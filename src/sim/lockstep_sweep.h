@@ -14,10 +14,16 @@
  * the returned results are byte-identical to N independent sequential
  * runs, which the byte-identity tests pin down.
  *
+ * Observed configs ride the lanes too: each lane carries its own
+ * RunObservers (invariant auditor and epoch sampler) and ticks its
+ * sampler after the last op of each measured access, where
+ * runRoundRobin ticks, and the stream prefetcher lives in the shared
+ * front-end (llc_stream.h).
+ *
  * On top of the amortization, the per-chunk config walks are
- * independent (each config's Cache, policy, level buffer and timing
- * models are private), so they fan out across `threads` workers with a
- * join barrier per chunk.
+ * independent (each config's Cache, policy, observers, level buffer and
+ * timing models are private), so they fan out across `threads` workers
+ * with a join barrier per chunk.
  */
 
 #ifndef PDP_SIM_LOCKSTEP_SWEEP_H
@@ -38,22 +44,15 @@ namespace pdp
 /** Builds one LLC policy instance per call (one per lane or job). */
 using PolicyFactory = std::function<std::unique_ptr<ReplacementPolicy>()>;
 
-/** Whether `config` observes the global access order (telemetry, audit
- *  or a prefetcher), which keeps it on the sequential runRoundRobin: the
- *  one statement of the lane engine's precondition. */
-inline bool
-observesGlobalOrder(const SimConfig &config)
-{
-    return config.telemetry.enabled || config.auditEvery != 0 ||
-        config.withPrefetcher;
-}
-
-/** One sweep config's private state: LLC + policy, the chunk's level
- *  slots and (measured phase) one timing model per generator.  Only one
- *  worker at a time touches a lane; a join barrier ends each chunk. */
+/** One sweep config's private state: LLC + policy, the run's observers
+ *  (built before warmup, as runRoundRobin builds them), the chunk's
+ *  level slots and (measured phase) one timing model per generator.
+ *  Only one worker at a time touches a lane; a join barrier ends each
+ *  chunk. */
 struct LockstepLane
 {
     std::unique_ptr<Cache> llc;
+    RunObservers observers;
     std::vector<TimingModel> timers;
     std::vector<uint8_t> levels;
 };
@@ -62,10 +61,10 @@ struct LockstepLane
  * The lane engine, runRoundRobin's lockstep form: one front-end serves
  * `gens` round-robin and each chunk replays against one lane per
  * factory, in input order.  `threads` caps the per-chunk worker fan-out
- * over lanes (0 or 1 = inline).  Configs that observesGlobalOrder()
- * throw CheckFailure.  A lane's exception is rethrown after every
- * worker joins — the lowest-numbered failing lane's, so the error is
- * the same at any thread count.
+ * over lanes (0 or 1 = inline).  The caller finish()es each lane's
+ * observers into its result.  A lane's exception is rethrown after
+ * every worker joins — the lowest-numbered failing lane's, so the error
+ * is the same at any thread count.
  */
 std::vector<LockstepLane>
 runLockstepLanes(std::span<AccessGenerator *const> gens,
@@ -74,9 +73,7 @@ runLockstepLanes(std::span<AccessGenerator *const> gens,
                  unsigned threads);
 
 /** One SimResult per factory, each as runSingleCore would give it over
- *  gen's stream from its start (gen must stand there): one
- *  runLockstepLanes decode, or, for a config that observesGlobalOrder(),
- *  one sequential run per factory with gen reset before each. */
+ *  gen's stream from where it stands: one runLockstepLanes decode. */
 std::vector<SimResult>
 runSingleCoreLockstep(AccessGenerator &gen, const SimConfig &config,
                       const std::vector<PolicyFactory> &makePolicies,

@@ -75,21 +75,6 @@ standaloneIpc(const std::string &benchmark, const MultiCoreConfig &config)
 namespace
 {
 
-/** The round-robin run `config` describes for any mix. */
-SimConfig
-roundRobinConfig(const MultiCoreConfig &config)
-{
-    SimConfig run;
-    run.accesses = config.accessesPerThread;
-    run.warmup = config.warmupPerThread;
-    run.timing = config.timing;
-    run.hierarchy.numThreads = config.cores;
-    run.hierarchy.llc = CacheConfig::paperLlc(config.cores);
-    run.auditEvery = config.auditEvery;
-    run.telemetry = config.telemetry;
-    return run;
-}
-
 /** The round-robin run `config` describes for `workload`. */
 SimConfig
 roundRobinConfig(const WorkloadSpec &workload, const MultiCoreConfig &config)
@@ -105,7 +90,15 @@ roundRobinConfig(const WorkloadSpec &workload, const MultiCoreConfig &config)
     PDP_CHECK(config.cores >= 1 && config.cores <= CacheStats::kMaxThreads,
               "multi-core run of ", config.cores, " cores outside [1, ",
               CacheStats::kMaxThreads, "]");
-    return roundRobinConfig(config);
+    SimConfig run;
+    run.accesses = config.accessesPerThread;
+    run.warmup = config.warmupPerThread;
+    run.timing = config.timing;
+    run.hierarchy.numThreads = config.cores;
+    run.hierarchy.llc = CacheConfig::paperLlc(config.cores);
+    run.auditEvery = config.auditEvery;
+    run.telemetry = config.telemetry;
+    return run;
 }
 
 /** Per-thread outcomes and W/T/H from measured-phase stats. */
@@ -141,12 +134,6 @@ makeMultiCoreResult(const WorkloadSpec &workload,
 
 } // namespace
 
-bool
-observesGlobalOrder(const MultiCoreConfig &config)
-{
-    return observesGlobalOrder(roundRobinConfig(config));
-}
-
 MultiCoreResult
 runMultiCore(const WorkloadSpec &workload, const std::string &policy_spec,
              const MultiCoreConfig &config)
@@ -174,12 +161,6 @@ runMultiCoreLockstep(const WorkloadSpec &workload,
                      const MultiCoreConfig &config, unsigned threads)
 {
     const SimConfig run = roundRobinConfig(workload, config);
-    if (observesGlobalOrder(run)) {
-        std::vector<MultiCoreResult> results;
-        for (const std::string &policy : policies)
-            results.push_back(runMultiCore(workload, policy, config));
-        return results;
-    }
     std::vector<PolicyFactory> factories;
     for (const std::string &policy : policies)
         factories.push_back([&policy, cores = config.cores] {
@@ -190,13 +171,15 @@ runMultiCoreLockstep(const WorkloadSpec &workload,
     for (const GeneratorPtr &gen : generators)
         gens.push_back(gen.get());
 
-    const std::vector<LockstepLane> lanes =
+    std::vector<LockstepLane> lanes =
         runLockstepLanes(gens, run, factories, threads);
     std::vector<MultiCoreResult> results;
-    for (size_t c = 0; c < lanes.size(); ++c)
-        results.push_back(makeMultiCoreResult(workload, policies[c],
-                                              lanes[c].llc->stats(),
-                                              lanes[c].timers, config));
+    for (size_t c = 0; c < lanes.size(); ++c) {
+        MultiCoreResult &result = results.emplace_back(
+            makeMultiCoreResult(workload, policies[c], lanes[c].llc->stats(),
+                                lanes[c].timers, config));
+        lanes[c].observers.finish(result);
+    }
     return results;
 }
 

@@ -98,17 +98,12 @@ MultiCoreResult runMultiCore(const WorkloadSpec &workload,
                              const std::string &policy_spec,
                              const MultiCoreConfig &config);
 
-/** runMultiCore for every spec in `policies`: over one decode of the mix
- *  (runLockstepLanes), or, for a config that observesGlobalOrder(), one
- *  runMultiCore per spec.  Throws what runMultiCore throws. */
+/** runMultiCore for every spec in `policies`, over one decode of the mix
+ *  (runLockstepLanes).  Throws what runMultiCore throws. */
 std::vector<MultiCoreResult>
 runMultiCoreLockstep(const WorkloadSpec &workload,
                      const std::vector<std::string> &policies,
                      const MultiCoreConfig &config, unsigned threads = 1);
-
-/** Whether runs of `config` observe the global access order: the
- *  SimConfig overload (sim/lockstep_sweep.h) on the config they run. */
-bool observesGlobalOrder(const MultiCoreConfig &config);
 
 /** The stand-alone LRU IPC of a benchmark on a `cores`-sized LLC. */
 double standaloneIpc(const std::string &benchmark,

@@ -34,8 +34,7 @@ size_t fewestMisses(const std::vector<const SimResult *> &results);
 
 /**
  * Sweep static PDs for one benchmark with runSingleCoreLockstep (one
- * decode, or one sequential run per PD for an observed config) and
- * return the fewestMisses() one.
+ * decode) and return the fewestMisses() one.
  *
  * @param benchmark suite benchmark name
  * @param bypass true for SPDP-B, false for SPDP-NB

@@ -36,7 +36,8 @@ EpochSampler::EpochSampler(const TelemetryConfig &config, const Cache &llc,
       source_(dynamic_cast<const Source *>(&llc.policy())),
       numThreads_(std::max(num_threads, 1u)),
       interval_(config.interval ? config.interval
-                                : autoInterval(llc, planned_accesses))
+                                : autoInterval(llc, planned_accesses)),
+      untilSample_(interval_)
 {
     if (config_.traceEvents)
         trace_ = std::make_unique<EventTrace>(config_.traceCapacity);
@@ -64,6 +65,8 @@ void
 EpochSampler::sample()
 {
     const CacheStats &stats = llc_.stats();
+    accessCount_ += interval_ - untilSample_;
+    untilSample_ = interval_;
 
     EpochRecord rec;
     rec.epoch = run_.epochsDropped + run_.epochs.size();
@@ -166,10 +169,8 @@ EpochSampler::deriveEvents(const EpochRecord &current)
 void
 EpochSampler::finish()
 {
-    if (sinceSample_ > 0) {
-        sinceSample_ = 0;
+    if (untilSample_ != interval_)
         sample();
-    }
 }
 
 RunTelemetry

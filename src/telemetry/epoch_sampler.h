@@ -13,7 +13,7 @@
  * epochs on scaled-down CI runs whose access budget never reaches the
  * first recompute.
  *
- * Cost model: onAccess() is one increment and one compare; everything
+ * Cost model: onAccess() is one decrement and one compare; everything
  * else happens once per epoch, off the cache hot path (the sampler walks
  * the tag store and calls the policy's Source hook between accesses).
  */
@@ -112,15 +112,12 @@ class EpochSampler
      *  are reset so interval deltas start from zero. */
     void beginMeasurement();
 
-    /** Per-measured-access tick (cheap: increment + compare). */
+    /** Per-measured-access tick (cheap: decrement + compare). */
     void
     onAccess()
     {
-        ++accessCount_;
-        if (++sinceSample_ >= interval_) {
-            sinceSample_ = 0;
+        if (--untilSample_ == 0)
             sample();
-        }
     }
 
     /** Record the final partial epoch (if any accesses are pending). */
@@ -143,8 +140,11 @@ class EpochSampler
     const Source *source_;
     unsigned numThreads_;
     uint64_t interval_;
+    /** Measured accesses when the latest sample was taken. */
     uint64_t accessCount_ = 0;
-    uint64_t sinceSample_ = 0;
+    /** Accesses left in the current epoch (interval_ when none is
+     *  pending). */
+    uint64_t untilSample_;
     /** Stats values at the previous sample (delta baseline). */
     uint64_t baseAccesses_ = 0;
     uint64_t baseHits_ = 0;

@@ -10,11 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
-#include <variant>
 #include <vector>
 
 #include "cache/hierarchy.h"
@@ -107,8 +109,8 @@ expectSameMultiResult(const MultiCoreResult &a, const MultiCoreResult &b)
     expectSameTelemetry(a.telemetry, b.telemetry);
 }
 
-/** The configs that observe the global access order: traced telemetry,
- *  an invariant audit and (single-core only) the stream prefetcher. */
+/** The observed configs: traced telemetry, an invariant audit and
+ *  (single-core only) the stream prefetcher. */
 template <typename Config>
 std::vector<std::pair<std::string, Config>>
 observedConfigs(const Config &base)
@@ -205,15 +207,15 @@ TEST(LockstepSweepTest, ShardPlanStubRejectsSharding)
 
 TEST(LockstepSweepTest, ObservedConfigsMatchIndependentRuns)
 {
-    // A config that observes the global access order runs each policy
-    // alone on the sequential loop, so its telemetry, audits and
-    // prefetches are those of an independent run.
+    // Each lane carries its own auditor and epoch sampler, and the
+    // front-end's prefetcher emits fills a lane skips when its LLC holds
+    // the line, so telemetry, audits and prefetches are those of an
+    // independent run.
     const std::vector<std::string> specs = {"LRU", "PDP-3", "SPDP-B:64"};
     std::vector<PolicyFactory> factories;
     for (const std::string &spec : specs)
         factories.push_back([spec] { return makePolicy(spec); });
     for (const auto &[name, config] : observedConfigs(quickConfig())) {
-        ASSERT_TRUE(observesGlobalOrder(config)) << name;
         auto gen = SpecSuite::make("429.mcf", seedFor("429.mcf"));
         const std::vector<SimResult> swept =
             runSingleCoreLockstep(*gen, config, factories, /*threads=*/3);
@@ -227,6 +229,49 @@ TEST(LockstepSweepTest, ObservedConfigsMatchIndependentRuns)
             EXPECT_EQ(plain.auditsRun > 0, name == "audit");
         }
     }
+}
+
+TEST(LockstepSweepTest, PrefetchingTracedSweepsMatchIndependentRuns)
+{
+    // The prefetch suite's policies on every single-core benchmark, with
+    // the prefetcher and traced telemetry together.  The interval
+    // divides no chunk, so epochs close mid-chunk, at a different offset
+    // in each chunk.
+    SimConfig config;
+    config.accesses = 40'000;
+    config.warmup = 10'000;
+    config.withPrefetcher = true;
+    config.telemetry.enabled = true;
+    config.telemetry.traceEvents = true;
+    config.telemetry.interval = 7'777;
+    std::vector<PolicyFactory> factories;
+    for (const PrefetchVariant &variant : prefetchVariants())
+        factories.push_back(variant.makePolicy);
+
+    uint64_t filled = 0;
+    for (const std::string &bench : SpecSuite::singleCoreNames()) {
+        std::vector<SimResult> plain;
+        for (const PolicyFactory &makePol : factories) {
+            auto gen = SpecSuite::make(bench, seedFor(bench));
+            Hierarchy hierarchy = makeHierarchy(config, makePol());
+            plain.push_back(runSingleCore(*gen, hierarchy, config));
+            filled += hierarchy.llc().stats().prefetchFills;
+        }
+        for (unsigned threads : {1u, 4u}) {
+            auto gen = SpecSuite::make(bench, seedFor(bench));
+            const std::vector<SimResult> swept =
+                runSingleCoreLockstep(*gen, config, factories, threads);
+            ASSERT_EQ(swept.size(), plain.size());
+            for (size_t c = 0; c < swept.size(); ++c) {
+                SCOPED_TRACE(bench + "/" + prefetchVariants()[c].key +
+                             " at " + std::to_string(threads) +
+                             " lane threads");
+                expectSameResult(swept[c], plain[c]);
+            }
+        }
+    }
+    // Prefetch fills reached the LLCs, so lanes had fills to skip.
+    EXPECT_GT(filled, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -283,7 +328,6 @@ TEST(MultiCoreLockstepTest, ObservedConfigsMatchIndependentRuns)
 {
     const WorkloadSpec workload = randomWorkloads(1, 2, 7)[0];
     for (const auto &[name, config] : observedConfigs(quickMultiConfig(2))) {
-        ASSERT_TRUE(observesGlobalOrder(config)) << name;
         const std::vector<MultiCoreResult> swept =
             runMultiCoreLockstep(workload, kSharedPolicies, config, 4);
         ASSERT_EQ(swept.size(), kSharedPolicies.size());
@@ -407,12 +451,18 @@ struct SuiteRun
 {
     std::vector<std::string> keys;
     std::string dump;
+    /** The deterministic TRACE file's text. */
+    std::string trace;
 };
 
+/** Runs `jobs` on two workers; the TRACE file goes to a fresh TempDir
+ *  subdirectory named after the running test and `tag`. */
 SuiteRun
-runJobs(const std::string &suiteName, const std::vector<Job> &jobs)
+runJobs(const std::string &suiteName, const std::vector<Job> &jobs,
+        const std::string &tag)
 {
     ResultsSink sink(suiteName);
+    sink.setDeterministicFile(true);
     ExecutorOptions eopts;
     eopts.workers = 2;
     SuiteRun run;
@@ -422,11 +472,47 @@ runJobs(const std::string &suiteName, const std::vector<Job> &jobs)
         sink.add(std::move(record));
     }
     run.dump = sink.toJson(/*includeVolatile=*/false).dump(2);
+
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) /
+        (std::string("lockstep_") +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + tag);
+    std::filesystem::create_directories(dir);
+    std::string path;
+    EXPECT_TRUE(sink.writeTraceFile(dir.string(), &path));
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    run.trace = text.str();
     return run;
 }
 
+/** EXPECT_EQ for long texts that names the first line where they
+ *  differ; gtest's own string diff is quadratic in the line count. */
+void
+expectSameText(const std::string &a, const std::string &b,
+               const std::string &what)
+{
+    if (a == b)
+        return;
+    std::istringstream as(a), bs(b);
+    std::string la, lb;
+    for (size_t line = 1;; ++line) {
+        const bool moreA = static_cast<bool>(std::getline(as, la));
+        const bool moreB = static_cast<bool>(std::getline(bs, lb));
+        if (moreA != moreB || la != lb || !moreA) {
+            ADD_FAILURE() << what << " differ at line " << line << ":\n  "
+                          << (moreA ? la : "<end>") << "\n  "
+                          << (moreB ? lb : "<end>");
+            return;
+        }
+    }
+}
+
 /** Runs the suite grouped and ungrouped, expects the same records in
- *  the same order, and returns the grouped job list. */
+ *  the same order and the same BENCH and TRACE text, and returns the
+ *  grouped job list. */
 std::vector<Job>
 expectGroupingInvisible(const std::string &suiteName,
                         const SuiteOptions &options)
@@ -438,13 +524,18 @@ expectGroupingInvisible(const std::string &suiteName,
     const std::vector<Job> grouped = selectJobs(*suite, options);
     const std::vector<Job> cells = ungroupedJobs(*suite, options);
     EXPECT_LT(grouped.size(), cells.size());
-    const SuiteRun a = runJobs(suiteName, grouped);
-    const SuiteRun b = runJobs(suiteName, cells);
+    const SuiteRun a = runJobs(suiteName, grouped, "grouped");
+    const SuiteRun b = runJobs(suiteName, cells, "cells");
     EXPECT_EQ(a.keys, b.keys);
-    EXPECT_EQ(a.dump, b.dump);
+    expectSameText(a.dump, b.dump, "BENCH dumps");
+    expectSameText(a.trace, b.trace, "TRACE files");
     EXPECT_NE(a.dump.find("\"llc_misses\""), std::string::npos);
+    if (options.trace) {
+        EXPECT_NE(a.trace.find("\"type\":\"epoch\""), std::string::npos);
+    }
     return grouped;
 }
+
 
 SuiteOptions
 quickSuite(std::string filter = "")
@@ -452,6 +543,16 @@ quickSuite(std::string filter = "")
     SuiteOptions options;
     options.scale = 0.02;
     options.filter = std::move(filter);
+    return options;
+}
+
+/** quickSuite(filter) with traced telemetry. */
+SuiteOptions
+tracedSuite(std::string filter)
+{
+    SuiteOptions options = quickSuite(std::move(filter));
+    options.telemetry = true;
+    options.trace = true;
     return options;
 }
 
@@ -571,34 +672,22 @@ TEST(SuiteLockstepTest, OneCellFilterYieldsOneRecord)
     EXPECT_EQ(records[0].outcome.single->policy, "SPDP-B");
 }
 
-TEST(SuiteLockstepTest, TelemetryConfigIsNeverGrouped)
+TEST(SuiteLockstepTest, Fig4TracedGroupedDumpMatchesUngrouped)
 {
-    const Suite *suite = findSuite("fig4_static_pdp");
-    ASSERT_NE(suite, nullptr);
-    SuiteOptions options = quickSuite("fig4/429.mcf/");
-    options.telemetry = true;
-    const std::vector<Job> jobs = selectJobs(*suite, options);
-    EXPECT_EQ(jobs.size(), ungroupedJobs(*suite, options).size());
-    for (const Job &job : jobs) {
-        EXPECT_TRUE(job.cell.has_value()) << job.key;
-        EXPECT_TRUE(job.run != nullptr) << job.key;
-    }
+    // Observed cells fold like any other: each lane samples its own
+    // epochs and records its own events.
+    const std::vector<Job> grouped = expectGroupingInvisible(
+        "fig4_static_pdp", tracedSuite("fig4/429.mcf/"));
+    EXPECT_EQ(grouped.size(), 1u);
 }
 
-TEST(SuiteLockstepTest, MultiCoreTelemetryConfigIsNeverGrouped)
+TEST(SuiteLockstepTest, Fig12TracedGroupedDumpMatchesUngrouped)
 {
-    const Suite *suite = findSuite("fig12_partitioning");
-    ASSERT_NE(suite, nullptr);
-    SuiteOptions options = quickSuite("fig12/4c/w0/");
-    options.telemetry = true;
-    const std::vector<Job> jobs = selectJobs(*suite, options);
-    EXPECT_EQ(jobs.size(), 5u);
-    for (const Job &job : jobs) {
-        ASSERT_TRUE(job.cell.has_value()) << job.key;
-        EXPECT_TRUE(std::holds_alternative<MultiCoreCell>(*job.cell))
-            << job.key;
-        EXPECT_TRUE(job.run != nullptr) << job.key;
-    }
+    const std::vector<Job> grouped = expectGroupingInvisible(
+        "fig12_partitioning", tracedSuite("fig12/4c/w0/"));
+    ASSERT_EQ(grouped.size(), 1u);
+    EXPECT_EQ(grouped[0].key, "fig12/4c/w0/TA-DRRIP..fig12/4c/w0/PDP-3");
+    EXPECT_TRUE(grouped[0].runMany != nullptr);
 }
 
 TEST(SuiteLockstepTest, LaneExceptionIsTheSameAtAnyThreadCount)

@@ -115,8 +115,8 @@ TEST(StaticPdSearch, FindsTheSweetSpot)
 
 TEST(StaticPdSearch, PrefetcherConfigMatchesIndependentRuns)
 {
-    // The prefetcher observes the global access order, so the search
-    // runs each PD alone, as independent runSingleCore calls would.
+    // The search's lanes share one prefetching front-end, and each PD
+    // must still see what an independent runSingleCore call would.
     SimConfig config;
     config.accesses = 50000;
     config.warmup = 10000;
