@@ -5,12 +5,14 @@
  * in suites.cc (Fig. 2 and Table 2 are sections of the fig4_static_pdp
  * report).
  *
- * A cell that is a (benchmark, policy, SimConfig) triple is a plain
+ * Every simulated (benchmark, policy, SimConfig) triple is a
  * singleCoreJob, so runner::selectJobs folds each benchmark's cells into
- * one lockstep sweep.  A result that needs a policy's or model's
- * internals — occupancy, PD history, E(d_p), the PD-compute processor,
- * SRAM bits — is one job that records them as JobOutcome::metrics, which
- * the deterministic dumps keep.
+ * one lockstep sweep.  A cell that reads its LLC's internals — occupancy,
+ * PD history, prefetch fills — carries an LlcProbe that records them as
+ * JobOutcome::metrics, which the deterministic dumps keep.  A Fig. 5a
+ * SPDP row runs its PD grid as one sweep and records the best lane; a
+ * result with no simulation (an RDD, E(d_p), the PD-compute processor,
+ * SRAM bits) is a metrics job.
  */
 
 #include "runner/suites.h"
@@ -25,6 +27,7 @@
 #include "core/rdd.h"
 #include "hw/overhead_model.h"
 #include "hw/pdproc.h"
+#include "runner/suite_helpers.h"
 #include "sim/policy_factory.h"
 #include "sim/static_pd_search.h"
 #include "trace/rdd_fingerprint.h"
@@ -40,8 +43,6 @@ namespace runner
 
 namespace
 {
-
-using Metrics = std::map<std::string, double>;
 
 /** `value` zero-padded to three digits, so numbered metrics sort in
  *  numeric order in the JSON. */
@@ -192,38 +193,15 @@ const std::vector<std::string> kFig5aShares = {
     "acc:hit", "acc:bypass",    "acc:evict<=16", "acc:evict>16",
     "occ:hit", "occ:evict<=16", "occ:evict>16"};
 
-/** One Fig. 5a row: a SPDP row first finds its best static PD over one
- *  lockstep decode of the job's own stream, then every row runs once
- *  with an OccupancyTracker on the LLC. */
-Job
-occupancyJob(const std::string &bench, const std::string &policy,
-             const SimConfig &config)
+/** Fig. 5a's probe: an OccupancyTracker on the LLC from before warmup,
+ *  read into the breakdown's shares and its longest residency. */
+ProbeReadout
+occupancyProbe(Cache &llc)
 {
-    Job job;
-    job.key = "fig5a/" + bench + "/" + policy;
-    job.seed = seedFor(bench);
-    job.run = [bench, policy, config](const JobContext &ctx) {
-        JobOutcome outcome;
-        std::string spec = policy;
-        if (policy != "DRRIP") {
-            // The search is not a recorded run, so it records no
-            // telemetry.
-            SimConfig search = config;
-            search.telemetry = {};
-            const uint32_t pd =
-                bestStaticPd(bench, policy == "SPDP-B", search, {},
-                             ctx.seed, ctx.laneThreads)
-                    .bestPd;
-            spec += ":" + std::to_string(pd);
-            outcome.metrics["pd"] = pd;
-        }
-        auto gen = SpecSuite::make(bench, ctx.seed);
-        Hierarchy hierarchy = makeHierarchy(config, makePolicy(spec));
-        OccupancyTracker tracker(hierarchy.llc());
-        hierarchy.llc().setObserver(&tracker);
-        outcome.single = runSingleCore(*gen, hierarchy, config);
-
-        const OccupancyBreakdown &b = tracker.breakdown();
+    auto tracker = std::make_shared<OccupancyTracker>(llc);
+    llc.setObserver(tracker.get());
+    return [tracker](Metrics &m) {
+        const OccupancyBreakdown &b = tracker->breakdown();
         const uint64_t parts[] = {b.hits,          b.bypasses,
                                   b.evictsShort,   b.evictsLong,
                                   b.occupancyHits, b.occupancyShort,
@@ -231,12 +209,35 @@ occupancyJob(const std::string &bench, const std::string &policy,
         for (size_t i = 0; i < kFig5aShares.size(); ++i) {
             const double total = static_cast<double>(
                 i < 4 ? b.totalEvents() : b.totalOccupancy());
-            outcome.metrics[kFig5aShares[i]] =
-                total > 0 ? parts[i] / total : 0.0;
+            m[kFig5aShares[i]] = total > 0 ? parts[i] / total : 0.0;
         }
-        outcome.metrics["max occupancy"] =
-            static_cast<double>(b.maxOccupancy);
-        return outcome;
+        m["max occupancy"] = static_cast<double>(b.maxOccupancy);
+    };
+}
+
+/** A Fig. 5a SPDP row: the PD grid as one sweep with a tracker on every
+ *  lane, recording the lane with the fewest misses (as bestStaticPd
+ *  picks) and its PD. */
+Job
+spdpRowJob(const std::string &bench, bool bypass, const SimConfig &config)
+{
+    Job job;
+    job.key = "fig5a/" + bench + (bypass ? "/SPDP-B" : "/SPDP-NB");
+    job.seed = seedFor(bench);
+    job.run = [bench, bypass, config](const JobContext &ctx) {
+        const std::vector<uint32_t> grid = defaultPdGrid();
+        std::vector<SingleCoreCell> cells;
+        for (uint32_t pd : grid)
+            cells.push_back(
+                {bench, spdpPolicy(bypass, pd), config, occupancyProbe});
+        std::vector<JobOutcome> lanes = runCells(cells, ctx);
+        std::vector<const SimResult *> results;
+        for (const JobOutcome &lane : lanes)
+            results.push_back(&*lane.single);
+        const size_t best = fewestMisses(results);
+        JobOutcome row = std::move(lanes[best]);
+        row.metrics["pd"] = grid[best];
+        return row;
     };
     return job;
 }
@@ -246,9 +247,13 @@ buildFig5a(const SuiteOptions &options)
 {
     const SimConfig config = scaledConfig(options, 2'000'000, 800'000);
     std::vector<Job> jobs;
-    for (const std::string &bench : kFig5aBenches)
-        for (const std::string &policy : kFig5aPolicies)
-            jobs.push_back(occupancyJob(bench, policy, config));
+    for (const std::string &bench : kFig5aBenches) {
+        jobs.push_back(singleCoreJob(
+            "fig5a/" + bench + "/DRRIP", bench,
+            [] { return makePolicy("DRRIP"); }, config, occupancyProbe));
+        for (bool bypass : {false, true})
+            jobs.push_back(spdpRowJob(bench, bypass, config));
+    }
     return jobs;
 }
 
@@ -493,7 +498,7 @@ reportFig9(std::ostream &out, const RecordLookup &records)
 // ---------------------------------------------------------------------------
 // fig11_phases — Fig. 11 on the phase-change benchmarks: (a) the PD
 // recompute interval, (b) DRRIP and PDP-8 vs DIP, (c) PDP-8's PD over
-// time.  The PDP-8 job of (b) also records the PD history of (c).
+// time.  The PDP-8 cell of (b) also records the PD history of (c).
 
 const std::vector<std::pair<std::string, uint64_t>> kFig11Intervals = {
     {"256K", 256 * 1024}, {"1M", 1u << 20}, {"2M", 2u << 20},
@@ -502,28 +507,18 @@ const std::vector<std::pair<std::string, uint64_t>> kFig11Intervals = {
 /** Fewest PD recomputes that make a Fig. 11c series. */
 constexpr size_t kMinRecomputes = 3;
 
-/** PDP-8 (n_c = 8, 512K-access recompute interval) with its PD history:
- *  `recomputes` plus one pd_<i> metric per recomputation. */
-Job
-pdHistoryJob(const std::string &bench, const SimConfig &config)
+/** Fig. 11c's probe on PDP-8 (n_c = 8, 512K-access recompute interval):
+ *  its PD history, as `recomputes` plus one pd_<i> per recomputation. */
+ProbeReadout
+pdHistoryProbe(Cache &llc)
 {
-    Job job;
-    job.key = "fig11/" + bench + "/PDP-8";
-    job.seed = seedFor(bench);
-    job.run = [bench, config](const JobContext &ctx) {
-        std::unique_ptr<PdpPolicy> policy = makeDynamicPdp(8);
-        const PdpPolicy &pdp = *policy;
-        auto gen = SpecSuite::make(bench, ctx.seed);
-        Hierarchy hierarchy = makeHierarchy(config, std::move(policy));
-        JobOutcome outcome;
-        outcome.single = runSingleCore(*gen, hierarchy, config);
+    const auto &pdp = dynamic_cast<const PdpPolicy &>(llc.policy());
+    return [&pdp](Metrics &m) {
         const std::vector<PdSample> &history = pdp.pdHistory();
-        outcome.metrics["recomputes"] = static_cast<double>(history.size());
+        m["recomputes"] = static_cast<double>(history.size());
         for (size_t i = 0; i < history.size(); ++i)
-            outcome.metrics["pd_" + padded(i)] = history[i].pd;
-        return outcome;
+            m["pd_" + padded(i)] = history[i].pd;
     };
-    return job;
 }
 
 std::vector<Job>
@@ -547,7 +542,9 @@ buildFig11(const SuiteOptions &options)
         for (const char *policy : {"DIP", "DRRIP"})
             jobs.push_back(singleCoreJob(prefix + policy, bench, policy,
                                          config));
-        jobs.push_back(pdHistoryJob(bench, config));
+        jobs.push_back(singleCoreJob(
+            prefix + "PDP-8", bench, [] { return makeDynamicPdp(8); },
+            config, pdHistoryProbe));
     }
     return jobs;
 }
@@ -624,30 +621,17 @@ reportFig11(std::ostream &out, const RecordLookup &records)
 // ---------------------------------------------------------------------------
 // prefetch — Sec. 6.5: with the stream prefetcher filling the LLC,
 // prefetch-unaware PDP-8 and its two prefetch-aware variants vs DRRIP.
-// Each cell is its own sequential job because it records its LLC's
-// prefetch fills beside the result.
 
-/** One prefetching cell; records the LLC's prefetch fills beside the
- *  result, since a variant can only differ from unaware PDP-8 where
- *  some prefetch was filled. */
-Job
-prefetchJob(const std::string &bench, const PrefetchVariant &variant,
-            const SimConfig &config)
+/** Sec. 6.5's probe: the LLC's measured-phase prefetch fills, recorded
+ *  beside the result since a variant can only differ from unaware PDP-8
+ *  where some prefetch was filled. */
+ProbeReadout
+prefetchFillProbe(Cache &llc)
 {
-    Job job;
-    job.key = "prefetch/" + bench + "/" + variant.key;
-    job.seed = seedFor(bench);
-    job.run = [bench, makePol = variant.makePolicy,
-               config](const JobContext &ctx) {
-        auto gen = SpecSuite::make(bench, ctx.seed);
-        Hierarchy hierarchy = makeHierarchy(config, makePol());
-        JobOutcome outcome;
-        outcome.single = runSingleCore(*gen, hierarchy, config);
-        outcome.metrics["llc_prefetch_fills"] =
-            static_cast<double>(hierarchy.llc().stats().prefetchFills);
-        return outcome;
+    return [&llc](Metrics &m) {
+        m["llc_prefetch_fills"] =
+            static_cast<double>(llc.stats().prefetchFills);
     };
-    return job;
 }
 
 std::vector<Job>
@@ -658,7 +642,9 @@ buildPrefetch(const SuiteOptions &options)
     std::vector<Job> jobs;
     for (const std::string &bench : SpecSuite::singleCoreNames())
         for (const PrefetchVariant &variant : prefetchVariants())
-            jobs.push_back(prefetchJob(bench, variant, config));
+            jobs.push_back(singleCoreJob(
+                "prefetch/" + bench + "/" + variant.key, bench,
+                variant.makePolicy, config, prefetchFillProbe));
     return jobs;
 }
 

@@ -31,12 +31,11 @@
  * simulator state is job-local, results are bit-identical no matter how
  * many workers run the grid or in which order jobs complete.
  *
- * Multi-core cells: a multiCoreJob records its workload, shared-policy
- * spec and MultiCoreConfig in Job::cell, as a singleCoreJob records its
- * benchmark, policy factory and SimConfig, so runner::selectJobs folds a
- * mix's adjacent policies into one lockstep sweep.  Its seed is
- * seedFor(workload label), but instantiate(workload) seeds its
- * generators (a fixed seed per core), not Job::seed.
+ * Simulation cells: singleCoreJob and multiCoreJob set Job::cell and no
+ * callable; runner::selectJobs runs each stretch of adjacent cells over
+ * one stream as one lockstep sweep, a lone cell as a one-lane job under
+ * its own key.  A multi-core cell's seed is seedFor(workload label), but
+ * instantiate(workload) seeds its generators (a fixed seed per core).
  */
 
 #ifndef PDP_RUNNER_JOB_H
@@ -90,14 +89,16 @@ struct JobContext
     unsigned laneThreads = 1;
 };
 
+/** A record's scalar metrics (sorted map => deterministic JSON order). */
+using Metrics = std::map<std::string, double>;
+
 /** What a job produced: structured sim results and/or scalar metrics. */
 struct JobOutcome
 {
     std::optional<SimResult> single;
     std::optional<MultiCoreResult> multi;
     std::optional<ServiceResult> service;
-    /** Extra scalar metrics (sorted map => deterministic JSON order). */
-    std::map<std::string, double> metrics;
+    Metrics metrics;
 };
 
 /** One keyed result out of a multi-result job (Job::runMany). */
@@ -128,12 +129,23 @@ toString(JobStatus status)
     return "unknown";
 }
 
+/** Adds what a probe read to its cell's record; runs after the run,
+ *  while the cell's LLC still lives. */
+using ProbeReadout = std::function<void(Metrics &)>;
+
+/** Instruments one single-core cell's LLC: armed on it before warmup
+ *  (it may attach a CacheObserver there), it returns the readout. */
+using LlcProbe = std::function<ProbeReadout(Cache &llc)>;
+
 /** One single-core simulation cell (runner::singleCoreJob). */
 struct SingleCoreCell
 {
     std::string benchmark;
     PolicyFactory makePolicy;
     SimConfig config;
+    /** Empty for a cell whose record is its SimResult alone.  Each arm
+     *  builds its own state, per the ownership rule. */
+    LlcProbe probe;
 };
 
 /** One multi-core simulation cell (runner::multiCoreJob). */
@@ -144,7 +156,7 @@ struct MultiCoreCell
     MultiCoreConfig config;
 };
 
-/** What a simulation job's `run` simulates. */
+/** A simulation cell of either kind. */
 using SimCell = std::variant<SingleCoreCell, MultiCoreCell>;
 
 /** One schedulable unit of an experiment. */
@@ -164,8 +176,8 @@ struct Job
      *  so downstream consumers (sinks, reports) can't tell a fanned-out
      *  job from the equivalent independent jobs. */
     std::function<std::vector<KeyedOutcome>(const JobContext &)> runMany;
-    /** What a simulation `run` simulates, for runner::selectJobs to
-     *  fold into a lockstep sweep; empty for every other job. */
+    /** A simulation cell, set instead of run/runMany: runner::
+     *  selectJobs turns it into a lane job (see the file comment). */
     std::optional<SimCell> cell;
 };
 

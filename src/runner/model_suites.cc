@@ -17,7 +17,6 @@
 #include "core/pdp_policy.h"
 #include "model/analytic_model.h"
 #include "runner/suite_helpers.h"
-#include "sim/lockstep_sweep.h"
 #include "sim/policy_factory.h"
 #include "sim/static_pd_search.h"
 #include "trace/rdd_fingerprint.h"
@@ -47,18 +46,14 @@ namespace
  *  for no extra information about model quality). */
 const std::vector<uint32_t> kValidationPds = {16, 32, 64, 128, 256};
 
-/** What a model job takes from one benchmark's fingerprint: the cells'
- *  policies, and the job's records — first one per cell (its key and
+/** What a model job takes from one benchmark's fingerprint: the cells
+ *  to simulate, and the job's records — first one per cell (its key and
  *  the metrics the model gave it), then any that are no cell's own. */
 struct ModelPlan
 {
-    std::vector<PolicyFactory> policies;
+    std::vector<SingleCoreCell> cells;
     std::vector<KeyedOutcome> records;
 };
-
-/** Adds the metrics of a cell that need its simulated result. */
-using CellCheck = void (*)(const SimResult &,
-                           std::map<std::string, double> &);
 
 double
 hitRate(const SimResult &r)
@@ -70,31 +65,27 @@ hitRate(const SimResult &r)
 /**
  * One benchmark's model job: fingerprint the config's measured window
  * once, let `plan` pick and predict the cells in microseconds, simulate
- * them all in one runSingleCoreLockstep call and add each cell's result
- * to its record, with `check`'s metrics if any.
+ * them all in one runCells sweep and add each cell's outcome to its
+ * record.
  */
 Job
 modelJob(std::string key, const std::string &bench, const SimConfig &config,
-         std::function<ModelPlan(const RddFingerprint &)> plan,
-         CellCheck check = nullptr)
+         std::function<ModelPlan(const RddFingerprint &)> plan)
 {
     Job job;
     job.key = std::move(key);
     job.seed = seedFor(bench);
-    job.runMany = [bench, config, plan = std::move(plan),
-                   check](const JobContext &ctx) {
+    job.runMany = [bench, config,
+                   plan = std::move(plan)](const JobContext &ctx) {
         FingerprintOptions fopt;
         fopt.accesses = config.accesses;
         fopt.warmup = config.warmup;
         ModelPlan chosen = plan(fingerprintBenchmark(bench, ctx.seed, fopt));
-        auto gen = SpecSuite::make(bench, ctx.seed);
-        std::vector<SimResult> results = runSingleCoreLockstep(
-            *gen, config, chosen.policies, ctx.laneThreads);
-        for (size_t c = 0; c < results.size(); ++c) {
+        std::vector<JobOutcome> outcomes = runCells(chosen.cells, ctx);
+        for (size_t c = 0; c < outcomes.size(); ++c) {
             JobOutcome &outcome = chosen.records[c].outcome;
-            if (check)
-                check(results[c], outcome.metrics);
-            outcome.single = std::move(results[c]);
+            outcome.single = std::move(outcomes[c].single);
+            outcome.metrics.merge(outcomes[c].metrics);
         }
         return std::move(chosen.records);
     };
@@ -108,18 +99,37 @@ spdpFamily(bool bypass)
     return bypass ? "SPDP-B:" : "SPDP-NB:";
 }
 
-/** model_validation's cells: kValidationPds under SPDP-NB, then SPDP-B,
- *  then LRU, each with the model's prediction and error bar. */
+/** model_validation's per-cell error: the simulated hit rate (and, for
+ *  a bypassing cell, bypass fraction) beside the predicted `hit`. */
+LlcProbe
+errorProbe(double hit, bool bypass)
+{
+    return [hit, bypass](Cache &llc) -> ProbeReadout {
+        return [hit, bypass, &llc](Metrics &m) {
+            const double sim = llc.stats().hitRate();
+            m["sim_hit_rate"] = sim;
+            m["abs_err"] = std::fabs(hit - sim);
+            if (bypass)
+                m["sim_bypass"] = llc.stats().bypassRate();
+        };
+    };
+}
+
+/** model_validation's cells of `bench`: kValidationPds under SPDP-NB,
+ *  then SPDP-B, then LRU, each with the model's prediction and error
+ *  bar, and the error probe. */
 ModelPlan
-validationPlan(const RddFingerprint &fp, const std::string &prefix)
+validationPlan(const RddFingerprint &fp, const std::string &bench,
+               const SimConfig &config)
 {
     const model::AnalyticModel estimator;
     ModelPlan plan;
     const auto add = [&](const std::string &cell, PolicyFactory makePol,
                          const model::Prediction &pred, bool bypass) {
-        plan.policies.push_back(std::move(makePol));
+        plan.cells.push_back({bench, std::move(makePol), config,
+                              errorProbe(pred.hitRate, bypass)});
         KeyedOutcome &record = plan.records.emplace_back();
-        record.key = prefix + cell;
+        record.key = "model_validation/" + bench + "/" + cell;
         auto &m = record.outcome.metrics;
         m["pred_hit_rate"] = pred.hitRate;
         m["err_bar"] = pred.errorBar;
@@ -135,18 +145,6 @@ validationPlan(const RddFingerprint &fp, const std::string &prefix)
     return plan;
 }
 
-/** model_validation's per-cell error: the simulated hit rate (and, where
- *  the model predicted one, bypass fraction) beside the prediction. */
-void
-recordError(const SimResult &r, std::map<std::string, double> &m)
-{
-    const double sim = hitRate(r);
-    m["sim_hit_rate"] = sim;
-    m["abs_err"] = std::fabs(m.at("pred_hit_rate") - sim);
-    if (m.contains("pred_bypass"))
-        m["sim_bypass"] = r.bypassFraction;
-}
-
 std::vector<Job>
 buildModelValidation(const SuiteOptions &options)
 {
@@ -154,15 +152,12 @@ buildModelValidation(const SuiteOptions &options)
     // pins the committed error bounds to it).
     const SimConfig config = scaledConfig(options, 2'000'000, 600'000);
     std::vector<Job> jobs;
-    for (const std::string &bench : SpecSuite::singleCoreNames()) {
-        const std::string prefix = "model_validation/" + bench + "/";
+    for (const std::string &bench : SpecSuite::singleCoreNames())
         jobs.push_back(modelJob(
-            prefix + "lockstep", bench, config,
-            [prefix](const RddFingerprint &fp) {
-                return validationPlan(fp, prefix);
-            },
-            recordError));
-    }
+            "model_validation/" + bench + "/lockstep", bench, config,
+            [bench, config](const RddFingerprint &fp) {
+                return validationPlan(fp, bench, config);
+            }));
     return jobs;
 }
 
@@ -316,14 +311,16 @@ namespace
  *  the exhaustive grid's record keys, then one "model" summary record
  *  (pure deterministic metrics, no wall-clock). */
 ModelPlan
-explorePlan(const RddFingerprint &fp, const std::string &bench)
+explorePlan(const RddFingerprint &fp, const std::string &bench,
+            const SimConfig &config)
 {
     const std::string prefix = "explore/" + bench + "/";
     const ExplorePlan plan =
         planExplore(fp, kExploreTopK, seedFor(bench + "/explore-audit"));
     ModelPlan cells;
     for (const ExploreCell &cell : plan.chosen) {
-        cells.policies.push_back(spdpPolicy(cell.bypass, cell.pd));
+        cells.cells.push_back(
+            {bench, spdpPolicy(cell.bypass, cell.pd), config, {}});
         KeyedOutcome &record = cells.records.emplace_back();
         record.key =
             prefix + spdpFamily(cell.bypass) + std::to_string(cell.pd);
@@ -354,10 +351,11 @@ buildExplore(const SuiteOptions &options)
         const std::string prefix = "explore/" + bench + "/";
         if (options.explore) {
             // The top-K contenders per family plus the audit cell.
-            jobs.push_back(modelJob(prefix + "pruned", bench, config,
-                                    [bench](const RddFingerprint &fp) {
-                                        return explorePlan(fp, bench);
-                                    }));
+            jobs.push_back(
+                modelJob(prefix + "pruned", bench, config,
+                         [bench, config](const RddFingerprint &fp) {
+                             return explorePlan(fp, bench, config);
+                         }));
             continue;
         }
         for (bool byp : {false, true})

@@ -1,9 +1,9 @@
 /**
  * @file
- * Helpers that more than one suite family shares (suites.cc, policy_
- * suites.cc, model_suites.cc, hotpath_suite.cc, service_suite.cc): the
- * suites' telemetry knobs, the multi-core config scaler, the static-PD
- * grid's best point and the explore planner.  Internal to src/runner.
+ * Helpers that more than one suite family shares: the single-core cell
+ * runner, the suites' telemetry knobs, the multi-core config scaler,
+ * the static-PD grid's best point and the explore planner.  Internal
+ * to src/runner.
  */
 
 #ifndef PDP_RUNNER_SUITE_HELPERS_H
@@ -25,6 +25,12 @@ namespace runner
 
 /** The per-run telemetry knobs a suite's options ask for. */
 telemetry::TelemetryConfig telemetryConfig(const SuiteOptions &options);
+
+/** The outcomes of `cells`, single-core cells over one benchmark and
+ *  config, from one lockstep sweep seeded with ctx.seed: each cell's
+ *  SimResult and its probe's metrics, in cell order. */
+std::vector<JobOutcome> runCells(const std::vector<SingleCoreCell> &cells,
+                                 const JobContext &ctx);
 
 /** The `cores`-core config at options.scale; like scaledConfig, it
  *  refuses a scale that leaves a thread no measured access. */

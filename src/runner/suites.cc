@@ -2,10 +2,8 @@
 
 #include <optional>
 #include <ostream>
-#include <type_traits>
 #include <variant>
 
-#include "cache/hierarchy.h"
 #include "check/flight_recorder.h"
 #include "core/pdp_policy.h"
 #include "runner/suite_helpers.h"
@@ -89,20 +87,13 @@ RecordLookup::keys() const
 
 Job
 singleCoreJob(std::string key, std::string benchmark, PolicyFactory makePol,
-              const SimConfig &config)
+              const SimConfig &config, LlcProbe probe)
 {
     Job job;
     job.key = std::move(key);
     job.seed = seedFor(benchmark);
-    SingleCoreCell cell{std::move(benchmark), std::move(makePol), config};
-    job.run = [cell](const JobContext &ctx) {
-        auto gen = SpecSuite::make(cell.benchmark, ctx.seed);
-        Hierarchy hierarchy = makeHierarchy(cell.config, cell.makePolicy());
-        JobOutcome outcome;
-        outcome.single = runSingleCore(*gen, hierarchy, cell.config);
-        return outcome;
-    };
-    job.cell = std::move(cell);
+    job.cell = SingleCoreCell{std::move(benchmark), std::move(makePol),
+                              config, std::move(probe)};
     return job;
 }
 
@@ -123,13 +114,8 @@ multiCoreJob(std::string key, WorkloadSpec workload, std::string policySpec,
     Job job;
     job.key = std::move(key);
     job.seed = seedFor(workload.label());
-    MultiCoreCell cell{std::move(workload), std::move(policySpec), config};
-    job.run = [cell](const JobContext &) {
-        JobOutcome outcome;
-        outcome.multi = runMultiCore(cell.workload, cell.policy, cell.config);
-        return outcome;
-    };
-    job.cell = std::move(cell);
+    job.cell = MultiCoreCell{std::move(workload), std::move(policySpec),
+                             config};
     return job;
 }
 
@@ -186,6 +172,30 @@ scaledConfig(const SuiteOptions &options, uint64_t accesses, uint64_t warmup)
     PDP_CHECK(config.accesses > 0, "--scale ", options.scale,
               " leaves a ", accesses, "-access run no measured access");
     return config;
+}
+
+std::vector<JobOutcome>
+runCells(const std::vector<SingleCoreCell> &cells, const JobContext &ctx)
+{
+    std::vector<PolicyFactory> factories;
+    for (const SingleCoreCell &cell : cells)
+        factories.push_back(cell.makePolicy);
+    std::vector<ProbeReadout> readouts(cells.size());
+    auto gen = SpecSuite::make(cells.at(0).benchmark, ctx.seed);
+    AccessGenerator *gens[] = {gen.get()};
+    std::vector<LockstepLane> lanes = runLockstepLanes(
+        gens, cells[0].config, factories, ctx.laneThreads,
+        [&cells, &readouts](size_t c, Cache &llc) {
+            if (cells[c].probe)
+                readouts[c] = cells[c].probe(llc);
+        });
+    std::vector<JobOutcome> outcomes(cells.size());
+    for (size_t c = 0; c < cells.size(); ++c) {
+        outcomes[c].single = singleCoreResult(*gen, lanes[c]);
+        if (readouts[c])
+            readouts[c](outcomes[c].metrics);
+    }
+    return outcomes;
 }
 
 GridBest
@@ -306,72 +316,56 @@ genericReport(std::ostream &out, const std::vector<JobRecord> &records)
     table.print(out);
 }
 
-bool
-sameStream(const SingleCoreCell &a, const SingleCoreCell &b)
-{
-    return a.benchmark == b.benchmark;
-}
-
-bool
-sameStream(const MultiCoreCell &a, const MultiCoreCell &b)
-{
-    return a.workload == b.workload;
-}
-
 /** Whether `next` may join the sweep that `first` opens: cells of one
  *  kind over the same stream and config. */
 bool
 sharesDecode(const Job &first, const Job &next)
 {
-    if (!first.cell || !next.cell || first.seed != next.seed ||
-        first.cell->index() != next.cell->index())
+    if (!first.cell || !next.cell || first.seed != next.seed)
         return false;
-    return std::visit(
-        [&next](const auto &a) {
-            const auto &b =
-                std::get<std::decay_t<decltype(a)>>(*next.cell);
-            return sameStream(a, b) && a.config == b.config;
-        },
-        *first.cell);
+    const auto *a = std::get_if<SingleCoreCell>(&*first.cell);
+    const auto *b = std::get_if<SingleCoreCell>(&*next.cell);
+    if (a || b)
+        return a && b && a->benchmark == b->benchmark &&
+            a->config == b->config;
+    const auto &x = std::get<MultiCoreCell>(*first.cell);
+    const auto &y = std::get<MultiCoreCell>(*next.cell);
+    return x.workload == y.workload && x.config == y.config;
 }
 
-/** The results of `cells`, which share one decode, from one lockstep
- *  sweep, under their `keys`, in cell order. */
-std::vector<KeyedOutcome>
-runSweep(const std::vector<std::string> &keys,
-         const std::vector<SimCell> &cells, const JobContext &ctx)
+/** The outcomes of `cells`, which share one decode, from one lockstep
+ *  sweep, in cell order. */
+std::vector<JobOutcome>
+runSweep(const std::vector<SimCell> &cells, const JobContext &ctx)
 {
-    std::vector<KeyedOutcome> outcomes(cells.size());
-    for (size_t c = 0; c < cells.size(); ++c)
-        outcomes[c].key = keys[c];
-    if (const auto *first = std::get_if<SingleCoreCell>(&cells[0])) {
-        std::vector<PolicyFactory> factories;
+    if (std::holds_alternative<SingleCoreCell>(cells[0])) {
+        std::vector<SingleCoreCell> singles;
         for (const SimCell &cell : cells)
-            factories.push_back(std::get<SingleCoreCell>(cell).makePolicy);
-        auto gen = SpecSuite::make(first->benchmark, ctx.seed);
-        std::vector<SimResult> results = runSingleCoreLockstep(
-            *gen, first->config, factories, ctx.laneThreads);
-        for (size_t c = 0; c < cells.size(); ++c)
-            outcomes[c].outcome.single = std::move(results[c]);
-    } else {
-        const MultiCoreCell &mix = std::get<MultiCoreCell>(cells[0]);
-        std::vector<std::string> policies;
-        for (const SimCell &cell : cells)
-            policies.push_back(std::get<MultiCoreCell>(cell).policy);
-        std::vector<MultiCoreResult> results = runMultiCoreLockstep(
-            mix.workload, policies, mix.config, ctx.laneThreads);
-        for (size_t c = 0; c < cells.size(); ++c)
-            outcomes[c].outcome.multi = std::move(results[c]);
+            singles.push_back(std::get<SingleCoreCell>(cell));
+        return runCells(singles, ctx);
     }
+    const MultiCoreCell &mix = std::get<MultiCoreCell>(cells[0]);
+    std::vector<std::string> policies;
+    for (const SimCell &cell : cells)
+        policies.push_back(std::get<MultiCoreCell>(cell).policy);
+    std::vector<MultiCoreResult> results = runMultiCoreLockstep(
+        mix.workload, policies, mix.config, ctx.laneThreads);
+    std::vector<JobOutcome> outcomes(cells.size());
+    for (size_t c = 0; c < cells.size(); ++c)
+        outcomes[c].multi = std::move(results[c]);
     return outcomes;
 }
 
-/** One lockstep sweep over the cells jobs[begin, end). */
+/** One lockstep sweep over the cells jobs[begin, end), keyed by its
+ *  first and last cell's keys, or by the cell's own key when alone; its
+ *  records carry the cells' own keys. */
 Job
 sweepJob(const std::vector<Job> &jobs, size_t begin, size_t end)
 {
     Job job;
-    job.key = jobs[begin].key + ".." + jobs[end - 1].key;
+    job.key = jobs[begin].key;
+    if (end - begin > 1)
+        job.key += ".." + jobs[end - 1].key;
     job.seed = jobs[begin].seed;
     std::vector<std::string> keys;
     std::vector<SimCell> cells;
@@ -381,7 +375,11 @@ sweepJob(const std::vector<Job> &jobs, size_t begin, size_t end)
     }
     job.runMany = [keys = std::move(keys),
                    cells = std::move(cells)](const JobContext &ctx) {
-        return runSweep(keys, cells, ctx);
+        std::vector<JobOutcome> results = runSweep(cells, ctx);
+        std::vector<KeyedOutcome> outcomes;
+        for (size_t c = 0; c < results.size(); ++c)
+            outcomes.push_back({keys[c], std::move(results[c])});
+        return outcomes;
     };
     return job;
 }
@@ -400,8 +398,8 @@ selectJobs(const Suite &suite, const SuiteOptions &options)
         end = begin + 1;
         while (end < jobs.size() && sharesDecode(jobs[begin], jobs[end]))
             ++end;
-        selected.push_back(end - begin == 1 ? std::move(jobs[begin])
-                                            : sweepJob(jobs, begin, end));
+        selected.push_back(jobs[begin].cell ? sweepJob(jobs, begin, end)
+                                            : std::move(jobs[begin]));
     }
     return selected;
 }

@@ -164,8 +164,8 @@ int runSuite(const Suite &suite, const SuiteOptions &options,
 /** The jobs runSuite() executes: the suite's grid narrowed to the keys
  *  that contain options.filter, each run of adjacent single- or
  *  multi-core cells that may share a decode folded into one lockstep
- *  sweep keyed "<first key>..<last key>" (DESIGN.md "Lockstep
- *  sweeps"). */
+ *  sweep keyed "<first key>..<last key>", and a lone cell run as a
+ *  one-lane job under its own key (DESIGN.md "Lockstep sweeps"). */
 std::vector<Job> selectJobs(const Suite &suite, const SuiteOptions &options);
 
 /** One policy of the prefetch suite (Sec. 6.5). */
@@ -190,22 +190,20 @@ SimConfig scaledConfig(const SuiteOptions &options,
                        uint64_t accesses = 3'000'000,
                        uint64_t warmup = 1'000'000);
 
-/**
- * A single-core simulation job: constructs generator (seeded with
- * seedFor(benchmark) so every policy of one benchmark sees the same
- * stream), policy and hierarchy inside the job, per the ownership rule.
- */
+/** A single-core simulation cell, seeded with seedFor(benchmark) so
+ *  every policy of one benchmark sees the same stream. */
 Job singleCoreJob(std::string key, std::string benchmark,
                   std::string policySpec, const SimConfig &config);
 
 /** Same, with an explicit policy builder for policies that have no
- *  factory spec (e.g. DRRIP at a swept epsilon).  The builder runs on
- *  the worker thread and must be self-contained. */
+ *  factory spec (e.g. DRRIP at a swept epsilon) and an optional LLC
+ *  probe.  Both run on the worker thread and must be self-contained. */
 Job singleCoreJob(std::string key, std::string benchmark,
-                  PolicyFactory makePol, const SimConfig &config);
+                  PolicyFactory makePol, const SimConfig &config,
+                  LlcProbe probe = {});
 
-/** A multi-core workload × policy job.  It records its cell, so
- *  selectJobs folds adjacent policies of one mix into one sweep. */
+/** A multi-core workload × policy cell; selectJobs folds adjacent
+ *  policies of one mix into one sweep. */
 Job multiCoreJob(std::string key, WorkloadSpec workload,
                  std::string policySpec, const MultiCoreConfig &config);
 

@@ -34,6 +34,12 @@ ThreadPoolExecutor::execute(const Job &job, unsigned laneThreads) const
     ctx.laneThreads = laneThreads;
 
     std::vector<JobRecord> group;
+    const auto fail = [&group, &job](std::string error) {
+        group.assign(1, JobRecord{});
+        group[0].key = job.key;
+        group[0].status = JobStatus::Failed;
+        group[0].error = std::move(error);
+    };
 
     // Bind this thread to the job so in-simulation capture sites (the
     // FlightScope inside a run) know which FLIGHT file they belong to.
@@ -58,43 +64,24 @@ ThreadPoolExecutor::execute(const Job &job, unsigned laneThreads) const
         PDP_CHECK((job.run != nullptr) + (job.runMany != nullptr) == 1,
                   "job \"", job.key,
                   "\" must set exactly one of run / runMany");
-        if (job.run) {
-            JobRecord record;
-            record.key = job.key;
-            record.seed = job.seed;
-            record.outcome = job.run(ctx);
+        // A run job is the one-outcome case of a runMany job.
+        std::vector<KeyedOutcome> outcomes;
+        if (job.run)
+            outcomes.push_back({job.key, job.run(ctx)});
+        else
+            outcomes = job.runMany(ctx);
+        PDP_CHECK(!outcomes.empty(), "job \"", job.key,
+                  "\" returned no outcomes");
+        for (KeyedOutcome &keyed : outcomes) {
+            JobRecord &record = group.emplace_back();
+            record.key = std::move(keyed.key);
+            record.outcome = std::move(keyed.outcome);
             record.status = JobStatus::Ok;
-            group.push_back(std::move(record));
-        } else {
-            std::vector<KeyedOutcome> outcomes = job.runMany(ctx);
-            PDP_CHECK(!outcomes.empty(), "job \"", job.key,
-                      "\" returned no outcomes");
-            group.reserve(outcomes.size());
-            for (KeyedOutcome &keyed : outcomes) {
-                JobRecord record;
-                record.key = std::move(keyed.key);
-                record.seed = job.seed;
-                record.outcome = std::move(keyed.outcome);
-                record.status = JobStatus::Ok;
-                group.push_back(std::move(record));
-            }
         }
     } catch (const std::exception &e) {
-        group.clear();
-        JobRecord record;
-        record.key = job.key;
-        record.seed = job.seed;
-        record.status = JobStatus::Failed;
-        record.error = e.what();
-        group.push_back(std::move(record));
+        fail(e.what());
     } catch (...) {
-        group.clear();
-        JobRecord record;
-        record.key = job.key;
-        record.seed = job.seed;
-        record.status = JobStatus::Failed;
-        record.error = "non-standard exception";
-        group.push_back(std::move(record));
+        fail("non-standard exception");
     }
     const double seconds =
         // pdplint: allow(wall-clock) see above: volatile timing only.
@@ -107,6 +94,7 @@ ThreadPoolExecutor::execute(const Job &job, unsigned laneThreads) const
         perfDelta = perf->read().since(perfBase);
 
     for (JobRecord &record : group) {
+        record.seed = job.seed;
         record.seconds = seconds;
         record.hw = perfDelta;
     }

@@ -125,7 +125,7 @@ std::vector<LockstepLane>
 runLockstepLanes(std::span<AccessGenerator *const> gens,
                  const SimConfig &config,
                  const std::vector<PolicyFactory> &makePolicies,
-                 unsigned threads)
+                 unsigned threads, const LaneHook &arm)
 {
     PDP_CHECK(!gens.empty(), "lockstep run with no generator");
     if (makePolicies.empty())
@@ -142,6 +142,8 @@ runLockstepLanes(std::span<AccessGenerator *const> gens,
         PDP_CHECK(policy != nullptr, "policy factory returned null");
         auto llc = std::make_unique<Cache>(config.hierarchy.llc,
                                            std::move(policy));
+        if (arm)
+            arm(lanes.size(), *llc);
         RunObservers observers(*llc, config.auditEvery, config.telemetry,
                                config.accesses * gens.size(),
                                config.hierarchy.numThreads);
@@ -171,13 +173,18 @@ runSingleCoreLockstep(AccessGenerator &gen, const SimConfig &config,
     AccessGenerator *gens[] = {&gen};
     std::vector<SimResult> results;
     for (LockstepLane &lane :
-         runLockstepLanes(gens, config, makePolicies, threads)) {
-        SimResult &result = results.emplace_back(
-            makeSimResult(gen.name(), lane.llc->policy().name(),
-                          lane.llc->stats(), lane.timers[0]));
-        lane.observers.finish(result);
-    }
+         runLockstepLanes(gens, config, makePolicies, threads))
+        results.push_back(singleCoreResult(gen, lane));
     return results;
+}
+
+SimResult
+singleCoreResult(const AccessGenerator &gen, LockstepLane &lane)
+{
+    SimResult result = makeSimResult(gen.name(), lane.llc->policy().name(),
+                                     lane.llc->stats(), lane.timers[0]);
+    lane.observers.finish(result);
+    return result;
 }
 
 } // namespace pdp

@@ -57,20 +57,29 @@ struct LockstepLane
     std::vector<uint8_t> levels;
 };
 
+/** Arms lane `lane`'s LLC before warmup, as a caller of runRoundRobin
+ *  arms its hierarchy's LLC (e.g. by attaching a CacheObserver). */
+using LaneHook = std::function<void(size_t lane, Cache &llc)>;
+
 /**
  * The lane engine, runRoundRobin's lockstep form: one front-end serves
  * `gens` round-robin and each chunk replays against one lane per
  * factory, in input order.  `threads` caps the per-chunk worker fan-out
- * over lanes (0 or 1 = inline).  The caller finish()es each lane's
- * observers into its result.  A lane's exception is rethrown after
- * every worker joins — the lowest-numbered failing lane's, so the error
- * is the same at any thread count.
+ * over lanes (0 or 1 = inline).  `arm`, if set, runs once per lane
+ * before warmup.  The caller finish()es each lane's observers into its
+ * result.  A lane's exception is rethrown after every worker joins —
+ * the lowest-numbered failing lane's, so the error is the same at any
+ * thread count.
  */
 std::vector<LockstepLane>
 runLockstepLanes(std::span<AccessGenerator *const> gens,
                  const SimConfig &config,
                  const std::vector<PolicyFactory> &makePolicies,
-                 unsigned threads);
+                 unsigned threads, const LaneHook &arm = {});
+
+/** `lane`'s result over gen's stream, as runSingleCore would give it,
+ *  with the lane's observers finished into it. */
+SimResult singleCoreResult(const AccessGenerator &gen, LockstepLane &lane);
 
 /** One SimResult per factory, each as runSingleCore would give it over
  *  gen's stream from where it stands: one runLockstepLanes decode. */

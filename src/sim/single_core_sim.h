@@ -139,8 +139,8 @@ RunObservers runRoundRobin(std::span<AccessGenerator *const> gens,
 
 /**
  * Drive `gen` through an existing hierarchy: runRoundRobin's
- * one-generator case.  The caller keeps access to the hierarchy for
- * instrumentation (PD history, occupancy observers).
+ * one-generator case.  The caller keeps the hierarchy, so it can attach
+ * a CacheObserver to the LLC before the run and read the LLC after it.
  */
 SimResult runSingleCore(AccessGenerator &gen, Hierarchy &hierarchy,
                         const SimConfig &config);

@@ -29,8 +29,7 @@ fewestMisses(const std::vector<const SimResult *> &results)
 
 StaticPdResult
 bestStaticPd(const std::string &benchmark, bool bypass,
-             const SimConfig &config, std::vector<uint32_t> grid,
-             uint64_t seed, unsigned threads)
+             const SimConfig &config, std::vector<uint32_t> grid)
 {
     if (grid.empty())
         grid = defaultPdGrid();
@@ -40,10 +39,9 @@ bestStaticPd(const std::string &benchmark, bool bypass,
         factories.push_back([pd, bypass] {
             return bypass ? makeSpdpB(pd) : makeSpdpNb(pd);
         });
-    auto gen = SpecSuite::make(benchmark, seed);
+    auto gen = SpecSuite::make(benchmark);
     std::vector<SimResult> results = runSingleCoreLockstep(
-        *gen, config, factories,
-        threads ? threads : std::thread::hardware_concurrency());
+        *gen, config, factories, std::thread::hardware_concurrency());
 
     std::vector<const SimResult *> candidates;
     for (const SimResult &r : results)

@@ -33,20 +33,18 @@ std::vector<uint32_t> defaultPdGrid();
 size_t fewestMisses(const std::vector<const SimResult *> &results);
 
 /**
- * Sweep static PDs for one benchmark with runSingleCoreLockstep (one
- * decode) and return the fewestMisses() one.
+ * Sweep static PDs for one benchmark's default-seeded stream with
+ * runSingleCoreLockstep (one decode, lanes over every hardware thread)
+ * and return the fewestMisses() one.
  *
  * @param benchmark suite benchmark name
  * @param bypass true for SPDP-B, false for SPDP-NB
  * @param config run configuration
  * @param grid PD candidates (defaultPdGrid() if empty)
- * @param seed generator seed (1 = SpecSuite::make's default)
- * @param threads lane threads (0 = every hardware thread)
  */
 StaticPdResult bestStaticPd(const std::string &benchmark, bool bypass,
                             const SimConfig &config,
-                            std::vector<uint32_t> grid = {},
-                            uint64_t seed = 1, unsigned threads = 0);
+                            std::vector<uint32_t> grid = {});
 
 } // namespace pdp
 

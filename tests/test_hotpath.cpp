@@ -37,6 +37,7 @@
 #include "policies/scratch_rows.h"
 #include "runner/suites.h"
 #include "sim/policy_factory.h"
+#include "test_support.h"
 #include "util/rng.h"
 
 using namespace pdp;
@@ -592,7 +593,7 @@ TEST(HotpathDeterminism, SmokeSuiteJsonIsByteIdentical)
             record.status = runner::JobStatus::Ok;
             runner::JobContext ctx;
             ctx.seed = job.seed;
-            record.outcome = job.run(ctx);
+            record.outcome = sequentialJob(job).run(ctx);
             sink.add(std::move(record));
         }
         return sink.toJson(false).dump(2);

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "cache/hierarchy.h"
+#include "cache/occupancy_tracker.h"
 #include "cache/shard_view.h"
 #include "check/check.h"
 #include "core/pdp_policy.h"
@@ -30,6 +31,8 @@
 #include "sim/lockstep_sweep.h"
 #include "sim/multi_core_sim.h"
 #include "sim/policy_factory.h"
+#include "sim/static_pd_search.h"
+#include "test_support.h"
 #include "trace/spec_suite.h"
 #include "trace/workload.h"
 
@@ -436,7 +439,8 @@ TEST(ThreadPoolExecutorMany, EmptyGroupIsAFailure)
 namespace
 {
 
-/** The suite's grid narrowed by `filter`, one job per cell. */
+/** The suite's grid narrowed by `filter`, each cell one sequential
+ *  run (sequentialJob). */
 std::vector<Job>
 ungroupedJobs(const Suite &suite, const SuiteOptions &options)
 {
@@ -444,7 +448,7 @@ ungroupedJobs(const Suite &suite, const SuiteOptions &options)
     std::erase_if(jobs, [&](const Job &job) {
         return job.key.find(options.filter) == std::string::npos;
     });
-    return jobs;
+    return sequentialJobs(jobs);
 }
 
 struct SuiteRun
@@ -486,28 +490,6 @@ runJobs(const std::string &suiteName, const std::vector<Job> &jobs,
     text << in.rdbuf();
     run.trace = text.str();
     return run;
-}
-
-/** EXPECT_EQ for long texts that names the first line where they
- *  differ; gtest's own string diff is quadratic in the line count. */
-void
-expectSameText(const std::string &a, const std::string &b,
-               const std::string &what)
-{
-    if (a == b)
-        return;
-    std::istringstream as(a), bs(b);
-    std::string la, lb;
-    for (size_t line = 1;; ++line) {
-        const bool moreA = static_cast<bool>(std::getline(as, la));
-        const bool moreB = static_cast<bool>(std::getline(bs, lb));
-        if (moreA != moreB || la != lb || !moreA) {
-            ADD_FAILURE() << what << " differ at line " << line << ":\n  "
-                          << (moreA ? la : "<end>") << "\n  "
-                          << (moreB ? lb : "<end>");
-            return;
-        }
-    }
 }
 
 /** Runs the suite grouped and ungrouped, expects the same records in
@@ -626,14 +608,22 @@ TEST(SuiteLockstepTest, Fig12GroupedDumpMatchesUngrouped)
 
 TEST(SuiteLockstepTest, Fig12OneCellFilterIsOnePlainJob)
 {
+    // A lone cell is a one-lane sweep under the cell's own key, so its
+    // record, a failure's record and a FLIGHT file name keep that key.
     const Suite *suite = findSuite("fig12_partitioning");
     ASSERT_NE(suite, nullptr);
     const std::vector<Job> jobs =
         selectJobs(*suite, quickSuite("fig12/4c/w0/UCP"));
     ASSERT_EQ(jobs.size(), 1u);
     EXPECT_EQ(jobs[0].key, "fig12/4c/w0/UCP");
-    EXPECT_TRUE(jobs[0].run != nullptr);
-    EXPECT_TRUE(jobs[0].runMany == nullptr);
+    EXPECT_TRUE(jobs[0].run == nullptr);
+    EXPECT_TRUE(jobs[0].runMany != nullptr);
+    const auto records = ThreadPoolExecutor().run(jobs);
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].key, "fig12/4c/w0/UCP");
+    EXPECT_EQ(records[0].status, JobStatus::Ok);
+    ASSERT_TRUE(records[0].outcome.multi.has_value());
+    EXPECT_EQ(records[0].outcome.multi->policy, "UCP");
 }
 
 TEST(SuiteLockstepTest, SmokeGroupedDumpMatchesUngrouped)
@@ -642,8 +632,8 @@ TEST(SuiteLockstepTest, SmokeGroupedDumpMatchesUngrouped)
         expectGroupingInvisible("smoke", quickSuite());
     // soplex {DIP, PDP-3}, cactusADM {DRRIP, PDP-3, SPDP-B:64}, soplex
     // {SPDP-B:32, :64, :128}: the two soplex stretches are not adjacent,
-    // so they stay two sweeps.  The 2-core cell is alone, so it stays a
-    // plain job.
+    // so they stay two sweeps.  The 2-core cell is alone, so it is a
+    // one-lane job under its own key.
     std::vector<std::string> keys;
     for (const Job &job : grouped)
         keys.push_back(job.key);
@@ -688,6 +678,95 @@ TEST(SuiteLockstepTest, Fig12TracedGroupedDumpMatchesUngrouped)
     ASSERT_EQ(grouped.size(), 1u);
     EXPECT_EQ(grouped[0].key, "fig12/4c/w0/TA-DRRIP..fig12/4c/w0/PDP-3");
     EXPECT_TRUE(grouped[0].runMany != nullptr);
+}
+
+TEST(SuiteLockstepTest, PrefetchTracedGroupedDumpMatchesUngrouped)
+{
+    // Each cell's probe reads its own lane's prefetch fills.
+    SuiteOptions options = tracedSuite("");
+    options.scale = 0.01;
+    const std::vector<Job> grouped =
+        expectGroupingInvisible("prefetch", options);
+    const std::vector<std::string> benches = SpecSuite::singleCoreNames();
+    ASSERT_EQ(grouped.size(), benches.size());
+    for (size_t b = 0; b < benches.size(); ++b)
+        EXPECT_EQ(grouped[b].key, "prefetch/" + benches[b] +
+                                      "/DRRIP..prefetch/" + benches[b] +
+                                      "/PDP-8:pf-bypass");
+}
+
+TEST(SuiteLockstepTest, Fig11TracedGroupedDumpMatchesUngrouped)
+{
+    // PDP-8's PD-history probe rides its benchmark's sweep.
+    SuiteOptions options = tracedSuite("");
+    options.scale = 0.01;
+    const std::vector<Job> grouped =
+        expectGroupingInvisible("fig11_phases", options);
+    const std::vector<std::string> benches = SpecSuite::phasedNames();
+    ASSERT_EQ(grouped.size(), benches.size());
+    for (size_t b = 0; b < benches.size(); ++b)
+        EXPECT_EQ(grouped[b].key, "fig11/" + benches[b] +
+                                      "/interval:256K..fig11/" +
+                                      benches[b] + "/PDP-8");
+}
+
+TEST(SuiteLockstepTest, Fig5aSpdpRowsMatchSequentialGridSearch)
+{
+    // A SPDP row runs its PD grid as one sweep with a tracker on every
+    // lane.  The reference runs each grid PD on runSingleCore with its
+    // own OccupancyTracker and picks the row by fewestMisses.
+    const Suite *suite = findSuite("fig5a_occupancy");
+    ASSERT_NE(suite, nullptr);
+    SuiteOptions options = tracedSuite("/SPDP-");
+    options.scale = 0.01;
+    const std::vector<Job> jobs = selectJobs(*suite, options);
+    ASSERT_EQ(jobs.size(), 4u);
+    const SimConfig config = scaledConfig(options, 2'000'000, 800'000);
+    const std::vector<uint32_t> grid = defaultPdGrid();
+    for (const JobRecord &record : ThreadPoolExecutor().run(jobs)) {
+        SCOPED_TRACE(record.key);
+        ASSERT_EQ(record.status, JobStatus::Ok) << record.error;
+        const std::string bench =
+            record.key.substr(6, record.key.rfind('/') - 6);
+        const bool bypass = record.key.ends_with("/SPDP-B");
+        std::vector<SimResult> plain;
+        std::vector<OccupancyBreakdown> breakdowns;
+        for (uint32_t pd : grid) {
+            auto gen = SpecSuite::make(bench, seedFor(bench));
+            Hierarchy hierarchy = makeHierarchy(
+                config, bypass ? makeSpdpB(pd) : makeSpdpNb(pd));
+            OccupancyTracker tracker(hierarchy.llc());
+            hierarchy.llc().setObserver(&tracker);
+            plain.push_back(runSingleCore(*gen, hierarchy, config));
+            breakdowns.push_back(tracker.breakdown());
+        }
+        std::vector<const SimResult *> results;
+        for (const SimResult &result : plain)
+            results.push_back(&result);
+        const size_t best = fewestMisses(results);
+
+        const Metrics &m = record.outcome.metrics;
+        EXPECT_EQ(m.at("pd"), grid[best]);
+        ASSERT_TRUE(record.outcome.single.has_value());
+        expectSameResult(*record.outcome.single, plain[best]);
+        const OccupancyBreakdown &b = breakdowns[best];
+        const auto share = [](uint64_t part, uint64_t total) {
+            return static_cast<double>(part) / static_cast<double>(total);
+        };
+        EXPECT_EQ(m.at("acc:hit"), share(b.hits, b.totalEvents()));
+        EXPECT_EQ(m.at("acc:bypass"), share(b.bypasses, b.totalEvents()));
+        EXPECT_EQ(m.at("acc:evict<=16"),
+                  share(b.evictsShort, b.totalEvents()));
+        EXPECT_EQ(m.at("acc:evict>16"), share(b.evictsLong, b.totalEvents()));
+        EXPECT_EQ(m.at("occ:hit"),
+                  share(b.occupancyHits, b.totalOccupancy()));
+        EXPECT_EQ(m.at("occ:evict<=16"),
+                  share(b.occupancyShort, b.totalOccupancy()));
+        EXPECT_EQ(m.at("occ:evict>16"),
+                  share(b.occupancyLong, b.totalOccupancy()));
+        EXPECT_EQ(m.at("max occupancy"),
+                  static_cast<double>(b.maxOccupancy));
+    }
 }
 
 TEST(SuiteLockstepTest, LaneExceptionIsTheSameAtAnyThreadCount)

@@ -33,6 +33,7 @@
 #include "sim/lockstep_sweep.h"
 #include "sim/policy_factory.h"
 #include "sim/single_core_sim.h"
+#include "test_support.h"
 #include "trace/rdd_fingerprint.h"
 #include "trace/spec_suite.h"
 
@@ -473,7 +474,7 @@ TEST(ExploreSuite, PrunedRunReproducesTheExhaustiveWinner)
             continue;
         runner::JobContext cell_ctx;
         cell_ctx.seed = j.seed;
-        const runner::JobOutcome out = j.run(cell_ctx);
+        const runner::JobOutcome out = sequentialJob(j).run(cell_ctx);
         ASSERT_TRUE(out.single.has_value()) << j.key;
         exhaustive.emplace(j.key, *out.single);
     }

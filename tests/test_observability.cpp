@@ -26,6 +26,7 @@
 #include "service/slo_monitor.h"
 #include "telemetry/event_trace.h"
 #include "telemetry/span_tracer.h"
+#include "test_support.h"
 
 using namespace pdp;
 using runner::ExecutorOptions;
@@ -210,7 +211,8 @@ TEST(ServiceObservability, SpanSamplingIsDeterministicAcrossRuns)
     EXPECT_GT(a.spansSampled, 0u);
     EXPECT_EQ(a.spansSampled, b.spansSampled);
     // The deterministic serialization covers event streams and all.
-    EXPECT_EQ(runner::toJson(a).dump(2), runner::toJson(b).dump(2));
+    expectSameText(runner::toJson(a).dump(2), runner::toJson(b).dump(2),
+                   "service result dumps");
 
     unsigned roots = 0;
     ASSERT_NE(a.telemetry, nullptr);
@@ -239,7 +241,8 @@ TEST(ServiceObservability, OverflowPathStaysDeterministic)
 
     // Drop-oldest truncation is itself deterministic.
     const ServiceResult b = runService(tenants, "PDP-3", config, 7);
-    EXPECT_EQ(runner::toJson(a).dump(2), runner::toJson(b).dump(2));
+    expectSameText(runner::toJson(a).dump(2), runner::toJson(b).dump(2),
+                   "service result dumps");
 }
 
 // ---------------------------------------------------------------------
@@ -289,7 +292,7 @@ TEST(ServiceObservability, TraceFilesByteIdenticalAcrossWorkerCounts)
     const std::string serial = runOnce(1, makeDir("obs_w1"));
     const std::string parallel = runOnce(4, makeDir("obs_w4"));
     EXPECT_NE(serial.find("span:arrival"), std::string::npos);
-    EXPECT_EQ(serial, parallel);
+    expectSameText(serial, parallel, "TRACE + BENCH text at 1 and 4 workers");
 }
 
 // ---------------------------------------------------------------------

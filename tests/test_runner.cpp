@@ -21,6 +21,7 @@
 #include "runner/results_sink.h"
 #include "runner/suites.h"
 #include "runner/thread_pool.h"
+#include "test_support.h"
 #include "trace/spec_suite.h"
 
 using namespace pdp;
@@ -29,7 +30,8 @@ using namespace pdp::runner;
 namespace
 {
 
-/** A small but real simulation grid: 2 benchmarks x 2 policies. */
+/** A small but real simulation grid: 2 benchmarks x 2 policies, each
+ *  cell one sequential job. */
 std::vector<Job>
 smallGrid()
 {
@@ -39,9 +41,9 @@ smallGrid()
     std::vector<Job> jobs;
     for (const char *bench : {"450.soplex", "429.mcf"})
         for (const char *policy : {"LRU", "PDP-3"})
-            jobs.push_back(singleCoreJob(
+            jobs.push_back(sequentialJob(singleCoreJob(
                 std::string("grid/") + bench + "/" + policy, bench, policy,
-                config));
+                config)));
     return jobs;
 }
 
@@ -336,8 +338,10 @@ TEST(Suites, RegistryHasThePortedFiguresAndUniqueJobKeys)
             EXPECT_TRUE(keys.insert(job.key).second)
                 << suite.name << ": duplicate key " << job.key;
             EXPECT_NE(job.seed, 0u) << job.key;
-            EXPECT_NE(job.run == nullptr, job.runMany == nullptr)
-                << job.key << ": exactly one of run/runMany";
+            EXPECT_EQ((job.run != nullptr) + (job.runMany != nullptr) +
+                          job.cell.has_value(),
+                      1)
+                << job.key << ": exactly one of run/runMany/cell";
         }
     }
     // Every artifact of the paper's evaluation has a suite.
@@ -663,7 +667,7 @@ TEST_P(FigureSuiteTest, RunsOkAndIsByteIdenticalAcrossWorkerCounts)
     }
     fs::remove_all(root);
     EXPECT_FALSE(dumps[0].empty());
-    EXPECT_EQ(dumps[0], dumps[1]);
+    expectSameText(dumps[0], dumps[1], "BENCH dumps at 1 and 4 workers");
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -18,6 +18,7 @@
 #include "runner/results_sink.h"
 #include "service/scenario.h"
 #include "service/service_sim.h"
+#include "test_support.h"
 #include "trace/zipf.h"
 
 using namespace pdp;
@@ -104,8 +105,8 @@ TEST(ServiceSim, DeterministicAcrossRepeatedRuns)
         const ServiceResult a = runService(tenants, policy, config, 7);
         const ServiceResult b = runService(tenants, policy, config, 7);
         // The serialized form covers every deterministic field at once.
-        EXPECT_EQ(runner::toJson(a).dump(2), runner::toJson(b).dump(2))
-            << policy;
+        expectSameText(runner::toJson(a).dump(2), runner::toJson(b).dump(2),
+                       std::string(policy) + " result dumps");
     }
 }
 
